@@ -352,8 +352,10 @@ class Violation:
     message: str
 
     def __post_init__(self) -> None:
-        assert self.code in VIOLATION_CODES, f"unknown violation code {self.code!r}"
-        assert self.location, "a violation must name at least one location"
+        if self.code not in VIOLATION_CODES:
+            raise ValueError(f"unknown violation code {self.code!r}")
+        if not self.location:
+            raise ValueError("a violation must name at least one location")
 
     def __str__(self) -> str:
         return f"{self.code} {','.join(self.location)}: {self.message}"

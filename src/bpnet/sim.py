@@ -11,8 +11,9 @@ along all outgoing channels of the producing port.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from bisect import insort
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import refine
 from .core import (
@@ -26,7 +27,7 @@ from .core import (
     RecordSort,
     port_by_name,
 )
-from .errors import InvalidEnvFragmentError, NonDeterministicRulesError
+from .errors import InvalidEnvFragmentError, NonDeterministicRulesError, SimError
 
 # --- values and fragments -----------------------------------------------------
 
@@ -63,15 +64,6 @@ class Fragment:
     port: PortId
     label: str
     payload: Value
-
-
-@dataclass
-class SimState:
-    """Mutable run state: fragments present per port, plus the firing log."""
-
-    delivered: dict[PortId, dict[str, Value]] = field(default_factory=dict)
-    fired: set[tuple[ProcessId, int]] = field(default_factory=set)
-    trace: list[tuple[ProcessId, int]] = field(default_factory=list)
 
 
 # A compute function maps the consumed fragments to the payload for one
@@ -140,45 +132,24 @@ def _check_rule_determinism(model: Model, members: Iterable[ProcessId]) -> None:
                 seen.setdefault(pair, index)
 
 
-def simulate_greedy(
-    model: Model,
-    env: Iterable[Fragment],
-    rng: random.Random | None = None,
-) -> tuple[frozenset[Fragment], list[tuple[ProcessId, int]]]:
-    """Run firing rules to fixpoint and return the environment-visible outputs.
+class _Plan(NamedTuple):
+    """A flat net indexed for firing: built once, run under any number of orders."""
 
-    ``rng`` randomizes which ready rule fires next (used by the confluence
-    check); with the default the ready rule that is least by (process name,
-    rule index) fires first.  Terminates because each rule fires at most
-    once on an acyclic net.
-    """
+    model: Model
+    flat: ProcessNet
+    outgoing: dict[PortId, list[PortId]]
+    # (process name, pid, rule index, rule), sorted: a rule's position is its rank
+    entries: list[tuple[str, ProcessId, int, FiringRule]]
+    # per position, the number of distinct (port, label) needs
+    missing: list[int]
+    # (port, label) -> positions of the rules that need it
+    waiting: dict[tuple[PortId, str], list[int]]
+
+
+def _plan(model: Model) -> _Plan:
     flat, _ = flatten_with_boundary(model)
     members = sorted(flat.processes)
     _check_rule_determinism(model, members)
-
-    env = list(env)
-    seen_pairs: set[tuple[PortId, str]] = set()
-    for frag in env:
-        port = model.ports.get(frag.port)
-        if port is None or frag.port not in flat.env_inputs:
-            raise InvalidEnvFragmentError(
-                f"{frag.port!r} is not an environment input of the flattened net"
-            )
-        if frag.label not in _valid_labels(port):
-            raise InvalidEnvFragmentError(
-                f"label {frag.label!r} is not valid for port {frag.port!r}"
-            )
-        if (frag.port, frag.label) in seen_pairs:
-            raise InvalidEnvFragmentError(
-                f"duplicate fragment {frag.label!r} on port {frag.port!r}"
-            )
-        seen_pairs.add((frag.port, frag.label))
-    for port_id in {f.port for f in env}:
-        labels = {f.label for f in env if f.port == port_id}
-        if WHOLE in labels and len(labels) > 1:
-            raise InvalidEnvFragmentError(
-                f"port {port_id!r} receives 'whole' alongside other fragments"
-            )
 
     outgoing: dict[PortId, list[PortId]] = {}
     for ch in flat.channels:
@@ -186,75 +157,129 @@ def simulate_greedy(
     for dests in outgoing.values():
         dests.sort()
 
-    state = SimState()
+    entries = sorted(
+        (
+            (model.processes[pid].name, pid, index, rule)
+            for pid in members
+            for index, rule in enumerate(model.processes[pid].firing_rules)
+        ),
+        key=lambda e: e[:3],
+    )
+    missing = []
+    waiting: dict[tuple[PortId, str], list[int]] = {}
+    for position, entry in enumerate(entries):
+        needs = set(entry[3].needs)
+        missing.append(len(needs))
+        for need in needs:
+            waiting.setdefault(need, []).append(position)
+    return _Plan(model, flat, outgoing, entries, missing, waiting)
+
+
+def _checked_env(plan: _Plan, env: Iterable[Fragment]) -> list[Fragment]:
+    env = list(env)
+    labels_by_port: dict[PortId, set[str]] = {}
+    for frag in env:
+        port = plan.model.ports.get(frag.port)
+        if port is None or frag.port not in plan.flat.env_inputs:
+            raise InvalidEnvFragmentError(
+                f"{frag.port!r} is not an environment input of the flattened net"
+            )
+        if frag.label not in _valid_labels(port):
+            raise InvalidEnvFragmentError(
+                f"label {frag.label!r} is not valid for port {frag.port!r}"
+            )
+        labels = labels_by_port.setdefault(frag.port, set())
+        if frag.label in labels:
+            raise InvalidEnvFragmentError(
+                f"duplicate fragment {frag.label!r} on port {frag.port!r}"
+            )
+        labels.add(frag.label)
+    for port_id, labels in labels_by_port.items():
+        if WHOLE in labels and len(labels) > 1:
+            raise InvalidEnvFragmentError(
+                f"port {port_id!r} receives 'whole' alongside other fragments"
+            )
+    return env
+
+
+def _run(
+    plan: _Plan, env: list[Fragment], rng: random.Random | None
+) -> tuple[frozenset[Fragment], list[tuple[ProcessId, int]]]:
+    missing = list(plan.missing)
+    ready = [position for position, count in enumerate(missing) if count == 0]
+    delivered: dict[tuple[PortId, str], Value] = {}
+    outputs: set[Fragment] = set()
+    trace: list[tuple[ProcessId, int]] = []
 
     def deliver(port_id: PortId, label: str, payload: Value) -> None:
-        slot = state.delivered.setdefault(port_id, {})
-        # acyclic net + per-process output determinism: one fragment per label
-        assert label not in slot, f"second fragment {label!r} on {port_id!r}"
-        slot[label] = payload
-
-    outputs: set[Fragment] = set()
-
-    def emit(port_id: PortId, label: str, payload: Value) -> None:
-        if port_id in flat.env_outputs:
-            outputs.add(Fragment(port_id, label, payload))
-        for dest in outgoing.get(port_id, ()):
-            deliver(dest, label, payload)
+        need = (port_id, label)
+        if need in delivered:
+            # only fan-in or a rule producing one pair twice can get here
+            raise SimError(f"second fragment {label!r} on {port_id!r}")
+        delivered[need] = payload
+        for position in plan.waiting.get(need, ()):
+            missing[position] -= 1
+            if missing[position] == 0:
+                insort(ready, position)
 
     for frag in env:
         deliver(frag.port, frag.label, frag.payload)
 
-    rule_entries = []
-    for pid in members:
-        proc = model.processes[pid]
-        for index, rule in enumerate(proc.firing_rules):
-            rule_entries.append((proc.name, pid, index, rule))
-    rule_entries.sort(key=lambda e: (e[0], e[1], e[2]))
-
-    def ready(rule: FiringRule) -> bool:
-        return all(
-            label in state.delivered.get(port_id, ())
-            for port_id, label in rule.needs
-        )
-
-    while True:
-        candidates = [
-            entry
-            for entry in rule_entries
-            if (entry[1], entry[2]) not in state.fired and ready(entry[3])
-        ]
-        if not candidates:
-            break
-        if rng is None:
-            name, pid, index, rule = candidates[0]
-        else:
-            name, pid, index, rule = candidates[rng.randrange(len(candidates))]
-        state.fired.add((pid, index))
-        state.trace.append((pid, index))
+    while ready:
+        position = ready.pop(0 if rng is None else rng.randrange(len(ready)))
+        name, pid, index, rule = plan.entries[position]
+        trace.append((pid, index))
         consumed = [
-            Fragment(port_id, label, state.delivered[port_id][label])
+            Fragment(port_id, label, delivered[port_id, label])
             for port_id, label in sorted(rule.needs)
         ]
         compute = COMPUTE_REGISTRY.get(rule.compute, _tag_compute)
         for port_id, label in sorted(rule.produces):
-            port = model.ports[port_id]
-            emit(port_id, label, compute(name, consumed, port.name, label))
+            payload = compute(name, consumed, plan.model.ports[port_id].name, label)
+            if port_id in plan.flat.env_outputs:
+                outputs.add(Fragment(port_id, label, payload))
+            for dest in plan.outgoing.get(port_id, ()):
+                deliver(dest, label, payload)
 
-    return frozenset(outputs), state.trace
+    return frozenset(outputs), trace
+
+
+def simulate_greedy(
+    model: Model,
+    env: Iterable[Fragment],
+    rng: random.Random | None = None,
+) -> tuple[frozenset[Fragment], list[tuple[ProcessId, int]]]:
+    """Run firing rules to fixpoint; return the environment-visible outputs and
+    the firing trace as (process id, rule index) pairs.
+
+    The rules that are ready and not yet fired form one list ordered by
+    (process name, process id, rule index).  With ``rng`` None the first rule
+    of that list fires next; otherwise the rule at ``rng.randrange(len(ready))``
+    fires, one ``randrange`` call per firing (used by the confluence check).
+    Each delivered fragment decrements the missing-need count of the rules
+    waiting for it, so a run costs time linear in rules plus deliveries, apart
+    from keeping the ready list sorted.  Terminates because each rule fires at
+    most once.
+    """
+    plan = _plan(model)
+    return _run(plan, _checked_env(plan, env), rng)
 
 
 def check_confluence(
     model: Model, env: Iterable[Fragment], trials: int, seed: int
 ) -> bool:
-    """True iff randomized firing orders all produce the same final outputs."""
+    """True iff randomized firing orders all produce the same final outputs.
+
+    The net is flattened and indexed, and ``env`` checked, once for all
+    ``trials + 1`` runs.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    env = list(env)
-    baseline, _ = simulate_greedy(model, env)
+    plan = _plan(model)
+    env = _checked_env(plan, env)
+    baseline, _ = _run(plan, env, None)
     for trial in range(trials):
-        rng = random.Random(f"{seed}:{trial}")
-        outputs, _ = simulate_greedy(model, env, rng=rng)
+        outputs, _ = _run(plan, env, random.Random(f"{seed}:{trial}"))
         if outputs != baseline:
             return False
     return True
@@ -314,7 +339,6 @@ __all__ = [
     "Value",
     "Fragment",
     "FiringRule",
-    "SimState",
     "COMPUTE_REGISTRY",
     "flatten",
     "flatten_with_boundary",

@@ -269,6 +269,12 @@ class TestValidateModel:
     def test_generated_models_are_well_formed(self, seed):
         assert validate_model(gen_model(seed)) == []
 
+    def test_violation_needs_known_code_and_location(self):
+        with pytest.raises(ValueError, match="unknown violation code"):
+            core.Violation("no-such-code", ("root",), "x")
+        with pytest.raises(ValueError, match="at least one location"):
+            core.Violation(core.DANGLING_REF, (), "x")
+
 
 class TestSerializeOrder:
     def test_chain_ranking(self):

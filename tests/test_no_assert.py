@@ -1,0 +1,22 @@
+"""Invariants in the package must hold under ``python -O``, which strips
+``assert``: every check in ``src/bpnet`` raises explicitly instead."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bpnet").glob("*.py"))
+
+
+def test_sources_found():
+    assert SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert on lines {lines}"

@@ -2,18 +2,85 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from bpnet import core, sim, textio
-from bpnet.core import FiringRule, Process
-from bpnet.errors import InvalidEnvFragmentError, NonDeterministicRulesError
+from bpnet.core import WHOLE, Channel, FiringRule, Process, RecordSort
+from bpnet.errors import InvalidEnvFragmentError, NonDeterministicRulesError, SimError
 from bpnet.sim import AtomicValue, Fragment
 
-from conftest import fixture_text
+from conftest import fixture_text, load_model
+from genmodels import gen_model, rename_ids
 
 
 def env_for(model, *entries):
     return sim.prepare_env(model, [(n, lab, text) for n, lab, text in entries])
+
+
+def reference_greedy(model, env, rng=None):
+    """The quadratic ready-scan that ``simulate_greedy`` replaced, as an oracle:
+    after every firing, rescan all unfired rules for the ready ones."""
+    flat, _ = sim.flatten_with_boundary(model)
+    outgoing = {}
+    for ch in flat.channels:
+        outgoing.setdefault(ch.source, []).append(ch.dest)
+    entries = sorted(
+        (
+            (model.processes[pid].name, pid, index, rule)
+            for pid in flat.processes
+            for index, rule in enumerate(model.processes[pid].firing_rules)
+        ),
+        key=lambda e: e[:3],
+    )
+    delivered = {}
+    for frag in env:
+        delivered.setdefault(frag.port, {})[frag.label] = frag.payload
+    fired, trace, outputs = set(), [], set()
+    while True:
+        candidates = [
+            e
+            for e in entries
+            if (e[1], e[2]) not in fired
+            and all(label in delivered.get(port, ()) for port, label in e[3].needs)
+        ]
+        if not candidates:
+            return frozenset(outputs), trace
+        pick = 0 if rng is None else rng.randrange(len(candidates))
+        name, pid, index, rule = candidates[pick]
+        fired.add((pid, index))
+        trace.append((pid, index))
+        consumed = [
+            Fragment(port, label, delivered[port][label])
+            for port, label in sorted(rule.needs)
+        ]
+        compute = sim.COMPUTE_REGISTRY[rule.compute]
+        for port, label in sorted(rule.produces):
+            payload = compute(name, consumed, model.ports[port].name, label)
+            if port in flat.env_outputs:
+                outputs.add(Fragment(port, label, payload))
+            for dest in sorted(outgoing.get(port, ())):
+                delivered.setdefault(dest, {})[label] = payload
+
+
+def random_env(model, rng):
+    """Each root input is left out, sent whole, or sent as some record fields."""
+    _, boundary = sim.flatten_with_boundary(model)
+    entries = []
+    for port_id in model.processes[model.root].inputs:
+        sort = model.ports[boundary[port_id]].sort
+        draw = rng.random()
+        if draw < 0.2:
+            continue
+        if isinstance(sort, RecordSort) and draw < 0.6:
+            labels = [n for n in sort.field_names() if rng.random() < 0.7]
+        else:
+            labels = [WHOLE]
+        name = model.ports[port_id].name
+        entries += [(name, label, f"v{len(entries)}") for label in labels]
+    return sim.prepare_env(model, entries)
 
 
 class TestFlatten:
@@ -119,6 +186,22 @@ class TestSimulateGreedy:
         assert len(trace) == 1
         assert len(outputs) == 1
 
+    def test_second_fragment_on_a_port_is_a_sim_error(self, library_model):
+        # fan-in: retrieve_book.out_1 also feeds notify_user.in_1, which
+        # reserve_book.out_1 feeds too, so in_1 receives 'whole' twice
+        net, binding = library_model.nets["system"]
+        extra = Channel(
+            core.port_by_name(library_model, "system.retrieve_book", "out_1"),
+            core.port_by_name(library_model, "system.notify_user", "in_1"),
+        )
+        fan_in = dataclasses.replace(
+            library_model,
+            nets={"system": (dataclasses.replace(net, channels=net.channels | {extra}), binding)},
+        )
+        env = env_for(fan_in, ("req", "whole", "b42"))
+        with pytest.raises(SimError, match="second fragment 'whole'"):
+            sim.simulate_greedy(fan_in, env)
+
     def test_whole_excludes_other_labels(self):
         m = textio.parse_model(
             "sort A\nsort R = record { a: A, b: A }\nprocess root { in x : R }"
@@ -179,6 +262,64 @@ class TestConfluence:
     def test_trials_must_be_positive(self, bp_model):
         with pytest.raises(ValueError):
             sim.check_confluence(bp_model, [], trials=0, seed=0)
+
+
+FIXTURE_ENVS = {
+    "library.bpn": ["library.env"],
+    "library_refined.bpn": ["library.env"],
+    "bp.bpn": ["bp.env", "bp_partial.env"],
+    "bp_fig6.bpn": ["bp.env", "bp_partial.env"],
+    "bp_refined.bpn": ["bp.env", "bp_partial.env"],
+}
+ORDERS = 20
+
+
+def differential_cases():
+    """(label, model, env) on the fixtures and on wide single-level models."""
+    for name, env_files in FIXTURE_ENVS.items():
+        model = load_model(name)
+        rng = random.Random(name)
+        for env_file in env_files:
+            env = sim.prepare_env(model, sim.parse_env_text(fixture_text(env_file)))
+            yield f"{name}+{env_file}", model, env
+        for k in range(3):
+            yield f"{name}+random{k}", model, random_env(model, rng)
+    for seed in range(30):
+        model = gen_model(seed, 1, 2 + 2 * seed)
+        if seed % 2:
+            # ids P0, P1, ..., P10 sort apart from the names p0, p1, ..., p10
+            model = rename_ids(model)
+        yield f"gen{seed}", model, random_env(model, random.Random(seed))
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return list(differential_cases())
+
+
+class TestAgainstReferenceScan:
+    def test_traces_and_outputs_match(self, cases):
+        fired = 0
+        for label, model, env in cases:
+            expected = reference_greedy(model, env)
+            assert sim.simulate_greedy(model, env) == expected, label
+            fired += len(expected[1])
+            for t in range(ORDERS):
+                order = f"{label}:{t}"
+                expected = reference_greedy(model, env, random.Random(order))
+                actual = sim.simulate_greedy(model, env, random.Random(order))
+                assert actual == expected, order
+        assert fired > 400  # the cases fire (489 rules), not just stay quiescent
+
+    def test_confluence_agrees(self, cases):
+        trials = 5
+        for label, model, env in cases:
+            baseline, _ = reference_greedy(model, env)
+            expected = all(
+                reference_greedy(model, env, random.Random(f"3:{t}"))[0] == baseline
+                for t in range(trials)
+            )
+            assert sim.check_confluence(model, env, trials, seed=3) == expected, label
 
 
 class TestEnvFormat:
