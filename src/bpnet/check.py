@@ -171,8 +171,7 @@ def _match_models(a: Model, b: Model) -> tuple[Isomorphism | None, str]:
     if err:
         return None, err
 
-    contained_a = {m for _, (n, _) in a.nets.items() for m in n.processes}
-    contained_b = {m for _, (n, _) in b.nets.items() for m in n.processes}
+    contained_a, contained_b = core.container_index(a), core.container_index(b)
     spare_a = sorted(p for p in a.processes if p not in contained_a and p != a.root)
     spare_b = sorted(p for p in b.processes if p not in contained_b and p != b.root)
     by_name_a = {a.processes[p].name: p for p in spare_a}
@@ -221,15 +220,6 @@ def _sort_expr_of(sort: Sort, table) -> SortExpr | None:
             return None
         fields.append((fname, fexpr))
     return core.RecordExpr(tuple(fields))
-
-
-def _paths(model: Model) -> dict[ProcessId, tuple[str, ...]]:
-    out: dict[ProcessId, tuple[str, ...]] = {model.root: core.display_path(model, model.root)}
-    for owner, (net, _) in model.nets.items():
-        for member in net.processes:
-            if member in model.processes:
-                out[member] = core.display_path(model, member)
-    return out
 
 
 def _twin(refined: Model, path: tuple[str, ...]) -> ProcessId | None:
@@ -303,7 +293,12 @@ def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
     Parameters are drawn from the two models' names and sorts: fresh names
     come from the refined model's vocabulary at the corresponding position.
     """
-    paths = _paths(current)
+    located = core.container_index(current)
+    paths = {
+        pid: core.display_path(current, pid)
+        for pid in current.processes
+        if pid == current.root or pid in located
+    }
     sort_names = sorted(current.sort_table)
 
     # assign-sort over unsorted ports

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import CycleDetectedError, NoNetError, UnknownProcessError
@@ -209,28 +210,28 @@ class Model:
         except KeyError:
             raise NoNetError(f"process {owner!r} has no net") from None
 
+    @functools.cached_property
+    def _containers(self) -> dict[ProcessId, ProcessId]:
+        """Each net member mapped to the owner of the first net listing it.
 
-def container_index(model: Model) -> dict[ProcessId, ProcessId]:
-    """Map each process to the owner of the net containing it."""
-    index: dict[ProcessId, ProcessId] = {}
-    for owner, (net, _) in model.nets.items():
-        for member in net.processes:
-            index.setdefault(member, owner)
-    return index
+        Computed once, on first use: a model is immutable, and
+        ``dataclasses.replace`` builds a new instance with an empty cache.
+        """
+        index: dict[ProcessId, ProcessId] = {}
+        for owner, (net, _) in self.nets.items():
+            for member in net.processes:
+                index.setdefault(member, owner)
+        return index
 
 
-def containing_net(
-    model: Model, pid: ProcessId
-) -> tuple[ProcessId, ProcessNet, InterfaceBinding] | None:
-    for owner, (net, binding) in model.nets.items():
-        if pid in net.processes:
-            return owner, net, binding
-    return None
+def container_index(model: Model) -> Mapping[ProcessId, ProcessId]:
+    """Map each process to the owner of the net containing it (read-only)."""
+    return MappingProxyType(model._containers)
 
 
 def display_path(model: Model, pid: ProcessId) -> tuple[str, ...]:
     """Names from the root to a process, as used in the text format."""
-    located = container_index(model)
+    located = model._containers
     names: list[str] = []
     cur = pid
     seen: set[ProcessId] = set()
@@ -463,82 +464,64 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 
 
 # --- validation --------------------------------------------------------------
+#
+# Each check is implemented once.  ``_process_violations`` and
+# ``_net_violations`` hold every check local to one process or one net;
+# ``validate_scope`` runs them on a scope, and ``validate_model`` runs them on
+# every process and net after the checks that need the whole model.
 
 
-def _check_sort_values(model: Model) -> Iterator[Violation]:
-    for name in sorted(model.sort_table):
-        for problem in sort_problems(model.sort_table[name]):
-            yield Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}")
-    for pid in sorted(model.ports):
-        port = model.ports[pid]
-        if port.sort is not None:
-            for problem in sort_problems(port.sort):
-                yield Violation(SORT_MISMATCH, (pid,), f"malformed port sort: {problem}")
+def _port_sort_violations(port_id: PortId, sort: Sort | None) -> Iterator[Violation]:
+    for problem in _sort_problems_cached(sort):
+        yield Violation(SORT_MISMATCH, (port_id,), f"malformed port sort: {problem}")
 
 
-def _check_port_tables(model: Model) -> Iterator[Violation]:
-    listed_by: dict[PortId, list[tuple[ProcessId, str]]] = {}
-    for pid in sorted(model.processes):
-        proc = model.processes[pid]
-        seen_names: dict[str, PortId] = {}
-        for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
-            for port_id in port_ids:
-                listed_by.setdefault(port_id, []).append((pid, direction))
-                port = model.ports.get(port_id)
-                if port is None:
-                    yield Violation(
-                        DANGLING_REF, (pid, port_id), "process lists an undefined port"
-                    )
-                    continue
-                if port.owner != pid:
-                    yield Violation(
-                        PORT_CLASH,
-                        (pid, port_id),
-                        f"port is owned by {port.owner!r} but listed by {pid!r}",
-                    )
-                elif port.direction != direction:
-                    yield Violation(
-                        PORT_CLASH,
-                        (pid, port_id),
-                        f"port direction {port.direction!r} listed under {direction!r}",
-                    )
-                if port.name in seen_names and seen_names[port.name] != port_id:
-                    yield Violation(
-                        PORT_CLASH,
-                        (pid, port_id),
-                        f"duplicate port name {port.name!r} on process",
-                    )
-                seen_names.setdefault(port.name, port_id)
-    for port_id in sorted(listed_by):
-        listers = listed_by[port_id]
-        if len(listers) > 1:
-            yield Violation(
-                PORT_CLASH,
-                (port_id,) + tuple(p for p, _ in listers),
-                "port listed by more than one process interface entry",
-            )
-    for port_id in sorted(model.ports):
-        port = model.ports[port_id]
-        owner = model.processes.get(port.owner)
-        if owner is None:
-            yield Violation(
-                DANGLING_REF, (port_id,), f"port owner {port.owner!r} is undefined"
-            )
-        elif port_id not in owner.ports():
-            yield Violation(
-                DANGLING_REF, (port_id,), "port is not listed by its owner's interface"
-            )
-
-
-def _check_firing_rules(model: Model) -> Iterator[Violation]:
-    for pid in sorted(model.processes):
-        proc = model.processes[pid]
-        inputs, outputs = set(proc.inputs), set(proc.outputs)
-        for rule in proc.firing_rules:
-            for port_id, label in rule.needs:
-                yield from _check_rule_ref(model, pid, port_id, label, inputs, "needs")
-            for port_id, label in rule.produces:
-                yield from _check_rule_ref(model, pid, port_id, label, outputs, "produces")
+def _process_violations(model: Model, pid: ProcessId) -> Iterator[Violation]:
+    """Port-table entries, port sorts and firing-rule references of a process."""
+    proc = model.processes[pid]
+    seen_names: dict[str, PortId] = {}
+    sorts_reported: set[PortId] = set()
+    for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
+        for port_id in port_ids:
+            port = model.ports.get(port_id)
+            if port is None:
+                yield Violation(
+                    DANGLING_REF, (pid, port_id), "process lists an undefined port"
+                )
+                continue
+            if port.owner != pid:
+                yield Violation(
+                    PORT_CLASH,
+                    (pid, port_id),
+                    f"port is owned by {port.owner!r} but listed by {pid!r}",
+                )
+            elif port.direction != direction:
+                yield Violation(
+                    PORT_CLASH,
+                    (pid, port_id),
+                    f"port direction {port.direction!r} listed under {direction!r}",
+                )
+            if seen_names.setdefault(port.name, port_id) != port_id:
+                yield Violation(
+                    PORT_CLASH,
+                    (pid, port_id),
+                    f"duplicate port name {port.name!r} on process",
+                )
+            # the owner reports a port's sort, once however often it lists it
+            if (
+                port.owner == pid
+                and port.sort is not None
+                and _sort_problems_cached(port.sort)
+                and port_id not in sorts_reported
+            ):
+                sorts_reported.add(port_id)
+                yield from _port_sort_violations(port_id, port.sort)
+    inputs, outputs = set(proc.inputs), set(proc.outputs)
+    for rule in proc.firing_rules:
+        for port_id, label in rule.needs:
+            yield from _check_rule_ref(model, pid, port_id, label, inputs, "needs")
+        for port_id, label in rule.produces:
+            yield from _check_rule_ref(model, pid, port_id, label, outputs, "produces")
 
 
 def _check_rule_ref(
@@ -570,21 +553,39 @@ def _check_rule_ref(
         )
 
 
-def _member_name_violations(
-    model: Model, owner: ProcessId, net: ProcessNet
-) -> Iterator[Violation]:
-    names_seen: dict[str, ProcessId] = {}
-    for member in sorted(net.processes):
-        proc = model.processes.get(member)
-        if proc is None:
-            continue
-        if proc.name in names_seen and names_seen[proc.name] != member:
+def _model_violations(model: Model) -> Iterator[Violation]:
+    """The checks that need the whole model: the sort table, the containment
+    tree, ports listed by several processes, and ports their owner does not
+    list (whose sorts no per-process check reaches)."""
+    for name in sorted(model.sort_table):
+        for problem in sort_problems(model.sort_table[name]):
+            yield Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}")
+    yield from _check_hierarchy(model)
+    listed_by: dict[PortId, list[ProcessId]] = {}
+    for pid in sorted(model.processes):
+        for port_id in model.processes[pid].ports():
+            listed_by.setdefault(port_id, []).append(pid)
+    for port_id in sorted(listed_by):
+        listers = listed_by[port_id]
+        if len(listers) > 1:
             yield Violation(
                 PORT_CLASH,
-                (owner, member, names_seen[proc.name]),
-                f"duplicate process name {proc.name!r} within one net",
+                (port_id,) + tuple(listers),
+                "port listed by more than one process interface entry",
             )
-        names_seen.setdefault(proc.name, member)
+    for port_id in sorted(model.ports):
+        port = model.ports[port_id]
+        if port.owner not in model.processes:
+            yield Violation(
+                DANGLING_REF, (port_id,), f"port owner {port.owner!r} is undefined"
+            )
+        elif port.owner not in listed_by.get(port_id, ()):
+            yield Violation(
+                DANGLING_REF, (port_id,), "port is not listed by its owner's interface"
+            )
+        else:
+            continue
+        yield from _port_sort_violations(port_id, port.sort)
 
 
 def _check_hierarchy(model: Model) -> Iterator[Violation]:
@@ -594,14 +595,8 @@ def _check_hierarchy(model: Model) -> Iterator[Violation]:
     for owner in sorted(model.nets):
         if owner not in model.processes:
             yield Violation(DANGLING_REF, (owner,), "net owner is undefined")
-        net, _ = model.nets[owner]
-        for member in sorted(net.processes):
+        for member in sorted(model.nets[owner][0].processes):
             membership.setdefault(member, []).append(owner)
-            if member not in model.processes:
-                yield Violation(
-                    DANGLING_REF, (owner, member), "net contains an undefined process"
-                )
-        yield from _member_name_violations(model, owner, net)
     for member in sorted(membership):
         owners = membership[member]
         if len(owners) > 1:
@@ -639,13 +634,30 @@ def _check_hierarchy(model: Model) -> Iterator[Violation]:
             seen.add(node)
 
 
+def _net_violations(model: Model, owner: ProcessId) -> Iterator[Violation]:
+    """Member names, reference integrity, constraints 1-4, input totality and
+    the interface binding of the net owned by ``owner``."""
+    net, binding = model.nets[owner]
+    yield from _net_body_violations(model, net, owner)
+    yield from _binding_violations(model, owner, net, binding)
+
+
 def _net_body_violations(model: Model, net: ProcessNet, at: str) -> Iterator[Violation]:
-    """Constraints 1-4 plus totality and reference integrity, sans binding."""
     members = sorted(net.processes)
-    defined = [m for m in members if m in model.processes]
+    names_seen: dict[str, ProcessId] = {}
     for member in members:
-        if member not in model.processes:
+        proc = model.processes.get(member)
+        if proc is None:
             yield Violation(DANGLING_REF, (at, member), "net member is undefined")
+        elif proc.name in names_seen:
+            yield Violation(
+                PORT_CLASH,
+                (at, member, names_seen[proc.name]),
+                f"duplicate process name {proc.name!r} within one net",
+            )
+        else:
+            names_seen[proc.name] = member
+    defined = [m for m in members if m in model.processes]
     member_set = set(defined)
 
     def resolvable(port_id: PortId) -> Port | None:
@@ -823,15 +835,13 @@ def _binding_violations(
 def validate_net(model: Model, owner: ProcessId) -> list[Violation]:
     """All violations of the net owned by ``owner``.
 
-    Covers reference integrity, the four net constraints (internal/env
-    disjointness, unique drivers, channel sort fit, acyclicity), input
-    totality, and consistency of the interface binding.  Output ports may
-    feed any number of channels.
+    Covers member names, reference integrity, the four net constraints
+    (internal/env disjointness, unique drivers, channel sort fit,
+    acyclicity), input totality, and consistency of the interface binding.
+    Output ports may feed any number of channels.
     """
-    net, binding = model.net_of(owner)
-    findings = list(_net_body_violations(model, net, owner))
-    findings.extend(_binding_violations(model, owner, net, binding))
-    return findings
+    model.net_of(owner)
+    return list(_net_violations(model, owner))
 
 
 def validate_scope(
@@ -839,7 +849,8 @@ def validate_scope(
     owners: Iterable[ProcessId] = (),
     processes: Iterable[ProcessId] = (),
 ) -> list[Violation]:
-    """Net-level and per-process checks restricted to the named scope.
+    """The per-process checks on ``processes``, by id, then the per-net checks
+    on the nets of ``owners``, by owner.
 
     Sufficient after a rule application whose effects are confined to the
     given nets and processes, provided the input model was well-formed;
@@ -847,69 +858,22 @@ def validate_scope(
     """
     findings: list[Violation] = []
     for pid in sorted(set(processes)):
-        proc = model.processes.get(pid)
-        if proc is None:
+        if pid in model.processes:
+            findings.extend(_process_violations(model, pid))
+        else:
             findings.append(Violation(DANGLING_REF, (pid,), "process is undefined"))
-            continue
-        seen_names: dict[str, PortId] = {}
-        for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
-            for port_id in port_ids:
-                port = model.ports.get(port_id)
-                if port is None:
-                    findings.append(
-                        Violation(DANGLING_REF, (pid, port_id), "process lists an undefined port")
-                    )
-                    continue
-                if port.owner != pid or port.direction != direction:
-                    findings.append(
-                        Violation(PORT_CLASH, (pid, port_id), "port owner or direction mismatch")
-                    )
-                if port.name in seen_names and seen_names[port.name] != port_id:
-                    findings.append(
-                        Violation(
-                            PORT_CLASH,
-                            (pid, port_id),
-                            f"duplicate port name {port.name!r} on process",
-                        )
-                    )
-                seen_names.setdefault(port.name, port_id)
-                if port.sort is not None:
-                    for problem in sort_problems(port.sort):
-                        findings.append(
-                            Violation(SORT_MISMATCH, (port_id,), f"malformed port sort: {problem}")
-                        )
-        inputs, outputs = set(proc.inputs), set(proc.outputs)
-        for rule in proc.firing_rules:
-            for port_id, label in rule.needs:
-                findings.extend(_check_rule_ref(model, pid, port_id, label, inputs, "needs"))
-            for port_id, label in rule.produces:
-                findings.extend(
-                    _check_rule_ref(model, pid, port_id, label, outputs, "produces")
-                )
     for owner in sorted(set(owners)):
-        if owner not in model.processes or owner not in model.nets:
-            continue
-        net, binding = model.nets[owner]
-        findings.extend(_member_name_violations(model, owner, net))
-        findings.extend(_net_body_violations(model, net, owner))
-        findings.extend(_binding_violations(model, owner, net, binding))
+        if owner in model.nets:
+            findings.extend(_net_violations(model, owner))
     return findings
 
 
 def validate_model(model: Model) -> list[Violation]:
-    """Union of per-net validation plus global id-uniqueness and tree checks."""
-    findings: list[Violation] = []
-    findings.extend(_check_sort_values(model))
-    findings.extend(_check_port_tables(model))
-    findings.extend(_check_firing_rules(model))
-    findings.extend(_check_hierarchy(model))
-    for owner in sorted(model.nets):
-        if owner not in model.processes:
-            continue
-        net, binding = model.nets[owner]
-        findings.extend(_net_body_violations(model, net, owner))
-        findings.extend(_binding_violations(model, owner, net, binding))
-    return findings
+    """Every violation: the whole-model checks, then the checks of each
+    process by id, then those of each net by owner."""
+    return list(_model_violations(model)) + validate_scope(
+        model, model.nets, model.processes
+    )
 
 
 # --- sort expressions ---------------------------------------------------------
@@ -961,7 +925,7 @@ def port_closure(model: Model, start: PortId) -> set[PortId]:
     """
     seen = {start}
     work = [start]
-    located = container_index(model)
+    located = model._containers
     while work:
         pid = work.pop()
         port = model.ports.get(pid)
@@ -1024,7 +988,6 @@ __all__ = [
     "process_digraph",
     "find_cycle",
     "port_closure",
-    "containing_net",
     "container_index",
     "display_path",
     "resolve_path",

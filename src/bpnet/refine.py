@@ -103,61 +103,44 @@ def _map_fragment(repls: tuple[_Repl, ...], label: str) -> list[tuple[PortId, st
 class TraceStep:
     rule: str
     params: str
-    port_map: Mapping[PortId, frozenset[PortId]]
-    process_map: Mapping[ProcessId, frozenset[ProcessId]]
 
 
 class Trace:
     """Accumulated witness of a script replay.
 
-    ``port_map`` maps every port of the base model to the ports realizing it
-    at the deepest refinement level of the current model; ``process_map``
-    does the same for processes.  ``fragment_image`` additionally follows
-    record-field labels through port splits.
+    The trace keeps only each step's substitutions and derives every image
+    from them.  ``port_image`` and ``port_map`` give the ports realizing a
+    port of the base model at the deepest refinement level of the current
+    model; ``process_image`` does the same for processes; ``fragment_image``
+    additionally follows record-field labels through port splits.
     """
 
     def __init__(self, base: Model):
         self.base = base
         self.steps: list[TraceStep] = []
         self._substs: list[_Subst] = []
-        self._port_map: dict[PortId, frozenset[PortId]] = {
-            p: frozenset({p}) for p in base.ports
-        }
-        self._proc_map: dict[ProcessId, frozenset[ProcessId]] = {
-            p: frozenset({p}) for p in base.processes
-        }
 
     def record(self, rule: str, params: str, subst: _Subst) -> None:
         self._substs.append(subst)
-        if subst.ports:
-            for origin, image in self._port_map.items():
-                if any(p in subst.ports for p in image):
-                    new = set()
-                    for p in image:
-                        if p in subst.ports:
-                            new.update(r.port for r in subst.ports[p])
-                        else:
-                            new.add(p)
-                    self._port_map[origin] = frozenset(new)
-        if subst.procs:
-            for origin, image in self._proc_map.items():
-                if any(p in subst.procs for p in image):
-                    new = set()
-                    for p in image:
-                        new.update(subst.procs.get(p, {p}))
-                    self._proc_map[origin] = frozenset(new)
-        self.steps.append(
-            TraceStep(rule, params, dict(self._port_map), dict(self._proc_map))
-        )
+        self.steps.append(TraceStep(rule, params))
 
     def port_map(self) -> PortRefinementMap:
-        return PortRefinementMap(dict(self._port_map))
+        return PortRefinementMap({p: self.port_image(p) for p in self.base.ports})
 
     def port_image(self, port: PortId) -> frozenset[PortId]:
-        return self._port_map[port]
+        if port not in self.base.ports:
+            raise KeyError(port)
+        # the label ``whole`` reaches every replacement of a port
+        return frozenset(p for p, _ in self.fragment_image(port, WHOLE))
 
     def process_image(self, pid: ProcessId) -> frozenset[ProcessId]:
-        return self._proc_map[pid]
+        if pid not in self.base.processes:
+            raise KeyError(pid)
+        image = frozenset({pid})
+        for subst in self._substs:
+            if subst.procs:
+                image = frozenset(q for p in image for q in subst.procs.get(p, (p,)))
+        return image
 
     def fragment_image(self, port: PortId, label: str) -> frozenset[tuple[PortId, str]]:
         frontier = {(port, label)}
@@ -201,9 +184,13 @@ def _validated(
     return model
 
 
-def _container_of(model: Model, pid: ProcessId) -> ProcessId | None:
-    located = core.containing_net(model, pid)
-    return located[0] if located is not None else None
+def _scope_owners(model: Model, procs: Iterable[ProcessId]) -> set[ProcessId]:
+    """The nets a change to these processes' ports can affect: the net that
+    holds each process and the net each decomposed one owns.  Only the tree
+    is read, so a rule that keeps it may pass the model it started from,
+    whose containment map is already built."""
+    located = core.container_index(model)
+    return {located[p] for p in procs if p in located} | {p for p in procs if p in model.nets}
 
 
 def _require_port(model: Model, port: PortId) -> Port:
@@ -211,10 +198,6 @@ def _require_port(model: Model, port: PortId) -> Port:
     if p is None:
         raise UnknownPortError(f"unknown port {port!r}")
     return p
-
-
-def _net_without_owner_check(model: Model, owner: ProcessId) -> tuple[ProcessNet, InterfaceBinding]:
-    return model.net_of(owner)
 
 
 def _check_sort_value(sort: Sort, context: str) -> None:
@@ -308,11 +291,10 @@ def _decompose(
     nets = dict(model.nets)
     nets[pid] = (subnet, binding)
     result = replace(model, processes=processes, ports=port_table, nets=nets)
-    container = _container_of(model, pid)
     _validated(
         result,
         f"decomposing {pid!r}",
-        owners=[pid] + ([container] if container else []),
+        owners=_scope_owners(result, [pid]),
         processes=[pid] + new_proc_ids,
     )
     subst = _Subst(
@@ -465,6 +447,9 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
 
     # keep constraint 3 an invariant: propagate a one-sided sort over the closure
     closure = core.port_closure(candidate, src_port)
+    closure_procs = {ports[p].owner for p in closure if p in ports}
+    touched_procs |= closure_procs
+    touched_owners |= _scope_owners(candidate, closure_procs)
     specified = {ports[p].sort for p in closure if p in ports and ports[p].sort is not None}
     if len(specified) > 1:
         raise SortMismatchError("channel would connect ports with conflicting sorts")
@@ -475,16 +460,6 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
                 ports[p] = replace(ports[p], sort=the_sort)
         candidate = replace(candidate, ports=ports)
 
-    for p in closure:
-        owner_pid = ports[p].owner if p in ports else None
-        if owner_pid is None:
-            continue
-        touched_procs.add(owner_pid)
-        parent = _container_of(candidate, owner_pid)
-        if parent is not None:
-            touched_owners.add(parent)
-        if owner_pid in candidate.nets:
-            touched_owners.add(owner_pid)
     _validated(
         candidate, "adding the channel", owners=touched_owners, processes=touched_procs
     )
@@ -520,17 +495,10 @@ def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]
     for member in unsorted:
         ports[member] = replace(ports[member], sort=sort)
     result = replace(model, ports=ports)
-    owners: set[ProcessId] = set()
-    procs: set[ProcessId] = set()
-    for member in closure:
-        owner_pid = model.ports[member].owner
-        procs.add(owner_pid)
-        parent = _container_of(result, owner_pid)
-        if parent is not None:
-            owners.add(parent)
-        if owner_pid in result.nets:
-            owners.add(owner_pid)
-    _validated(result, "assigning the sort", owners=owners, processes=procs)
+    procs = {model.ports[member].owner for member in closure}
+    _validated(
+        result, "assigning the sort", owners=_scope_owners(model, procs), processes=procs
+    )
     return result, _Subst()
 
 
@@ -749,17 +717,10 @@ def _split_port(
         )
 
     result = replace(model, processes=processes, ports=ports, nets=nets)
-    owners: set[ProcessId] = set()
-    procs: set[ProcessId] = set()
-    for member in closure:
-        owner_pid = model.ports[member].owner
-        procs.add(owner_pid)
-        parent = _container_of(result, owner_pid)
-        if parent is not None:
-            owners.add(parent)
-        if owner_pid in result.nets:
-            owners.add(owner_pid)
-    _validated(result, f"splitting {port!r}", owners=owners, processes=procs)
+    procs = {model.ports[member].owner for member in closure}
+    _validated(
+        result, f"splitting {port!r}", owners=_scope_owners(model, procs), processes=procs
+    )
     subst_ports = {
         member: tuple(
             _Repl(p, assignment[i][0], assignment[i][1])

@@ -15,9 +15,9 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from . import refine
 from .core import (
     WHOLE,
+    Channel,
     FiringRule,
     Model,
     Port,
@@ -84,12 +84,18 @@ COMPUTE_REGISTRY: dict[str, ComputeFn] = {"tag": _tag_compute}
 
 
 def flatten(model: Model) -> ProcessNet:
-    """Unfold every decomposed process under the root into one leaf-level net."""
+    """The leaf-level net of every decomposed process under the root."""
     return flatten_with_boundary(model)[0]
 
 
 def flatten_with_boundary(model: Model) -> tuple[ProcessNet, dict[PortId, PortId]]:
-    """The flat net plus the composed binding from root ports to its boundary."""
+    """The flat net plus the composed binding from root ports to its boundary.
+
+    Walks the tree down from the root: its leaves are the flat net's
+    processes, and every channel endpoint, boundary port and root port is
+    followed down through the interface bindings to a leaf's port.  Port ids
+    are unique across the model, so display names may repeat between levels.
+    """
     if model.root not in model.nets:
         root = model.processes[model.root]
         net = ProcessNet(
@@ -98,15 +104,32 @@ def flatten_with_boundary(model: Model) -> tuple[ProcessNet, dict[PortId, PortId
             env_outputs=frozenset(root.outputs),
         )
         return net, {p: p for p in root.ports()}
-    current = model
-    while True:
-        net, _ = current.nets[current.root]
-        child = next((m for m in sorted(net.processes) if m in current.nets), None)
-        if child is None:
-            break
-        current = refine.unfold(current, current.root, child)
-    net, binding = current.nets[current.root]
-    return net, binding.to_subnet()
+    owners, seen, leaves = [model.root], {model.root}, set()
+    for owner in owners:  # grows as it goes: every decomposed process once
+        for member in model.nets[owner][0].processes:
+            if member not in model.nets:
+                leaves.add(member)
+            elif member not in seen:
+                seen.add(member)
+                owners.append(member)
+    root_net, root_binding = model.nets[model.root]
+    if len(owners) == 1:  # no subnet below the root's: its net is flat already
+        return root_net, root_binding.to_subnet()
+    down: dict[PortId, PortId] = {}
+    for owner in reversed(owners):  # children first, so inner ports are resolved
+        for parent_port, inner in model.nets[owner][1].pairs:
+            down[parent_port] = down.get(inner, inner)
+    flat = ProcessNet(
+        processes=frozenset(leaves),
+        channels=frozenset(
+            Channel(down.get(ch.source, ch.source), down.get(ch.dest, ch.dest))
+            for owner in owners
+            for ch in model.nets[owner][0].channels
+        ),
+        env_inputs=frozenset(down.get(p, p) for p in root_net.env_inputs),
+        env_outputs=frozenset(down.get(p, p) for p in root_net.env_outputs),
+    )
+    return flat, {p: down[p] for p, _ in root_binding.pairs}
 
 
 # --- greedy execution --------------------------------------------------------------

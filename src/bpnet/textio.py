@@ -795,14 +795,8 @@ def print_model(model: Model) -> str:
     if lines:
         lines.append("")
 
-    contained = {
-        m for _, (net, _) in model.nets.items() for m in net.processes
-    }
-    top_level = [
-        pid
-        for pid in model.processes
-        if pid not in contained
-    ]
+    contained = core.container_index(model)
+    top_level = [pid for pid in model.processes if pid not in contained]
     ordered_top = [model.root] + sorted(
         (p for p in top_level if p != model.root),
         key=lambda p: (model.processes[p].name, p),

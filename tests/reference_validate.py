@@ -1,0 +1,411 @@
+"""The validator that ``core.validate_model`` replaced, kept as an oracle.
+
+It ran the per-process checks in whole-model passes of its own, beside the
+copies in ``validate_scope``, and reported an undefined net member twice:
+once from the containment check and once from the net's own checks.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from bpnet.core import (
+    BINDING_INCOMPLETE,
+    BINDING_SORT_MISMATCH,
+    CYCLE_DETECTED,
+    DANGLING_REF,
+    HIERARCHY_NOT_TREE,
+    INPUT,
+    INPUT_BOTH_INTERNAL_AND_ENV,
+    INPUT_MULTIPLY_DRIVEN,
+    INPUT_UNCONNECTED,
+    OUTPUT,
+    PORT_CLASH,
+    SELF_LOOP,
+    SORT_MISMATCH,
+    WHOLE,
+    Channel,
+    InterfaceBinding,
+    Model,
+    Port,
+    PortId,
+    ProcessId,
+    ProcessNet,
+    RecordSort,
+    Violation,
+    find_cycle,
+    render_sort,
+    sort_problems,
+    sorts_compatible,
+)
+
+
+def _check_sort_values(model: Model) -> Iterator[Violation]:
+    for name in sorted(model.sort_table):
+        for problem in sort_problems(model.sort_table[name]):
+            yield Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}")
+    for pid in sorted(model.ports):
+        port = model.ports[pid]
+        if port.sort is not None:
+            for problem in sort_problems(port.sort):
+                yield Violation(SORT_MISMATCH, (pid,), f"malformed port sort: {problem}")
+
+
+def _check_port_tables(model: Model) -> Iterator[Violation]:
+    listed_by: dict[PortId, list[tuple[ProcessId, str]]] = {}
+    for pid in sorted(model.processes):
+        proc = model.processes[pid]
+        seen_names: dict[str, PortId] = {}
+        for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
+            for port_id in port_ids:
+                listed_by.setdefault(port_id, []).append((pid, direction))
+                port = model.ports.get(port_id)
+                if port is None:
+                    yield Violation(
+                        DANGLING_REF, (pid, port_id), "process lists an undefined port"
+                    )
+                    continue
+                if port.owner != pid:
+                    yield Violation(
+                        PORT_CLASH,
+                        (pid, port_id),
+                        f"port is owned by {port.owner!r} but listed by {pid!r}",
+                    )
+                elif port.direction != direction:
+                    yield Violation(
+                        PORT_CLASH,
+                        (pid, port_id),
+                        f"port direction {port.direction!r} listed under {direction!r}",
+                    )
+                if port.name in seen_names and seen_names[port.name] != port_id:
+                    yield Violation(
+                        PORT_CLASH,
+                        (pid, port_id),
+                        f"duplicate port name {port.name!r} on process",
+                    )
+                seen_names.setdefault(port.name, port_id)
+    for port_id in sorted(listed_by):
+        listers = listed_by[port_id]
+        if len(listers) > 1:
+            yield Violation(
+                PORT_CLASH,
+                (port_id,) + tuple(p for p, _ in listers),
+                "port listed by more than one process interface entry",
+            )
+    for port_id in sorted(model.ports):
+        port = model.ports[port_id]
+        owner = model.processes.get(port.owner)
+        if owner is None:
+            yield Violation(
+                DANGLING_REF, (port_id,), f"port owner {port.owner!r} is undefined"
+            )
+        elif port_id not in owner.ports():
+            yield Violation(
+                DANGLING_REF, (port_id,), "port is not listed by its owner's interface"
+            )
+
+
+def _check_firing_rules(model: Model) -> Iterator[Violation]:
+    for pid in sorted(model.processes):
+        proc = model.processes[pid]
+        inputs, outputs = set(proc.inputs), set(proc.outputs)
+        for rule in proc.firing_rules:
+            for port_id, label in rule.needs:
+                yield from _check_rule_ref(model, pid, port_id, label, inputs, "needs")
+            for port_id, label in rule.produces:
+                yield from _check_rule_ref(model, pid, port_id, label, outputs, "produces")
+
+
+def _check_rule_ref(
+    model: Model,
+    pid: ProcessId,
+    port_id: PortId,
+    label: str,
+    allowed: set[PortId],
+    side: str,
+) -> Iterator[Violation]:
+    if port_id not in allowed:
+        expected = "input" if side == "needs" else "output"
+        yield Violation(
+            DANGLING_REF,
+            (pid, port_id),
+            f"firing rule {side} {port_id!r}, which is not an {expected} port of the process",
+        )
+        return
+    port = model.ports.get(port_id)
+    if port is None:
+        return
+    if label == WHOLE:
+        return
+    if not isinstance(port.sort, RecordSort) or port.sort.field_sort(label) is None:
+        yield Violation(
+            DANGLING_REF,
+            (pid, port_id),
+            f"firing rule uses label {label!r} which is not a record field of the port sort",
+        )
+
+
+def _member_name_violations(
+    model: Model, owner: ProcessId, net: ProcessNet
+) -> Iterator[Violation]:
+    names_seen: dict[str, ProcessId] = {}
+    for member in sorted(net.processes):
+        proc = model.processes.get(member)
+        if proc is None:
+            continue
+        if proc.name in names_seen and names_seen[proc.name] != member:
+            yield Violation(
+                PORT_CLASH,
+                (owner, member, names_seen[proc.name]),
+                f"duplicate process name {proc.name!r} within one net",
+            )
+        names_seen.setdefault(proc.name, member)
+
+
+def _check_hierarchy(model: Model) -> Iterator[Violation]:
+    if model.root not in model.processes:
+        yield Violation(DANGLING_REF, (model.root,), "root process is undefined")
+    membership: dict[ProcessId, list[ProcessId]] = {}
+    for owner in sorted(model.nets):
+        if owner not in model.processes:
+            yield Violation(DANGLING_REF, (owner,), "net owner is undefined")
+        net, _ = model.nets[owner]
+        for member in sorted(net.processes):
+            membership.setdefault(member, []).append(owner)
+            if member not in model.processes:
+                yield Violation(
+                    DANGLING_REF, (owner, member), "net contains an undefined process"
+                )
+        yield from _member_name_violations(model, owner, net)
+    for member in sorted(membership):
+        owners = membership[member]
+        if len(owners) > 1:
+            yield Violation(
+                HIERARCHY_NOT_TREE,
+                (member,) + tuple(owners),
+                "process contained in more than one net",
+            )
+    if model.root in membership:
+        yield Violation(
+            HIERARCHY_NOT_TREE,
+            (model.root,),
+            "root process must not be contained in any net",
+        )
+    parent = {m: owners[0] for m, owners in membership.items()}
+    for pid in sorted(model.processes):
+        if pid == model.root:
+            continue
+        if pid not in parent:
+            yield Violation(
+                HIERARCHY_NOT_TREE, (pid,), "process is not contained in any net"
+            )
+            continue
+        seen = {pid}
+        node = pid
+        while node in parent:
+            node = parent[node]
+            if node in seen:
+                yield Violation(
+                    HIERARCHY_NOT_TREE,
+                    tuple(sorted(seen)),
+                    "containment relation is cyclic",
+                )
+                break
+            seen.add(node)
+
+
+def _net_body_violations(model: Model, net: ProcessNet, at: str) -> Iterator[Violation]:
+    """Constraints 1-4 plus totality and reference integrity, sans binding."""
+    members = sorted(net.processes)
+    defined = [m for m in members if m in model.processes]
+    for member in members:
+        if member not in model.processes:
+            yield Violation(DANGLING_REF, (at, member), "net member is undefined")
+    member_set = set(defined)
+
+    def resolvable(port_id: PortId) -> Port | None:
+        return model.ports.get(port_id)
+
+    usable_channels: list[Channel] = []
+    self_loopers: list[ProcessId] = []
+    for ch in sorted(net.channels, key=lambda c: (c.source, c.dest)):
+        src, dst = resolvable(ch.source), resolvable(ch.dest)
+        ok = True
+        if src is None:
+            yield Violation(DANGLING_REF, (at, ch.source), "channel source is undefined")
+            ok = False
+        if dst is None:
+            yield Violation(DANGLING_REF, (at, ch.dest), "channel dest is undefined")
+            ok = False
+        if not ok:
+            continue
+        if src.direction != OUTPUT:
+            yield Violation(
+                DANGLING_REF, (at, ch.source), "channel source is not an output port"
+            )
+            ok = False
+        if dst.direction != INPUT:
+            yield Violation(
+                DANGLING_REF, (at, ch.dest), "channel dest is not an input port"
+            )
+            ok = False
+        if src.owner not in member_set:
+            yield Violation(
+                DANGLING_REF, (at, ch.source), "channel source is not on a member process"
+            )
+            ok = False
+        if dst.owner not in member_set:
+            yield Violation(
+                DANGLING_REF, (at, ch.dest), "channel dest is not on a member process"
+            )
+            ok = False
+        if ok and src.owner == dst.owner:
+            yield Violation(
+                SELF_LOOP,
+                (src.owner, ch.source, ch.dest),
+                "channel connects a process to itself",
+            )
+            self_loopers.append(src.owner)
+            ok = False
+        if ok:
+            usable_channels.append(ch)
+            if not sorts_compatible(src.sort, dst.sort):
+                yield Violation(
+                    SORT_MISMATCH,
+                    (ch.source, ch.dest),
+                    f"channel sorts differ: {render_sort(src.sort)} vs {render_sort(dst.sort)}",
+                )
+
+    for boundary, direction in ((net.env_inputs, INPUT), (net.env_outputs, OUTPUT)):
+        for port_id in sorted(boundary):
+            port = resolvable(port_id)
+            if port is None:
+                yield Violation(DANGLING_REF, (at, port_id), "boundary port is undefined")
+            elif port.direction != direction or port.owner not in member_set:
+                yield Violation(
+                    DANGLING_REF,
+                    (at, port_id),
+                    f"boundary {direction}-entry is not an {direction}put port of a member",
+                )
+
+    driven: dict[PortId, int] = {}
+    for ch in usable_channels:
+        driven[ch.dest] = driven.get(ch.dest, 0) + 1
+    for port_id in sorted(driven):
+        if driven[port_id] > 1:
+            yield Violation(
+                INPUT_MULTIPLY_DRIVEN,
+                (port_id,),
+                f"input port driven by {driven[port_id]} channels",
+            )
+        if port_id in net.env_inputs:
+            yield Violation(
+                INPUT_BOTH_INTERNAL_AND_ENV,
+                (port_id,),
+                "input port is both a channel destination and an environment input",
+            )
+    for member in defined:
+        for port_id in model.processes[member].inputs:
+            if port_id not in driven and port_id not in net.env_inputs:
+                yield Violation(
+                    INPUT_UNCONNECTED,
+                    (member, port_id),
+                    "input port is neither channel-driven nor an environment input",
+                )
+
+    graph: dict[ProcessId, set[ProcessId]] = {p: set() for p in defined}
+    for ch in usable_channels:
+        s, d = model.ports[ch.source].owner, model.ports[ch.dest].owner
+        if s != d:
+            graph[s].add(d)
+    for p in self_loopers:
+        if p in graph:
+            graph[p].add(p)
+    cycle = find_cycle(graph)
+    if cycle is not None:
+        yield Violation(
+            CYCLE_DETECTED,
+            tuple(cycle),
+            "channels induce a cyclic dependency between processes",
+        )
+
+
+def _binding_violations(
+    model: Model, owner: ProcessId, net: ProcessNet, binding: InterfaceBinding
+) -> Iterator[Violation]:
+    proc = model.processes.get(owner)
+    if proc is None:
+        return
+    boundary = net.env_inputs | net.env_outputs
+    seen_parent: set[PortId] = set()
+    seen_inner: set[PortId] = set()
+    for parent_port, inner_port in sorted(binding.pairs):
+        if parent_port in seen_parent:
+            yield Violation(
+                BINDING_INCOMPLETE, (owner, parent_port), "parent port bound twice"
+            )
+        if inner_port in seen_inner:
+            yield Violation(
+                BINDING_INCOMPLETE, (owner, inner_port), "boundary port bound twice"
+            )
+        seen_parent.add(parent_port)
+        seen_inner.add(inner_port)
+        pp, ip = model.ports.get(parent_port), model.ports.get(inner_port)
+        if pp is None or pp.owner != owner:
+            yield Violation(
+                BINDING_INCOMPLETE,
+                (owner, parent_port),
+                "binding names a port that is not on the decomposed process",
+            )
+            continue
+        if ip is None or inner_port not in boundary:
+            yield Violation(
+                BINDING_INCOMPLETE,
+                (owner, inner_port),
+                "binding names a port that is not on the subnet boundary",
+            )
+            continue
+        expected = net.env_inputs if pp.direction == INPUT else net.env_outputs
+        if inner_port not in expected:
+            yield Violation(
+                BINDING_INCOMPLETE,
+                (owner, parent_port, inner_port),
+                "binding does not preserve port direction",
+            )
+        both_unspecified = pp.sort is None and ip.sort is None
+        if not both_unspecified and pp.sort != ip.sort:
+            yield Violation(
+                BINDING_SORT_MISMATCH,
+                (parent_port, inner_port),
+                "bound ports must both be unspecified or carry equal sorts",
+            )
+    for port_id in sorted(proc.ports()):
+        if port_id not in seen_parent:
+            yield Violation(
+                BINDING_INCOMPLETE,
+                (owner, port_id),
+                "parent port is not bound to any subnet boundary port",
+            )
+    for port_id in sorted(boundary):
+        if port_id not in seen_inner:
+            yield Violation(
+                BINDING_INCOMPLETE,
+                (owner, port_id),
+                "subnet boundary port is not bound to any parent port",
+            )
+
+
+def reference_validate_model(model: Model) -> list[Violation]:
+    """Union of per-net validation plus global id-uniqueness and tree checks."""
+    findings: list[Violation] = []
+    findings.extend(_check_sort_values(model))
+    findings.extend(_check_port_tables(model))
+    findings.extend(_check_firing_rules(model))
+    findings.extend(_check_hierarchy(model))
+    for owner in sorted(model.nets):
+        if owner not in model.processes:
+            continue
+        net, binding = model.nets[owner]
+        findings.extend(_net_body_violations(model, net, owner))
+        findings.extend(_binding_violations(model, owner, net, binding))
+    return findings

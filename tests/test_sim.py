@@ -7,9 +7,14 @@ import random
 
 import pytest
 
-from bpnet import core, sim, textio
-from bpnet.core import WHOLE, Channel, FiringRule, Process, RecordSort
-from bpnet.errors import InvalidEnvFragmentError, NonDeterministicRulesError, SimError
+from bpnet import core, refine, sim, textio
+from bpnet.core import WHOLE, Channel, FiringRule, Process, ProcessNet, RecordSort
+from bpnet.errors import (
+    InvalidEnvFragmentError,
+    NonDeterministicRulesError,
+    SimError,
+    WouldBeIllFormedError,
+)
 from bpnet.sim import AtomicValue, Fragment
 
 from conftest import fixture_text, load_model
@@ -120,6 +125,61 @@ class TestFlatten:
         flat = sim.flatten(bp_model)
         assert flat.processes == frozenset({"bp"})
         assert flat.env_inputs == frozenset(bp_model.processes["bp"].inputs)
+
+
+def reference_flatten(model):
+    """The unfold loop that ``flatten_with_boundary`` replaced, as an oracle:
+    unfold the root net's first decomposed member until none is left.  The
+    unfold rule rejects a net holding two members of one name, so the loop
+    raises on models whose subnets reuse the names of their parents' siblings."""
+    if model.root not in model.nets:
+        root = model.processes[model.root]
+        net = ProcessNet(
+            processes=frozenset({model.root}),
+            env_inputs=frozenset(root.inputs),
+            env_outputs=frozenset(root.outputs),
+        )
+        return net, {p: p for p in root.ports()}
+    current = model
+    while True:
+        net, _ = current.nets[current.root]
+        child = next((m for m in sorted(net.processes) if m in current.nets), None)
+        if child is None:
+            break
+        current = refine.unfold(current, current.root, child)
+    net, binding = current.nets[current.root]
+    return net, binding.to_subnet()
+
+
+GENERATED = range(200)
+
+
+class TestFlattenAgainstUnfoldLoop:
+    def test_same_flat_net_wherever_the_loop_succeeds(self):
+        models = [load_model(name) for name in FIXTURE_ENVS]
+        models += [gen_model(seed, 3, 6) for seed in GENERATED]
+        agreed = 0
+        for model in models:
+            try:
+                expected = reference_flatten(model)
+            except WouldBeIllFormedError:
+                continue
+            assert sim.flatten_with_boundary(model) == expected
+            agreed += 1
+        assert agreed >= 25  # the fixtures and the generated models without nesting
+
+    def test_every_generated_model_flattens_simulates_and_is_confluent(self):
+        nested = 0
+        for seed in GENERATED:
+            model = gen_model(seed, 3, 6)
+            nested += any(owner != model.root for owner in model.nets)
+            flat, boundary = sim.flatten_with_boundary(model)
+            assert all(p not in model.nets for p in flat.processes), seed
+            assert set(boundary) == set(model.processes[model.root].ports()), seed
+            env = random_env(model, random.Random(seed))
+            sim.simulate_greedy(model, env)
+            assert sim.check_confluence(model, env, 3, seed=seed), seed
+        assert nested > 150
 
 
 class TestSimulateGreedy:

@@ -1,0 +1,222 @@
+"""``validate_model`` and ``validate_scope`` against the validator they
+replaced, on a corpus of models with one corruption each."""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from collections import Counter
+
+import pytest
+
+from bpnet import textio
+from bpnet.core import (
+    INPUT,
+    OUTPUT,
+    AtomicSort,
+    Channel,
+    InterfaceBinding,
+    Model,
+    ProcessNet,
+    RecordSort,
+    validate_model,
+    validate_scope,
+)
+
+from conftest import load_model
+from genmodels import gen_model, rename_ids
+from reference_validate import reference_validate_model
+
+FIXTURES = ["bp.bpn", "bp_fig6.bpn", "bp_refined.bpn", "library.bpn", "library_refined.bpn"]
+
+# The only line the old validator printed that the new one leaves out: it
+# reported an undefined net member from the containment check as well.
+DROPPED = ": net contains an undefined process"
+
+BAD_RECORD = RecordSort((("a", AtomicSort("A")), ("a", AtomicSort("A"))))
+
+
+def _with_port(model: Model, port_id, **changes) -> Model:
+    ports = dict(model.ports)
+    ports[port_id] = dataclasses.replace(ports[port_id], **changes)
+    return dataclasses.replace(model, ports=ports)
+
+
+def _with_process(model: Model, pid, **changes) -> Model:
+    processes = dict(model.processes)
+    processes[pid] = dataclasses.replace(processes[pid], **changes)
+    return dataclasses.replace(model, processes=processes)
+
+
+def _with_net(model: Model, owner, **changes) -> Model:
+    nets = dict(model.nets)
+    net, binding = nets[owner]
+    binding = changes.pop("binding", binding)
+    nets[owner] = (dataclasses.replace(net, **changes), binding)
+    return dataclasses.replace(model, nets=nets)
+
+
+def corruptions(model: Model, rng: random.Random):
+    """(kind, model) pairs: each applies one corruption to ``model``."""
+    ports = sorted(model.ports)
+    procs = sorted(model.processes)
+    owners = sorted(model.nets)
+    pick = rng.choice
+
+    port = model.ports[pick(ports)]
+    yield "dropped-port", dataclasses.replace(
+        model, ports={p: q for p, q in model.ports.items() if p != port.id}
+    )
+    others = [p for p in procs if p != port.owner]
+    if others:
+        lister = pick(others)
+        side = "inputs" if port.direction == INPUT else "outputs"
+        yield "listed-twice", _with_process(
+            model, lister, **{side: getattr(model.processes[lister], side) + (port.id,)}
+        )
+    flipped = OUTPUT if port.direction == INPUT else INPUT
+    yield "wrong-direction", _with_port(model, port.id, direction=flipped)
+    yield "malformed-port-sort", _with_port(model, port.id, sort=BAD_RECORD)
+    yield "malformed-table-sort", dataclasses.replace(
+        model, sort_table={**model.sort_table, "Bad": BAD_RECORD}
+    )
+
+    multi = [p for p in procs if len(model.processes[p].ports()) >= 2]
+    if multi:
+        proc = model.processes[pick(multi)]
+        first, second = proc.ports()[:2]
+        yield "duplicate-port-name", _with_port(
+            model, second, name=model.ports[first].name
+        )
+
+    ruled = [p for p in procs if any(r.needs for r in model.processes[p].firing_rules)]
+    if ruled:
+        proc = model.processes[pick(ruled)]
+        rule = next(r for r in proc.firing_rules if r.needs)
+        needs = ((rule.needs[0][0], "no_such_field"),) + rule.needs[1:]
+        rules = tuple(
+            dataclasses.replace(r, needs=needs) if r is rule else r
+            for r in proc.firing_rules
+        )
+        yield "rule-label-not-a-field", _with_process(model, proc.id, firing_rules=rules)
+
+    if not owners:
+        return
+    owner = pick(owners)
+    net, binding = model.nets[owner]
+    members = sorted(net.processes)
+    if len(members) >= 2:
+        yield "duplicate-member-name", _with_process(
+            model, members[1], name=model.processes[members[0]].name
+        )
+    loopers = [
+        m for m in members if model.processes[m].inputs and model.processes[m].outputs
+    ]
+    if loopers:
+        proc = model.processes[pick(loopers)]
+        loop = Channel(proc.outputs[0], proc.inputs[0])
+        yield "self-loop", _with_net(model, owner, channels=net.channels | {loop})
+    if net.channels:
+        driven = pick(sorted(net.channels, key=lambda c: (c.source, c.dest)))
+        sources = [
+            p
+            for m in members
+            for p in model.processes[m].outputs
+            if p != driven.source and model.ports[p].owner != model.ports[driven.dest].owner
+        ]
+        if sources:
+            extra = Channel(pick(sources), driven.dest)
+            yield "second-driver", _with_net(model, owner, channels=net.channels | {extra})
+    if binding.pairs:
+        unbound = pick(binding.pairs)
+        kept = tuple(pair for pair in binding.pairs if pair != unbound)
+        yield "unbound-boundary-port", _with_net(
+            model, owner, binding=InterfaceBinding(kept)
+        )
+    yield "undefined-member", _with_net(
+        model, owner, processes=net.processes | {"ghost"}
+    )
+    elsewhere = [o for o in owners if o != owner]
+    if elsewhere:
+        stray = pick(members)
+        other = pick(elsewhere)
+        yield "process-in-two-nets", _with_net(
+            model, other, processes=model.nets[other][0].processes | {stray}
+        )
+
+
+def corpus():
+    bases = [(name, load_model(name)) for name in FIXTURES]
+    for seed in range(24):
+        model = gen_model(seed, 1 + seed % 3, 3 + seed % 4)
+        bases.append((f"gen{seed}", rename_ids(model) if seed % 2 else model))
+    for label, model in bases:
+        rng = random.Random(label)
+        for kind, bad in corruptions(model, rng):
+            yield f"{label}:{kind}", kind, bad
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return list(corpus())
+
+
+def lines(violations) -> Counter:
+    return Counter(str(v) for v in violations)
+
+
+class TestAgainstReferenceValidator:
+    def test_corpus_covers_every_corruption(self, cases):
+        kinds = Counter(kind for _, kind, _ in cases)
+        assert len(kinds) == 13, kinds
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_same_violations_as_the_reference(self, cases):
+        for label, _, model in cases:
+            expected = lines(reference_validate_model(model))
+            assert expected, f"{label}: the corruption went unnoticed"
+            expected = Counter({k: n for k, n in expected.items() if not k.endswith(DROPPED)})
+            assert lines(validate_model(model)) == expected, label
+
+    def test_scope_reports_a_part_of_the_model_report(self, cases):
+        for label, _, model in cases:
+            full = lines(validate_model(model))
+            for owner in model.nets:
+                part = lines(validate_scope(model, owners=[owner]))
+                assert not part - full, (label, owner)
+            for pid in model.processes:
+                part = lines(validate_scope(model, processes=[pid]))
+                assert not part - full, (label, pid)
+
+
+def test_undefined_member_is_reported_once():
+    model = textio.parse_model(
+        """
+        process system { in req }
+        net for system {
+          process a { in i }
+          input a.i binds system.req
+        }
+        """
+    )
+    net, binding = model.nets["system"]
+    nets = {"system": (ProcessNet(net.processes | {"ghost"}, net.channels,
+                                  net.env_inputs, net.env_outputs), binding)}
+    bad = dataclasses.replace(model, nets=nets)
+    about_ghost = [str(v) for v in validate_model(bad) if "ghost" in v.location]
+    assert about_ghost == ["DanglingRef system,ghost: net member is undefined"]
+
+
+def test_validate_model_orders_whole_model_then_processes_then_nets():
+    model = load_model("library_refined.bpn")
+    net, _ = model.nets["system"]
+    member = sorted(net.processes)[0]
+    proc = model.processes[member]
+    bad = _with_process(model, member, inputs=proc.inputs + ("nowhere",))
+    bad = _with_net(bad, "system", processes=net.processes | {"ghost"})
+    orphan = dataclasses.replace(proc, id="orphan", inputs=(), outputs=(), firing_rules=())
+    bad = dataclasses.replace(bad, processes={**bad.processes, "orphan": orphan})
+    messages = [v.message for v in validate_model(bad)]
+    assert messages.index("process is not contained in any net") < messages.index(
+        "process lists an undefined port"
+    ) < messages.index("net member is undefined")
