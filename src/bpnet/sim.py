@@ -113,8 +113,6 @@ def flatten_with_boundary(model: Model) -> tuple[ProcessNet, dict[PortId, PortId
                 seen.add(member)
                 owners.append(member)
     root_net, root_binding = model.nets[model.root]
-    if len(owners) == 1:  # no subnet below the root's: its net is flat already
-        return root_net, root_binding.to_subnet()
     down: dict[PortId, PortId] = {}
     for owner in reversed(owners):  # children first, so inner ports are resolved
         for parent_port, inner in model.nets[owner][1].pairs:
