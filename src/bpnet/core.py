@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Container, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import CycleDetectedError, NoNetError, UnknownProcessError
 
@@ -295,8 +295,8 @@ def format_port(model: Model, pid: PortId) -> str:
     return f"{port.name}^{{{owner}}}"
 
 
-def fresh_id(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
+def fresh_id(base: str, taken: Container[str]) -> str:
+    """``base``, else ``base~n`` for the least ``n >= 2`` not in ``taken``."""
     if base not in taken:
         return base
     for n in itertools.count(2):
@@ -305,8 +305,8 @@ def fresh_id(base: str, taken: Iterable[str]) -> str:
             return candidate
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
+def fresh_name(base: str, taken: Container[str]) -> str:
+    """``base``, else ``base_n`` for the least ``n >= 2`` not in ``taken``."""
     if base not in taken:
         return base
     for n in itertools.count(2):

@@ -8,6 +8,7 @@ each original port is realized in the refined model (the ``~>`` map).
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -954,31 +955,35 @@ class NetSpec:
 def build_subnet(
     model: Model, pid: ProcessId, spec: NetSpec
 ) -> tuple[list[Process], list[Port], ProcessNet, InterfaceBinding]:
-    """Materialize a NetSpec as fresh processes and ports under ``pid``."""
+    """Materialize a NetSpec as fresh processes and ports under ``pid``.
+
+    An empty ``pid`` builds top-level processes, each with its bare name as
+    its id.  The model's tables are read, never copied, so building a model
+    block by block stays linear in its size.
+    """
     table = model.sort_table
-    taken_procs = set(model.processes)
-    taken_ports = set(model.ports)
+    prefix = f"{pid}." if pid else ""
     member_ids: dict[str, ProcessId] = {}
     port_ids: dict[tuple[str, str], PortId] = {}
-    new_ports: list[Port] = []
-    members: dict[str, Process] = {}
+    members: dict[ProcessId, Process] = {}
+    new_ports: dict[PortId, Port] = {}
+    taken_procs = ChainMap(members, model.processes)
+    taken_ports = ChainMap(new_ports, model.ports)
 
     for mspec in spec.members:
         if mspec.name in member_ids:
             raise FreshnessViolationError(f"member {mspec.name!r} declared twice")
-        mid = core.fresh_id(f"{pid}.{mspec.name}", taken_procs)
-        taken_procs.add(mid)
+        mid = core.fresh_id(prefix + mspec.name, taken_procs)
         member_ids[mspec.name] = mid
         ins, outs = [], []
         for direction, decls, target in ((INPUT, mspec.inputs, ins), (OUTPUT, mspec.outputs, outs)):
             for pname, sexpr in decls:
                 port_id = core.fresh_id(f"{mid}:{pname}", taken_ports)
-                taken_ports.add(port_id)
                 sort = resolve_sort_expr(sexpr, table) if sexpr is not None else None
-                new_ports.append(Port(port_id, pname, direction, mid, sort))
+                new_ports[port_id] = Port(port_id, pname, direction, mid, sort)
                 port_ids[(mspec.name, pname)] = port_id
                 target.append(port_id)
-        members[mspec.name] = Process(
+        members[mid] = Process(
             mid, mspec.name, inputs=tuple(ins), outputs=tuple(outs), behavior_note=mspec.note
         )
 
@@ -989,8 +994,8 @@ def build_subnet(
         return port_ids[key]
 
     for rspec in spec.rules:
-        proc = members.get(rspec.process)
-        if proc is None:
+        mid = member_ids.get(rspec.process)
+        if mid is None:
             raise UnknownPortError(f"rule names unknown subnet member {rspec.process!r}")
         rule = FiringRule(
             needs=tuple((member_port(rspec.process, p), lab) for p, lab in rspec.needs),
@@ -999,7 +1004,8 @@ def build_subnet(
             ),
             compute=rspec.compute,
         )
-        members[rspec.process] = replace(proc, firing_rules=proc.firing_rules + (rule,))
+        proc = members[mid]
+        members[mid] = replace(proc, firing_rules=proc.firing_rules + (rule,))
 
     channels = frozenset(
         Channel(member_port(sa, pa), member_port(sb, pb))
@@ -1009,32 +1015,29 @@ def build_subnet(
     pairs: list[tuple[PortId, PortId]] = []
     env_in: set[PortId] = set()
     env_out: set[PortId] = set()
-    for member, mport, parent_port in spec.input_binds:
-        parent_id = core.port_by_name(model, pid, parent_port)
-        if parent_id is None:
-            raise InterfaceMismatchError(
-                f"decomposed process has no port named {parent_port!r}"
-            )
-        inner = member_port(member, mport)
-        env_in.add(inner)
-        pairs.append((parent_id, inner))
-    for member, mport, parent_port in spec.output_binds:
-        parent_id = core.port_by_name(model, pid, parent_port)
-        if parent_id is None:
-            raise InterfaceMismatchError(
-                f"decomposed process has no port named {parent_port!r}"
-            )
-        inner = member_port(member, mport)
-        env_out.add(inner)
-        pairs.append((parent_id, inner))
+    for binds, boundary in ((spec.input_binds, env_in), (spec.output_binds, env_out)):
+        for member, mport, parent_port in binds:
+            parent_id = core.port_by_name(model, pid, parent_port)
+            if parent_id is None:
+                raise InterfaceMismatchError(
+                    f"decomposed process has no port named {parent_port!r}"
+                )
+            inner = member_port(member, mport)
+            boundary.add(inner)
+            pairs.append((parent_id, inner))
 
     net = ProcessNet(
-        processes=frozenset(p.id for p in members.values()),
+        processes=frozenset(members),
         channels=channels,
         env_inputs=frozenset(env_in),
         env_outputs=frozenset(env_out),
     )
-    return list(members.values()), new_ports, net, InterfaceBinding(tuple(sorted(pairs)))
+    return (
+        list(members.values()),
+        list(new_ports.values()),
+        net,
+        InterfaceBinding(tuple(sorted(pairs))),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,21 @@
 """Text format for models and refinement scripts, plus DOT export.
 
-The grammar is line-oriented: one statement per line (``;`` also separates
-statements), ``#`` starts a comment, files are UTF-8.  Model files (``.bpn``)
-declare sorts, a root process, and one ``net for <path>`` block per
-decomposed process; member processes are declared inside the block of the
-net containing them.  Script files (``.bps``) hold one rule invocation per
-statement.  Parsing tolerates ill-formed nets: the validator owns all
+Line ends, like blanks, only separate tokens: a statement may span lines,
+and one line may hold several statements (``;`` may also separate them).
+``#`` starts a comment that runs to the end of its line; files are UTF-8.
+Model files (``.bpn``) declare sorts, a root process, and one ``net for
+<path>`` block per decomposed process; member processes are declared inside
+the block of the net containing them.  Each block is read as a decomposition
+of its owner and built by ``refine.build_subnet``, the builder the
+``decompose`` rule uses.  Script files (``.bps``) hold a sequence of rule
+invocations.  Parsing tolerates ill-formed nets: the validator owns all
 constraint checking.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core
 from .core import (
@@ -20,14 +23,15 @@ from .core import (
     OUTPUT,
     WHOLE,
     AtomicSort,
-    Channel,
     CollectionExpr,
     CollectionSort,
     FiringRule,
     InterfaceBinding,
     Model,
     Port,
+    PortId,
     Process,
+    ProcessId,
     ProcessNet,
     RecordExpr,
     RecordSort,
@@ -37,8 +41,10 @@ from .core import (
 )
 from .errors import (
     DuplicateDefinitionError,
+    InterfaceMismatchError,
     ParseError,
     SourceSpan,
+    UnknownPortError,
     UnknownRuleNameError,
     UnknownSortNameError,
 )
@@ -55,6 +61,7 @@ from .refine import (
     RuleSpec,
     SplitPortStep,
     UnfoldStep,
+    build_subnet,
 )
 
 RESERVED = frozenset(
@@ -62,83 +69,69 @@ RESERVED = frozenset(
        input output binds record seq set as""".split()
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCTS = ("->", "{", "}", ":", ";", ",", ".", "=", "-")
+# One alternative per token kind; ``bad`` takes the first character that no
+# other alternative accepts, including the quote of an unterminated string.
+_TOKEN = re.compile(
+    r"""[ \t]+
+      | (?P<comment>\#)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | "(?P<string>[^"]*)"
+      | (?P<punct>->|[{}:;,.=-])
+      | (?P<bad>.)""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | string | punct | eol
+class Token(NamedTuple):
+    kind: str  # ident | string | punct
     text: str
     line: int
     column: int
 
 
-def _tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch in " \t":
-                col += 1
-                continue
-            if ch == "#":
-                break
-            m = _IDENT.match(line, col)
-            if m:
-                tokens.append(Token("ident", m.group(), lineno, col + 1))
-                col = m.end()
-                continue
-            if ch == '"':
-                end = line.find('"', col + 1)
-                if end < 0:
-                    raise ParseError(
-                        "unterminated string", SourceSpan(filename, lineno, col + 1)
-                    )
-                tokens.append(Token("string", line[col + 1 : end], lineno, col + 1))
-                col = end + 1
-                continue
-            for punct in _PUNCTS:
-                if line.startswith(punct, col):
-                    tokens.append(Token("punct", punct, lineno, col + 1))
-                    col += len(punct)
-                    break
-            else:
-                raise ParseError(
-                    f"unexpected character {ch!r}", SourceSpan(filename, lineno, col + 1)
-                )
-        tokens.append(Token("eol", "\n", lineno, len(line) + 1))
-    return tokens
-
-
 class _Cursor:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+    """The tokens of a text, read one at a time.
+
+    Line ends, like blanks, only separate tokens.  ``end`` is the position
+    just past the last line, where an error at the end of input points.
+    """
+
+    def __init__(self, text: str, filename: str):
+        self.tokens: list[Token] = []
         self.pos = 0
         self.filename = filename
+        lines = text.splitlines() or [""]
+        for lineno, line in enumerate(lines, start=1):
+            for m in _TOKEN.finditer(line):
+                kind = m.lastgroup
+                if kind is None:
+                    continue
+                if kind == "comment":
+                    break
+                if kind == "bad":
+                    what = (
+                        "unterminated string"
+                        if m.group() == '"'
+                        else f"unexpected character {m.group()!r}"
+                    )
+                    raise ParseError(what, SourceSpan(filename, lineno, m.start() + 1))
+                self.tokens.append(Token(kind, m.group(kind), lineno, m.start() + 1))
+        self.end = SourceSpan(filename, len(lines), len(lines[-1]) + 1)
 
     def span(self, token: Token | None = None) -> SourceSpan:
         if token is None:
             token = self.peek()
         if token is None:
-            last = self.tokens[-1] if self.tokens else Token("eol", "", 1, 1)
-            return SourceSpan(self.filename, last.line, last.column)
+            return self.end
         return SourceSpan(self.filename, token.line, token.column)
 
     def peek(self) -> Token | None:
-        i = self.pos
-        while i < len(self.tokens) and self.tokens[i].kind == "eol":
-            i += 1
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> Token | None:
-        while self.pos < len(self.tokens) and self.tokens[self.pos].kind == "eol":
+        tok = self.peek()
+        if tok is not None:
             self.pos += 1
-        if self.pos >= len(self.tokens):
-            return None
-        tok = self.tokens[self.pos]
-        self.pos += 1
         return tok
 
     def at_punct(self, text: str) -> bool:
@@ -169,12 +162,8 @@ class _Cursor:
         return tok
 
     def skip_separators(self) -> None:
-        while self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            if tok.kind == "eol" or (tok.kind == "punct" and tok.text == ";"):
-                self.pos += 1
-            else:
-                break
+        while self.at_punct(";"):
+            self.pos += 1
 
     def at_end(self) -> bool:
         return self.peek() is None
@@ -303,11 +292,11 @@ def _parse_qualified(cur: _Cursor) -> tuple[str, str, Token]:
 def _parse_net_statements(
     cur: _Cursor, owner_name: str, context: str
 ) -> NetSpec:
-    members: list[ProcessSpec] = []
-    member_names: set[str] = set()
-    channels: list[tuple[str, str, str, str]] = []
-    input_binds: list[tuple[str, str, str]] = []
-    output_binds: list[tuple[str, str, str]] = []
+    # dicts keep declaration order and find a repeat in constant time
+    members: dict[str, ProcessSpec] = {}
+    channels: dict[tuple[str, str, str, str], None] = {}
+    input_binds: dict[tuple[str, str, str], None] = {}
+    output_binds: dict[tuple[str, str, str], None] = {}
     rules: list[RuleSpec] = []
     while True:
         cur.skip_separators()
@@ -321,13 +310,12 @@ def _parse_net_statements(
             raise ParseError(f"unexpected {tok.text!r} in net block", cur.span(tok))
         if tok.text == "process":
             spec, name_tok = _parse_process_block(cur)
-            if spec.name in member_names:
+            if spec.name in members:
                 raise DuplicateDefinitionError(
                     f"process {spec.name!r} declared twice in {context}",
                     cur.span(name_tok),
                 )
-            member_names.add(spec.name)
-            members.append(spec)
+            members[spec.name] = spec
         elif tok.text == "channel":
             sa, pa, _ = _parse_qualified(cur)
             cur.take_punct("->")
@@ -337,7 +325,7 @@ def _parse_net_statements(
                 raise DuplicateDefinitionError(
                     f"channel {sa}.{pa} -> {sb}.{pb} declared twice", cur.span(tok)
                 )
-            channels.append(entry)
+            channels[entry] = None
         elif tok.text in ("input", "output"):
             member, mport, _ = _parse_qualified(cur)
             kw = cur.take_ident("'binds'", allow_reserved=True)
@@ -356,7 +344,7 @@ def _parse_net_statements(
                     f"{tok.text} bind for {member}.{mport} declared twice",
                     cur.span(tok),
                 )
-            target.append(entry)
+            target[entry] = None
         elif tok.text == "rule":
             rules.append(_parse_rule_stmt(cur))
         else:
@@ -364,7 +352,7 @@ def _parse_net_statements(
                 f"unexpected {tok.text!r} in net block", cur.span(tok)
             )
     return NetSpec(
-        tuple(members),
+        tuple(members.values()),
         tuple(channels),
         tuple(input_binds),
         tuple(output_binds),
@@ -385,9 +373,9 @@ def _parse_path(cur: _Cursor) -> tuple[str, ...]:
 
 def parse_model(text: str, filename: str = "<model>") -> Model:
     """Parse model text; structure mirrors the text, well-formedness aside."""
-    cur = _Cursor(_tokenize(text, filename), filename)
+    cur = _Cursor(text, filename)
     sort_decls: dict[str, tuple[SortExpr | None, Token]] = {}
-    top_procs: list[ProcessSpec] = []
+    top_procs: dict[str, ProcessSpec] = {}
     top_rules: list[RuleSpec] = []
     net_blocks: dict[tuple[str, ...], NetSpec] = {}
 
@@ -411,12 +399,12 @@ def parse_model(text: str, filename: str = "<model>") -> Model:
             sort_decls[name.text] = (expr, name)
         elif tok.text == "process":
             spec, name_tok = _parse_process_block(cur)
-            if any(p.name == spec.name for p in top_procs):
+            if spec.name in top_procs:
                 raise DuplicateDefinitionError(
                     f"process {spec.name!r} declared twice at top level",
                     cur.span(name_tok),
                 )
-            top_procs.append(spec)
+            top_procs[spec.name] = spec
         elif tok.text == "net":
             kw = cur.take_ident("'for'", allow_reserved=True)
             if kw.text != "for":
@@ -438,16 +426,19 @@ def parse_model(text: str, filename: str = "<model>") -> Model:
     if not top_procs:
         raise ParseError("a model must declare a root process", cur.span())
 
-    return _build_model(sort_decls, top_procs, top_rules, net_blocks, filename)
+    top = NetSpec(tuple(top_procs.values()), rules=tuple(top_rules))
+    return _build_model(sort_decls, top, net_blocks, filename)
 
 
 def _build_model(
     sort_decls: dict[str, tuple[SortExpr | None, Token]],
-    top_procs: list[ProcessSpec],
-    top_rules: list[RuleSpec],
+    top: NetSpec,
     net_blocks: dict[tuple[str, ...], NetSpec],
     filename: str,
 ) -> Model:
+    """Resolve the sort table in declaration order, then build the top level
+    and each net block, parents first, with the ``decompose`` rule's builder;
+    sorts are neither checked across nets nor propagated."""
     table: dict[str, Sort] = {}
     resolving: list[str] = []
 
@@ -482,141 +473,39 @@ def _build_model(
     for name in sort_decls:
         resolve_name(name, None)
 
-    processes: dict[str, Process] = {}
-    ports: dict[str, Port] = {}
-    rules_by_pid: dict[str, list[FiringRule]] = {}
+    processes: dict[ProcessId, Process] = {}
+    ports: dict[PortId, Port] = {}
+    nets: dict[ProcessId, tuple[ProcessNet, InterfaceBinding]] = {}
+    ids: dict[tuple[str, ...], ProcessId] = {}
 
-    def declare_process(spec: ProcessSpec, pid: str) -> None:
-        ins, outs = [], []
-        for direction, decls, target in (
-            (INPUT, spec.inputs, ins),
-            (OUTPUT, spec.outputs, outs),
-        ):
-            for pname, sexpr in decls:
-                port_id = f"{pid}:{pname}"
-                sort = resolve_expr(sexpr, None) if sexpr is not None else None
-                ports[port_id] = Port(port_id, pname, direction, pid, sort)
-                target.append(port_id)
-        processes[pid] = Process(
-            pid, spec.name, tuple(ins), tuple(outs), behavior_note=spec.note
-        )
+    def build(owner: ProcessId, path: tuple[str, ...], spec: NetSpec, block: str) -> None:
+        # the model built so far: build_subnet reads its tables, not its root
+        so_far = Model(table, processes, ports, root="", nets=nets)
+        try:
+            members, new_ports, net, binding = build_subnet(so_far, owner, spec)
+        except (UnknownPortError, InterfaceMismatchError) as exc:
+            raise ParseError(f"{block}: {exc}") from exc
+        processes.update((p.id, p) for p in members)
+        ports.update((p.id, p) for p in new_ports)
+        ids.update((path + (p.name,), p.id) for p in members)
+        if path:
+            nets[owner] = (net, binding)
 
-    for spec in top_procs:
-        declare_process(spec, spec.name)
-    for path, block in net_blocks.items():
-        owner_id = ".".join(path)
-        for spec in block.members:
-            declare_process(spec, f"{owner_id}.{spec.name}")
+    # the top level is a block with no owner, its processes' ids bare names
+    build("", (), top, "top level")
+    # a net's owner is a member of its parent's net, so parents go first
+    for path in sorted(net_blocks, key=len):
+        where = f"net for {'.'.join(path)}"
+        if path not in ids:
+            raise ParseError(f"{where}: no such process is declared")
+        build(ids[path], path, net_blocks[path], where)
 
-    def attach_rules(scope: str, specs: tuple[RuleSpec, ...] | list[RuleSpec], pid_of) -> None:
-        for rspec in specs:
-            pid = pid_of(rspec.process)
-            if pid is None or pid not in processes:
-                raise ParseError(
-                    f"rule names unknown process {rspec.process!r} in {scope}"
-                )
-
-            def port_ref(pname: str) -> str:
-                port_id = f"{pid}:{pname}"
-                if port_id not in ports:
-                    raise ParseError(
-                        f"rule for {rspec.process!r} names unknown port {pname!r}"
-                    )
-                return port_id
-
-            rules_by_pid.setdefault(pid, []).append(
-                FiringRule(
-                    needs=tuple((port_ref(p), lab) for p, lab in rspec.needs),
-                    produces=tuple((port_ref(p), lab) for p, lab in rspec.produces),
-                    compute=rspec.compute,
-                )
-            )
-
-    attach_rules(
-        "top level",
-        top_rules,
-        lambda name: name if name in processes else None,
-    )
-
-    nets: dict[str, tuple[ProcessNet, InterfaceBinding]] = {}
-    for path, block in net_blocks.items():
-        owner_id = ".".join(path)
-        if owner_id not in processes:
-            raise ParseError(
-                f"net for {'.'.join(path)}: no such process is declared"
-            )
-        member_ids = {spec.name: f"{owner_id}.{spec.name}" for spec in block.members}
-
-        def member_port(member: str, pname: str, what: str) -> str:
-            if member not in member_ids:
-                raise ParseError(
-                    f"{what} in net for {'.'.join(path)} names unknown member {member!r}"
-                )
-            port_id = f"{member_ids[member]}:{pname}"
-            if port_id not in ports:
-                raise ParseError(
-                    f"{what} names unknown port {pname!r} on member {member!r}"
-                )
-            return port_id
-
-        channels = frozenset(
-            Channel(member_port(sa, pa, "channel"), member_port(sb, pb, "channel"))
-            for sa, pa, sb, pb in block.channels
-        )
-        pairs: list[tuple[str, str]] = []
-        env_in: set[str] = set()
-        env_out: set[str] = set()
-        for member, mport, pport in block.input_binds:
-            parent_port = f"{owner_id}:{pport}"
-            if parent_port not in ports:
-                raise ParseError(
-                    f"input bind names unknown port {pport!r} on {'.'.join(path)}"
-                )
-            inner = member_port(member, mport, "input bind")
-            env_in.add(inner)
-            pairs.append((parent_port, inner))
-        for member, mport, pport in block.output_binds:
-            parent_port = f"{owner_id}:{pport}"
-            if parent_port not in ports:
-                raise ParseError(
-                    f"output bind names unknown port {pport!r} on {'.'.join(path)}"
-                )
-            inner = member_port(member, mport, "output bind")
-            env_out.add(inner)
-            pairs.append((parent_port, inner))
-        nets[owner_id] = (
-            ProcessNet(
-                processes=frozenset(member_ids.values()),
-                channels=channels,
-                env_inputs=frozenset(env_in),
-                env_outputs=frozenset(env_out),
-            ),
-            InterfaceBinding(tuple(sorted(pairs))),
-        )
-        attach_rules(
-            f"net for {'.'.join(path)}",
-            block.rules,
-            lambda name: member_ids.get(name),
-        )
-
-    for pid, rule_list in rules_by_pid.items():
-        proc = processes[pid]
-        processes[pid] = Process(
-            proc.id,
-            proc.name,
-            proc.inputs,
-            proc.outputs,
-            proc.behavior_note,
-            tuple(rule_list),
-        )
-
-    contained = {m for _, (net, _) in nets.items() for m in net.processes}
-    root = next((p.name for p in top_procs if p.name not in contained), None)
-    if root is None:
-        raise ParseError("every declared process is contained in a net; no root")
-    return Model(
-        sort_table=table, processes=processes, ports=ports, root=root, nets=nets
-    )
+    # a port's inline record sort is resolved by build_subnet, which does not
+    # look for a field declared twice
+    if any(core.sort_problems(p.sort) for p in ports.values() if p.sort is not None):
+        raise DuplicateDefinitionError("record field declared twice")
+    root = ids[(top.members[0].name,)]
+    return Model(sort_table=table, processes=processes, ports=ports, root=root, nets=nets)
 
 
 # --- script parsing ----------------------------------------------------------------
@@ -642,7 +531,7 @@ def _take_head(cur: _Cursor) -> Token:
 
 def parse_script(text: str, filename: str = "<script>") -> RefinementScript:
     """Parse a refinement script into an ordered list of rule invocations."""
-    cur = _Cursor(_tokenize(text, filename), filename)
+    cur = _Cursor(text, filename)
     steps = []
     while True:
         cur.skip_separators()
@@ -890,7 +779,7 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
             node_name[pid] = f"p{len(node_name)}"
         return node_name[pid]
 
-    counters = {"cluster": 0, "env": 0}
+    counters = {"cluster": 0}
 
     def render(owner_id: str, level_net: ProcessNet, remaining: int, indent: str) -> None:
         for member in sorted(
@@ -920,6 +809,9 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
             port_id = model.nets[pid][1].to_subnet().get(port_id, port_id)
         return port_id
 
+    def label(sort: Sort | None) -> str:
+        return f" [label={_dot_quote(_sort_text(model, sort))}]" if sort is not None else ""
+
     def edge(src_port: str, dst_port: str) -> None:
         sort = None
         for p in (src_port, dst_port):
@@ -931,42 +823,22 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
         dst = model.ports.get(resolve(dst_port))
         if src is None or dst is None:
             return
-        label = (
-            f" [label={_dot_quote(_sort_text(model, sort))}]" if sort is not None else ""
-        )
-        lines.append(f"  {node_of(src.owner)} -> {node_of(dst.owner)}{label};")
+        lines.append(f"  {node_of(src.owner)} -> {node_of(dst.owner)}{label(sort)};")
 
     for ch in sorted(net.channels, key=lambda c: (c.source, c.dest)):
         edge(ch.source, ch.dest)
 
-    for port_id in sorted(net.env_inputs):
-        real = resolve(port_id)
-        port = model.ports.get(real)
-        if port is None:
-            continue
-        env = f"e{counters['env']}"
-        counters["env"] += 1
-        lines.append(f"  {env} [shape=point, label=\"\"];")
-        attrs = (
-            f" [label={_dot_quote(_sort_text(model, port.sort))}]"
-            if port.sort is not None
-            else ""
-        )
-        lines.append(f"  {env} -> {node_of(port.owner)}{attrs};")
-    for port_id in sorted(net.env_outputs):
-        real = resolve(port_id)
-        port = model.ports.get(real)
-        if port is None:
-            continue
-        env = f"e{counters['env']}"
-        counters["env"] += 1
-        lines.append(f"  {env} [shape=point, label=\"\"];")
-        attrs = (
-            f" [label={_dot_quote(_sort_text(model, port.sort))}]"
-            if port.sort is not None
-            else ""
-        )
-        lines.append(f"  {node_of(port.owner)} -> {env}{attrs};")
+    env_count = 0
+    for boundary, inward in ((net.env_inputs, True), (net.env_outputs, False)):
+        for port_id in sorted(boundary):
+            port = model.ports.get(resolve(port_id))
+            if port is None:
+                continue
+            env = f"e{env_count}"
+            env_count += 1
+            lines.append(f"  {env} [shape=point, label=\"\"];")
+            ends = (env, node_of(port.owner)) if inward else (node_of(port.owner), env)
+            lines.append(f"  {ends[0]} -> {ends[1]}{label(port.sort)};")
 
     lines.append("}")
     return "\n".join(lines) + "\n"

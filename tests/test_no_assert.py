@@ -2,7 +2,8 @@
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert``: every check raises explicitly instead.  The model and the
-simulator must not import the rule engine."""
+simulator must not import the rule engine, and the parser builds no model
+value itself."""
 
 from __future__ import annotations
 
@@ -48,3 +49,21 @@ def test_no_rule_engine_import(name):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     reached = {m for m in _imported_modules(tree) if "refine" in m.split(".")}
     assert reached == set(), f"{name} imports {sorted(reached)}"
+
+
+MODEL_VALUES = {"Process", "Port", "Channel", "ProcessNet", "InterfaceBinding", "FiringRule"}
+
+
+def test_parser_builds_no_model_values():
+    """Model construction belongs to ``refine.build_subnet``: the parser hands
+    it the top level and each ``net for`` block, and forms no id itself."""
+    path = next(p for p in SOURCES if p.name == "textio.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in MODEL_VALUES
+    ]
+    assert calls == [], f"textio.py constructs model values: {calls}"

@@ -80,6 +80,27 @@ class TestParseModel:
         assert exc.value.span is not None
         assert exc.value.span.line == 2
 
+    def test_duplicate_field_in_port_record_sort(self):
+        with pytest.raises(DuplicateDefinitionError):
+            textio.parse_model("sort A\nprocess p { in a : record { x: A, x: A } }")
+
+    def test_error_at_end_of_input_keeps_its_position(self):
+        with pytest.raises(ParseError) as exc:
+            textio.parse_model("process p {\n in a\n")
+        assert (exc.value.span.line, exc.value.span.column) == (2, 6)
+
+    def test_line_ends_only_separate_tokens(self):
+        one_line = textio.parse_model("sort A sort B process p { in a : A\n b : B }")
+        assert sorted(one_line.sort_table) == ["A", "B"]
+        assert [one_line.ports[p].name for p in one_line.processes["p"].inputs] == ["a", "b"]
+
+    def test_unknown_reference_names_its_block(self):
+        with pytest.raises(ParseError, match="net for p") as exc:
+            textio.parse_model(
+                "process p { }\nnet for p {\n process a { out o }\n channel a.o -> a.i\n}"
+            )
+        assert type(exc.value) is ParseError
+
     def test_parsing_tolerates_ill_formed_nets(self):
         # a 2-cycle parses fine; the validator owns constraint checking
         m = textio.parse_model(
