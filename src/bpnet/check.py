@@ -14,24 +14,22 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import core
-from .core import Model, PortId, ProcessId, RecordSort, Sort, SortExpr, SortNameRef
+from .core import Model, PortId, ProcessId, RecordSort, SortNameRef
 from .errors import BpnError, SearchBudgetExceededError, StepFailedError
 from .refine import (
     AddChannelStep,
     AssignSortStep,
     DecomposeStep,
     FoldStep,
-    NetSpec,
     PartSpec,
     PortRef,
-    ProcessSpec,
     RefinementScript,
-    RuleSpec,
     SplitPortStep,
     Step,
     Trace,
     UnfoldStep,
     apply_script,
+    net_spec,
 )
 
 REFINES = "Refines"
@@ -204,24 +202,6 @@ def check_refinement(base: Model, refined: Model, script: RefinementScript) -> V
 # --- bounded derivability search -------------------------------------------------
 
 
-def _sort_expr_of(sort: Sort, table) -> SortExpr | None:
-    names = sorted(n for n, s in table.items() if s == sort)
-    if names:
-        return SortNameRef(names[0])
-    if isinstance(sort, core.AtomicSort):
-        return None
-    if isinstance(sort, core.CollectionSort):
-        element = _sort_expr_of(sort.element, table)
-        return core.CollectionExpr(sort.kind, element) if element is not None else None
-    fields = []
-    for fname, fsort in sort.fields:
-        fexpr = _sort_expr_of(fsort, table)
-        if fexpr is None:
-            return None
-        fields.append((fname, fexpr))
-    return core.RecordExpr(tuple(fields))
-
-
 def _twin(refined: Model, path: tuple[str, ...]) -> ProcessId | None:
     try:
         return core.resolve_path(refined, path)
@@ -229,62 +209,8 @@ def _twin(refined: Model, path: tuple[str, ...]) -> ProcessId | None:
         return None
 
 
-def _net_spec_of(model: Model, owner: ProcessId, table) -> NetSpec | None:
-    """Export a decomposed process's subnet as a NetSpec (for replay elsewhere)."""
-    net, binding = model.nets[owner]
-    members = []
-    rules = []
-    for member in sorted(
-        net.processes, key=lambda m: (model.processes[m].name, m)
-    ):
-        proc = model.processes[member]
-        decls = {"in": [], "out": []}
-        for direction, port_ids in (("in", proc.inputs), ("out", proc.outputs)):
-            for port_id in port_ids:
-                port = model.ports[port_id]
-                if port.sort is None:
-                    decls[direction].append((port.name, None))
-                else:
-                    expr = _sort_expr_of(port.sort, table)
-                    if expr is None:
-                        return None
-                    decls[direction].append((port.name, expr))
-        members.append(
-            ProcessSpec(proc.name, tuple(decls["in"]), tuple(decls["out"]), proc.behavior_note)
-        )
-        for rule in proc.firing_rules:
-            rules.append(
-                RuleSpec(
-                    proc.name,
-                    tuple((model.ports[p].name, lab) for p, lab in rule.needs),
-                    tuple((model.ports[p].name, lab) for p, lab in rule.produces),
-                    rule.compute,
-                )
-            )
-
-    def ref(port_id: PortId) -> tuple[str, str]:
-        port = model.ports[port_id]
-        return model.processes[port.owner].name, port.name
-
-    channels = tuple(
-        sorted(ref(ch.source) + ref(ch.dest) for ch in net.channels)
-    )
-    to_parent = binding.to_parent()
-    input_binds = tuple(
-        sorted(
-            ref(p) + (model.ports[to_parent[p]].name,)
-            for p in net.env_inputs
-            if p in to_parent
-        )
-    )
-    output_binds = tuple(
-        sorted(
-            ref(p) + (model.ports[to_parent[p]].name,)
-            for p in net.env_outputs
-            if p in to_parent
-        )
-    )
-    return NetSpec(tuple(members), channels, input_binds, output_binds, tuple(rules))
+def _ports_by_name(model: Model, pid: ProcessId) -> dict[str, PortId]:
+    return {model.ports[p].name: p for p in model.processes[pid].ports() if p in model.ports}
 
 
 def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
@@ -312,24 +238,22 @@ def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
             for name in sort_names:
                 yield AssignSortStep(PortRef(path, port.name), SortNameRef(name))
 
-    # add-channel between processes, fresh names from the refined twin
-    def names_missing_here(pid: ProcessId) -> list[str]:
-        twin = _twin(refined, paths[pid])
-        if twin is None:
-            return []
-        here = {
-            current.ports[p].name
-            for p in current.processes[pid].ports()
-            if p in current.ports
-        }
-        there = [
-            refined.ports[p].name
-            for p in refined.processes[twin].ports()
-            if p in refined.ports
-        ]
-        return sorted(set(there) - here)
-
+    # each process's twin at the same path in the refined model, the ports
+    # of both by name, and the names the twin has that the process lacks
     pids = sorted(paths)
+    twins: dict[ProcessId, ProcessId] = {}
+    for pid in pids:
+        twin = _twin(refined, paths[pid])
+        if twin is not None:
+            twins[pid] = twin
+    here = {pid: _ports_by_name(current, pid) for pid in twins}
+    there = {pid: _ports_by_name(refined, twin) for pid, twin in twins.items()}
+    missing = {
+        pid: sorted(there[pid].keys() - here[pid].keys()) if pid in twins else []
+        for pid in pids
+    }
+
+    # add-channel between processes, fresh names from the refined twin
     for src_pid in pids:
         src_names = sorted(
             {
@@ -337,13 +261,13 @@ def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
                 for p in current.processes[src_pid].outputs
                 if p in current.ports
             }
-            | set(names_missing_here(src_pid))
+            | set(missing[src_pid])
         )
         for dst_pid in pids:
             if dst_pid == src_pid:
                 continue
             for src_name in src_names:
-                for dst_name in names_missing_here(dst_pid):
+                for dst_name in missing[dst_pid]:
                     yield AddChannelStep(
                         PortRef(paths[src_pid], src_name),
                         PortRef(paths[dst_pid], dst_name),
@@ -353,30 +277,15 @@ def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
     for pid in pids:
         if pid in current.nets:
             continue
-        twin = _twin(refined, paths[pid])
-        if twin is None or twin not in refined.nets:
-            continue
-        spec = _net_spec_of(refined, twin, current.sort_table)
-        if spec is not None:
-            yield DecomposeStep(paths[pid], spec)
+        twin = twins.get(pid)
+        if twin is not None and twin in refined.nets:
+            yield DecomposeStep(paths[pid], net_spec(refined, twin, current.sort_table))
 
     # split a port that disappears in the refined twin
-    for pid in pids:
-        twin = _twin(refined, paths[pid])
-        if twin is None:
-            continue
-        here_ports = {
-            current.ports[p].name: p
-            for p in current.processes[pid].ports()
-            if p in current.ports
-        }
-        there_names = {
-            refined.ports[p].name: p
-            for p in refined.processes[twin].ports()
-            if p in refined.ports
-        }
-        gone = sorted(set(here_ports) - set(there_names))
-        fresh = sorted(set(there_names) - set(here_ports))
+    for pid in twins:
+        here_ports, there_names = here[pid], there[pid]
+        gone = sorted(here_ports.keys() - there_names.keys())
+        fresh = missing[pid]
         if len(fresh) < 2:
             continue
         for old_name in gone:

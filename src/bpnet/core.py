@@ -95,16 +95,6 @@ def sorts_compatible(a: Sort | None, b: Sort | None) -> bool:
     return a == b
 
 
-def render_sort(sort: Sort) -> str:
-    """Structural text form of a sort, matching the model file grammar."""
-    if isinstance(sort, AtomicSort):
-        return sort.name
-    if isinstance(sort, CollectionSort):
-        return f"{sort.kind} {render_sort(sort.element)}"
-    inner = ", ".join(f"{name}: {render_sort(fsort)}" for name, fsort in sort.fields)
-    return f"record {{ {inner} }}"
-
-
 # --- firing rules ----------------------------------------------------------
 
 
@@ -878,21 +868,34 @@ def validate_model(model: Model) -> list[Violation]:
 
 # --- sort expressions ---------------------------------------------------------
 
+# A sort expression is a sort as the model file spells it, and ``str`` of it
+# is that text.
+
 
 @dataclass(frozen=True)
 class SortNameRef:
     name: str
+
+    def __str__(self) -> str:
+        return self.name
 
 
 @dataclass(frozen=True)
 class RecordExpr:
     fields: tuple[tuple[str, "SortExpr"], ...]
 
+    def __str__(self) -> str:
+        inner = ", ".join(f"{name}: {fexpr}" for name, fexpr in self.fields)
+        return f"record {{ {inner} }}"
+
 
 @dataclass(frozen=True)
 class CollectionExpr:
     kind: str
     element: "SortExpr"
+
+    def __str__(self) -> str:
+        return f"{self.kind} {self.element}"
 
 
 SortExpr = Union[SortNameRef, RecordExpr, CollectionExpr]
@@ -912,6 +915,28 @@ def resolve_sort_expr(expr: SortExpr, table: Mapping[str, Sort]) -> Sort:
     return RecordSort(
         tuple((name, resolve_sort_expr(fexpr, table)) for name, fexpr in expr.fields)
     )
+
+
+def sort_expr(sort: Sort, table: Mapping[str, Sort]) -> SortExpr:
+    """Reference form of a sort, the inverse of ``resolve_sort_expr``.
+
+    It is the least name ``table`` declares for the sort; otherwise the
+    sort's structure with each part in reference form.  An atomic sort with
+    no declared name is named by itself.
+    """
+    names = [name for name, declared in table.items() if declared == sort]
+    if names:
+        return SortNameRef(min(names))
+    if isinstance(sort, AtomicSort):
+        return SortNameRef(sort.name)
+    if isinstance(sort, CollectionSort):
+        return CollectionExpr(sort.kind, sort_expr(sort.element, table))
+    return RecordExpr(tuple((name, sort_expr(fsort, table)) for name, fsort in sort.fields))
+
+
+def render_sort(sort: Sort) -> str:
+    """Structural text form of a sort, matching the model file grammar."""
+    return str(sort_expr(sort, {}))
 
 
 # --- sort closure ------------------------------------------------------------
@@ -978,6 +1003,7 @@ __all__ = [
     "CollectionExpr",
     "SortExpr",
     "resolve_sort_expr",
+    "sort_expr",
     "sorts_compatible",
     "sort_problems",
     "render_sort",

@@ -516,7 +516,7 @@ def split_port(
     interface bindings, and firing-rule references are rewritten at every
     affected level, and the returned map records original to refined ports.
     """
-    result, subst = _split_port(model, port, parts)
+    result, subst = _split_port(model, port, [(name, sort, None) for name, sort in parts])
     mapping = {
         old: frozenset(r.port for r in repls) for old, repls in subst.ports.items()
     }
@@ -524,12 +524,15 @@ def split_port(
 
 
 def _partition_fields(
-    sort: RecordSort, parts: Sequence[tuple[str, Sort | None]]
+    sort: RecordSort, parts: Sequence[tuple[str, Sort | None, str | None]]
 ) -> list[tuple[frozenset[str], bool]]:
-    """Assign record fields to parts; returns (field set, bare) per part."""
+    """Assign record fields to parts; returns (field set, bare) per part.
+
+    A bare part takes the field it names, or else the first unclaimed field
+    of its sort."""
     claimed: set[str] = set()
     assignment: list[tuple[frozenset[str], bool]] = []
-    for name, psort in parts:
+    for name, psort, named in parts:
         if psort is None:
             raise PartitionMismatchError(
                 f"part {name!r} needs a sort when splitting a record port"
@@ -556,7 +559,7 @@ def _partition_fields(
                 (
                     fname
                     for fname, fsort in sort.fields
-                    if fname not in claimed and fsort == psort
+                    if fname not in claimed and fsort == psort and named in (None, fname)
                 ),
                 None,
             )
@@ -573,15 +576,16 @@ def _partition_fields(
 
 
 def _split_port(
-    model: Model, port: PortId, parts: Sequence[tuple[str, Sort | None]]
+    model: Model, port: PortId, parts: Sequence[tuple[str, Sort | None, str | None]]
 ) -> tuple[Model, _Subst]:
+    """Split a port into parts given as (name, sort, named record field)."""
     origin = _require_port(model, port)
     if len(parts) < 2:
         raise TooFewPartsError("a split needs at least two parts")
-    part_names = [name for name, _ in parts]
+    part_names = [name for name, _, _ in parts]
     if len(set(part_names)) != len(part_names):
         raise PartitionMismatchError("part names must be distinct")
-    for _, psort in parts:
+    for _, psort, _ in parts:
         if psort is not None:
             _check_sort_value(psort, "split_port")
 
@@ -614,7 +618,7 @@ def _split_port(
             ports[p].name for p in owner.ports() if p != member and p in ports
         }
         ids = []
-        for (name, psort) in parts:
+        for name, psort, _ in parts:
             if name in other_names:
                 raise FreshnessViolationError(
                     f"part name {name!r} clashes with an existing port on {old.owner!r}"
@@ -633,28 +637,21 @@ def _split_port(
                 out.append(p)
         return tuple(out)
 
-    label_of_part: dict[int, tuple[frozenset[str] | None, bool]] = dict(enumerate(assignment))
+    repls = {
+        member: tuple(_Repl(p, *assignment[i]) for i, p in enumerate(part_ids[member]))
+        for member in closure
+    }
 
     def rewrite_refs(
         refs: tuple[tuple[PortId, str], ...]
     ) -> tuple[tuple[PortId, str], ...]:
+        # a label follows the split as a trace fragment does
         out: list[tuple[PortId, str]] = []
         for ref_port, label in refs:
-            if ref_port not in part_ids:
-                out.append((ref_port, label))
-                continue
-            repls = part_ids[ref_port]
-            if label == WHOLE:
-                out.extend((p, WHOLE) for p in repls)
+            if ref_port in repls:
+                out.extend(_map_fragment(repls[ref_port], label))
             else:
-                routed = False
-                for i, p in enumerate(repls):
-                    fields, bare = label_of_part[i]
-                    if fields is not None and label in fields:
-                        out.append((p, WHOLE if bare else label))
-                        routed = True
-                if not routed:
-                    out.extend((p, label) for p in repls)
+                out.append((ref_port, label))
         return tuple(dict.fromkeys(out))
 
     for member in closure:
@@ -722,14 +719,7 @@ def _split_port(
     _validated(
         result, f"splitting {port!r}", owners=_scope_owners(model, procs), processes=procs
     )
-    subst_ports = {
-        member: tuple(
-            _Repl(p, assignment[i][0], assignment[i][1])
-            for i, p in enumerate(part_ids[member])
-        )
-        for member in closure
-    }
-    return result, _Subst(ports=subst_ports)
+    return result, _Subst(ports=repls)
 
 
 # --- folding and unfolding --------------------------------------------------------
@@ -1040,6 +1030,91 @@ def build_subnet(
     )
 
 
+def net_spec(model: Model, owner: ProcessId, table: Mapping[str, Sort]) -> NetSpec:
+    """The NetSpec that ``build_subnet`` builds the net of ``owner`` back
+    from, each port sort in its reference form against ``table``.
+
+    An empty ``owner`` gives the top level: the root, then the other
+    processes no net contains, by (name, id).  Members come by (name, id)
+    and ports in declared order.  A decomposed member's note and firing
+    rules are left out, because its net is authoritative.
+    """
+    processes, ports = model.processes, model.ports
+
+    def by_name(pid: ProcessId) -> tuple[str, ProcessId]:
+        return processes[pid].name, pid
+
+    if owner:
+        net, binding = model.nets[owner]
+        pids = sorted((m for m in net.processes if m in processes), key=by_name)
+    else:
+        contained = core.container_index(model)
+        pids = [model.root] if model.root in processes else []
+        pids += sorted(
+            (p for p in processes if p not in contained and p != model.root), key=by_name
+        )
+
+    exprs: dict[Sort, SortExpr] = {}
+
+    def decls(port_ids: tuple[PortId, ...]) -> tuple[tuple[str, SortExpr | None], ...]:
+        out: list[tuple[str, SortExpr | None]] = []
+        for port_id in port_ids:
+            port = ports[port_id]
+            expr = None
+            if port.sort is not None:
+                expr = exprs.get(port.sort)
+                if expr is None:
+                    expr = exprs[port.sort] = core.sort_expr(port.sort, table)
+            out.append((port.name, expr))
+        return tuple(out)
+
+    def refs(pairs: tuple[tuple[PortId, str], ...]) -> tuple[tuple[str, str], ...]:
+        return tuple([(ports[p].name, label) for p, label in pairs if p in ports])
+
+    members: list[ProcessSpec] = []
+    rules: list[RuleSpec] = []
+    for pid in pids:
+        proc = processes[pid]
+        leaf = pid not in model.nets
+        note = proc.behavior_note if leaf else ""
+        members.append(ProcessSpec(proc.name, decls(proc.inputs), decls(proc.outputs), note))
+        if leaf:
+            rules += [
+                RuleSpec(proc.name, refs(r.needs), refs(r.produces), r.compute)
+                for r in proc.firing_rules
+            ]
+    if not owner:
+        return NetSpec(tuple(members), rules=tuple(rules))
+
+    def ref(port_id: PortId) -> tuple[str, str]:
+        port = ports[port_id]
+        return processes[port.owner].name, port.name
+
+    to_parent = binding.to_parent()
+
+    def binds(boundary: frozenset[PortId]) -> tuple[tuple[str, str, str], ...]:
+        return tuple(
+            sorted(
+                ref(p) + (ports[to_parent[p]].name,)
+                for p in boundary
+                if p in ports and to_parent.get(p) in ports
+            )
+        )
+
+    channels = sorted(
+        ref(ch.source) + ref(ch.dest)
+        for ch in net.channels
+        if ch.source in ports and ch.dest in ports
+    )
+    return NetSpec(
+        tuple(members),
+        tuple(channels),
+        binds(net.env_inputs),
+        binds(net.env_outputs),
+        tuple(rules),
+    )
+
+
 @dataclass(frozen=True)
 class DecomposeStep:
     path: tuple[str, ...]
@@ -1109,7 +1184,7 @@ class SplitPortStep:
         if port_id is None:
             raise UnknownPortError(f"no port named {self.port.port!r} on {pid!r}")
         sort = model.ports[port_id].sort
-        resolved: list[tuple[str, Sort | None]] = []
+        resolved: list[tuple[str, Sort | None, str | None]] = []
         for part in self.parts:
             if isinstance(sort, RecordSort):
                 if part.fields is not None:
@@ -1120,14 +1195,14 @@ class SplitPortStep:
                         raise PartitionMismatchError(
                             f"part {part.name!r} names fields missing from the record"
                         )
-                    resolved.append((part.name, RecordSort(sub)))
+                    resolved.append((part.name, RecordSort(sub), None))
                 elif part.ref is not None:
                     fsort = sort.field_sort(part.ref)
                     if fsort is None:
                         raise PartitionMismatchError(
                             f"record has no field named {part.ref!r}"
                         )
-                    resolved.append((part.name, fsort))
+                    resolved.append((part.name, fsort, part.ref))
                 else:
                     raise PartitionMismatchError(
                         f"part {part.name!r} needs a field reference on a record port"
@@ -1138,11 +1213,10 @@ class SplitPortStep:
                         "field lists are only meaningful for record-sorted ports"
                     )
                 if part.ref is not None:
-                    resolved.append(
-                        (part.name, resolve_sort_expr(core.SortNameRef(part.ref), model.sort_table))
-                    )
+                    psort = resolve_sort_expr(core.SortNameRef(part.ref), model.sort_table)
+                    resolved.append((part.name, psort, None))
                 else:
-                    resolved.append((part.name, None))
+                    resolved.append((part.name, None, None))
         return _split_port(model, port_id, resolved)
 
 
@@ -1231,6 +1305,7 @@ __all__ = [
     "NetSpec",
     "PartSpec",
     "build_subnet",
+    "net_spec",
     "DecomposeStep",
     "AddChannelStep",
     "AssignSortStep",

@@ -25,7 +25,6 @@ from .core import (
     AtomicSort,
     CollectionExpr,
     CollectionSort,
-    FiringRule,
     InterfaceBinding,
     Model,
     Port,
@@ -62,6 +61,7 @@ from .refine import (
     SplitPortStep,
     UnfoldStep,
     build_subnet,
+    net_spec,
 )
 
 RESERVED = frozenset(
@@ -602,23 +602,6 @@ def parse_script(text: str, filename: str = "<script>") -> RefinementScript:
 # --- canonical printing ---------------------------------------------------------------
 
 
-def _sort_text(model: Model, sort: Sort) -> str:
-    """Reference form of a sort: the least declared name, else inline."""
-    names = sorted(n for n, s in model.sort_table.items() if s == sort)
-    if names:
-        return names[0]
-    return _sort_structure(model, sort)
-
-
-def _sort_structure(model: Model, sort: Sort) -> str:
-    if isinstance(sort, AtomicSort):
-        return sort.name
-    if isinstance(sort, CollectionSort):
-        return f"{sort.kind} {_sort_text(model, sort.element)}"
-    inner = ", ".join(f"{f}: {_sort_text(model, s)}" for f, s in sort.fields)
-    return f"record {{ {inner} }}"
-
-
 def _sort_owner(model: Model, sort: Sort) -> str:
     # a self-named atomic anchors its alias group; otherwise the least name
     if isinstance(sort, AtomicSort) and model.sort_table.get(sort.name) == sort:
@@ -626,125 +609,81 @@ def _sort_owner(model: Model, sort: Sort) -> str:
     return min(n for n, s in model.sort_table.items() if s == sort)
 
 
-def _port_decl_text(model: Model, port_id: str) -> str:
-    port = model.ports[port_id]
-    if port.sort is None:
-        return port.name
-    return f"{port.name} : {_sort_text(model, port.sort)}"
+def _block_lines(spec: NetSpec, owner_name: str, indent: str) -> list[str]:
+    """The statements of a block: each member followed by its firing rules,
+    then the channels and the binds.  These keep the spec's order; a
+    member's ports and a rule's port references are printed by name."""
+    rules: dict[str, list[RuleSpec]] = {}
+    for rule in spec.rules:
+        rules.setdefault(rule.process, []).append(rule)
 
-
-def _process_decl_text(model: Model, proc: Process) -> str:
-    sections = []
-    for keyword, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
-        if port_ids:
-            decls = " ".join(
-                _port_decl_text(model, p)
-                for p in sorted(port_ids, key=lambda p: model.ports[p].name)
-            )
-            sections.append(f"{keyword} {decls}")
-    # black-box notes of decomposed processes are residue; the net is printed
-    if proc.behavior_note and proc.id not in model.nets:
-        sections.append(f'note "{proc.behavior_note}"')
-    body = "; ".join(sections)
-    return f"process {proc.name} {{ {body} }}" if body else f"process {proc.name} {{ }}"
-
-
-def _rule_text(model: Model, proc: Process, rule: FiringRule) -> str:
     def refs(pairs: tuple[tuple[str, str], ...]) -> str:
-        rendered = sorted(
-            (model.ports[p].name, lab) for p, lab in pairs if p in model.ports
-        )
-        return ", ".join(n if lab == WHOLE else f"{n}.{lab}" for n, lab in rendered)
+        return ", ".join(n if lab == WHOLE else f"{n}.{lab}" for n, lab in sorted(pairs))
 
-    text = (
-        f"rule {proc.name} : needs {{ {refs(rule.needs)} }}"
-        f" produces {{ {refs(rule.produces)} }}"
-    ).replace("{  }", "{ }")
-    if rule.compute != "tag":
-        text += f" using {rule.compute}"
-    return text
+    lines = []
+    for member in spec.members:
+        sections = []
+        for keyword, decls in ((INPUT, member.inputs), (OUTPUT, member.outputs)):
+            if decls:
+                text = " ".join(
+                    name if expr is None else f"{name} : {expr}"
+                    for name, expr in sorted(decls, key=lambda d: d[0])
+                )
+                sections.append(f"{keyword} {text}")
+        if member.note:
+            sections.append(f'note "{member.note}"')
+        body = "; ".join(sections)
+        head = f"{indent}process {member.name}"
+        lines.append(f"{head} {{ {body} }}" if body else f"{head} {{ }}")
+        for rule in rules.pop(member.name, ()):
+            text = (
+                f"rule {rule.process} : needs {{ {refs(rule.needs)} }}"
+                f" produces {{ {refs(rule.produces)} }}"
+            ).replace("{  }", "{ }")
+            if rule.compute != "tag":
+                text += f" using {rule.compute}"
+            lines.append(indent + text)
+    lines.extend(f"{indent}channel {sa}.{pa} -> {sb}.{pb}" for sa, pa, sb, pb in spec.channels)
+    for keyword, binds in (("input", spec.input_binds), ("output", spec.output_binds)):
+        lines.extend(
+            f"{indent}{keyword} {m}.{p} binds {owner_name}.{q}" for m, p, q in binds
+        )
+    return lines
 
 
 def print_model(model: Model) -> str:
     """Canonical text for a model: sorted declarations, stable ordering.
 
-    Isomorphic models print byte-identically; parsing the output yields a
-    model isomorphic to the input.
+    After the sort declarations come the top level and each net, in display
+    path order, each printed from its ``refine.net_spec``: the spec that
+    parsing hands back to ``build_subnet``.  Isomorphic models print
+    byte-identically; parsing the output yields a model isomorphic to the
+    input.
     """
+    table = model.sort_table
     lines: list[str] = []
-    for name in sorted(model.sort_table):
-        sort = model.sort_table[name]
+    for name in sorted(table):
+        sort = table[name]
         owner = _sort_owner(model, sort)
         if name != owner:
             lines.append(f"sort {name} = {owner}")
         elif sort == AtomicSort(name):
             lines.append(f"sort {name}")
         else:
-            lines.append(f"sort {name} = {_sort_structure(model, sort)}")
+            # the sort's structure, each part in reference form
+            others = {n: s for n, s in table.items() if s != sort}
+            lines.append(f"sort {name} = {core.sort_expr(sort, others)}")
     if lines:
         lines.append("")
 
-    contained = core.container_index(model)
-    top_level = [pid for pid in model.processes if pid not in contained]
-    ordered_top = [model.root] + sorted(
-        (p for p in top_level if p != model.root),
-        key=lambda p: (model.processes[p].name, p),
-    )
-    for pid in ordered_top:
-        if pid not in model.processes:
-            continue
-        proc = model.processes[pid]
-        lines.append(_process_decl_text(model, proc))
-        if pid not in model.nets:
-            for rule in proc.firing_rules:
-                lines.append(_rule_text(model, proc, rule))
-    for owner in sorted(model.nets, key=lambda o: core.display_path(model, o)):
-        net, binding = model.nets[owner]
+    lines.extend(_block_lines(net_spec(model, "", table), "", ""))
+    paths = {owner: core.display_path(model, owner) for owner in model.nets}
+    for owner in sorted(paths, key=paths.__getitem__):
         owner_proc = model.processes.get(owner)
-        owner_name = owner_proc.name if owner_proc else owner
         lines.append("")
-        lines.append(f"net for {'.'.join(core.display_path(model, owner))} {{")
-        members = sorted(
-            (m for m in net.processes if m in model.processes),
-            key=lambda m: (model.processes[m].name, m),
-        )
-        for member in members:
-            proc = model.processes[member]
-            lines.append(f"  {_process_decl_text(model, proc)}")
-            if member not in model.nets:
-                for rule in proc.firing_rules:
-                    lines.append(f"  {_rule_text(model, proc, rule)}")
-
-        def port_ref(port_id: str) -> tuple[str, str]:
-            port = model.ports[port_id]
-            proc = model.processes.get(port.owner)
-            return (proc.name if proc else port.owner, port.name)
-
-        for ch in sorted(
-            net.channels,
-            key=lambda c: port_ref(c.source) + port_ref(c.dest)
-            if c.source in model.ports and c.dest in model.ports
-            else ((c.source, ""), (c.dest, "")),
-        ):
-            if ch.source not in model.ports or ch.dest not in model.ports:
-                continue
-            (sp, spn), (dp, dpn) = port_ref(ch.source), port_ref(ch.dest)
-            lines.append(f"  channel {sp}.{spn} -> {dp}.{dpn}")
-        to_parent = binding.to_parent()
-        for keyword, boundary in (("input", net.env_inputs), ("output", net.env_outputs)):
-            entries = []
-            for port_id in boundary:
-                if port_id not in model.ports or port_id not in to_parent:
-                    continue
-                parent_port = to_parent[port_id]
-                if parent_port not in model.ports:
-                    continue
-                mname, pname = port_ref(port_id)
-                entries.append(
-                    f"  {keyword} {mname}.{pname} binds "
-                    f"{owner_name}.{model.ports[parent_port].name}"
-                )
-            lines.extend(sorted(entries))
+        lines.append(f"net for {'.'.join(paths[owner])} {{")
+        spec = net_spec(model, owner, table)
+        lines.extend(_block_lines(spec, owner_proc.name if owner_proc else owner, "  "))
         lines.append("}")
     return "\n".join(lines).rstrip("\n") + "\n"
 
@@ -810,7 +749,9 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
         return port_id
 
     def label(sort: Sort | None) -> str:
-        return f" [label={_dot_quote(_sort_text(model, sort))}]" if sort is not None else ""
+        if sort is None:
+            return ""
+        return f" [label={_dot_quote(str(core.sort_expr(sort, model.sort_table)))}]"
 
     def edge(src_port: str, dst_port: str) -> None:
         sort = None

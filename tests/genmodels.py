@@ -23,9 +23,7 @@ from bpnet.core import (
     OUTPUT,
     WHOLE,
     AtomicSort,
-    CollectionExpr,
     Model,
-    RecordExpr,
     RecordSort,
     Sort,
     SortExpr,
@@ -34,29 +32,10 @@ from bpnet.core import (
     display_path,
     fresh_name,
     serialize_order,
+    sort_expr,
 )
 from bpnet.errors import BpnError
 from bpnet.refine import DecomposeStep, Endpoint, NetSpec, ProcessSpec, RuleSpec
-
-
-def sort_expr_of(sort: Sort | None, table) -> SortExpr | None:
-    if sort is None:
-        return None
-    names = sorted(n for n, s in table.items() if s == sort)
-    if names:
-        return SortNameRef(names[0])
-    if isinstance(sort, RecordSort):
-        fields = []
-        for fname, fsort in sort.fields:
-            fexpr = sort_expr_of(fsort, table)
-            if fexpr is None:
-                return None
-            fields.append((fname, fexpr))
-        return RecordExpr(tuple(fields))
-    if isinstance(sort, AtomicSort):
-        return None
-    element = sort_expr_of(sort.element, table)
-    return CollectionExpr(sort.kind, element) if element is not None else None
 
 
 def gen_sort_table(rng: random.Random) -> dict[str, Sort]:
@@ -96,13 +75,15 @@ def random_net_spec(model: Model, pid: str, rng: random.Random, members: int) ->
         port = model.ports[port_id]
         member = rng.choice(names)
         pname = fresh_name(port.name, taken(member))
-        ins[member].append((pname, sort_expr_of(port.sort, model.sort_table)))
+        sexpr = sort_expr(port.sort, model.sort_table) if port.sort is not None else None
+        ins[member].append((pname, sexpr))
         input_binds.append((member, pname, port.name))
     for port_id in proc.outputs:
         port = model.ports[port_id]
         member = rng.choice(names)
         pname = fresh_name(port.name, taken(member))
-        outs[member].append((pname, sort_expr_of(port.sort, model.sort_table)))
+        sexpr = sort_expr(port.sort, model.sort_table) if port.sort is not None else None
+        outs[member].append((pname, sexpr))
         output_binds.append((member, pname, port.name))
 
     for n in range(rng.randint(members - 1, 2 * members)):

@@ -2,8 +2,8 @@
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert``: every check raises explicitly instead.  The model and the
-simulator must not import the rule engine, and the parser builds no model
-value itself."""
+simulator must not import the rule engine, the parser builds no model
+value and the search no net spec itself, and only ``core`` writes sort text."""
 
 from __future__ import annotations
 
@@ -52,18 +52,50 @@ def test_no_rule_engine_import(name):
 
 
 MODEL_VALUES = {"Process", "Port", "Channel", "ProcessNet", "InterfaceBinding", "FiringRule"}
+SPEC_VALUES = {"NetSpec", "ProcessSpec", "RuleSpec"}
+
+
+def _tree(name: str) -> ast.AST:
+    path = next(p for p in SOURCES if p.name == name)
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _calls(tree: ast.AST, names: set[str]) -> list[tuple[int, str]]:
+    return [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in names
+    ]
 
 
 def test_parser_builds_no_model_values():
     """Model construction belongs to ``refine.build_subnet``: the parser hands
     it the top level and each ``net for`` block, and forms no id itself."""
-    path = next(p for p in SOURCES if p.name == "textio.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    calls = [
-        (node.lineno, name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
-        if name in MODEL_VALUES
-    ]
+    calls = _calls(_tree("textio.py"), MODEL_VALUES)
     assert calls == [], f"textio.py constructs model values: {calls}"
+
+
+def test_search_builds_no_net_spec():
+    """A ``decompose`` candidate's subnet comes from ``refine.net_spec``, the
+    exporter the printer uses: the search writes no spec of its own."""
+    calls = _calls(_tree("check.py"), SPEC_VALUES)
+    assert calls == [], f"check.py constructs specs: {calls}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_record_sort_text_only_in_core(path):
+    """Sort text comes from ``str`` of a ``core.SortExpr``; no other module
+    spells a record sort itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "record {" in node.value
+    ]
+    assert lines == [], f"{path.name}: record sort text on lines {lines}"

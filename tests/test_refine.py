@@ -193,6 +193,19 @@ class TestSplitPort:
         sorts = {result.ports[p].name: result.ports[p].sort for p in parts}
         assert sorts == {"ya": AtomicSort("A"), "yb": AtomicSort("B")}
 
+    def test_named_field_goes_to_its_part(self):
+        # both fields have sort T, so the sort alone cannot tell them apart
+        m = textio.parse_model(
+            "sort T\nsort R = record { a: T, b: T }\n"
+            "process top { out o : R }\nrule top : needs { } produces { o.b }"
+        )
+        script = textio.parse_script("split-port top.o -> x : b, y : a")
+        result, trace = apply_script(m, script)
+        assert trace.fragment_image("top:o", "b") == {("top:x", "whole")}
+        assert trace.fragment_image("top:o", "a") == {("top:y", "whole")}
+        (rule,) = result.processes["top"].firing_rules
+        assert rule.produces == (("top:x", "whole"),)
+
     def test_field_covered_twice_is_rejected(self):
         m = textio.parse_model(
             "sort A\nsort R = record { a: A, b: A }\nprocess bp { out y : R }"
