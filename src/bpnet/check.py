@@ -30,6 +30,7 @@ from .refine import (
     UnfoldStep,
     apply_script,
     net_spec,
+    part_fields,
 )
 
 REFINES = "Refines"
@@ -327,48 +328,31 @@ def _infer_parts(
     combo: tuple[str, ...],
     there_names: dict[str, PortId],
 ) -> tuple[PartSpec, ...] | None:
+    targets = [refined.ports[there_names[name]] for name in combo]
+    if any(target.direction != old_port.direction for target in targets):
+        return None
+    if isinstance(old_port.sort, RecordSort):
+        fields = part_fields(old_port.sort, [target.sort for target in targets])
+        if None in fields:
+            return None
+        return tuple(
+            PartSpec(name, ref=f) if isinstance(f, str) else PartSpec(name, fields=f)
+            for name, f in zip(combo, fields)
+        )
+    if old_port.sort is not None:
+        return None
     parts = []
-    claimed: set[str] = set()
-    for name in combo:
-        target = refined.ports[there_names[name]]
-        if target.direction != old_port.direction:
+    for name, target in zip(combo, targets):
+        if target.sort is None:
+            parts.append(PartSpec(name))
+            continue
+        sort_name = next(
+            (n for n in sorted(current.sort_table) if current.sort_table[n] == target.sort),
+            None,
+        )
+        if sort_name is None:
             return None
-        if isinstance(old_port.sort, RecordSort):
-            if isinstance(target.sort, RecordSort) and set(
-                target.sort.field_names()
-            ) <= set(old_port.sort.field_names()):
-                parts.append(PartSpec(name, fields=target.sort.field_names()))
-                claimed |= set(target.sort.field_names())
-            else:
-                match = next(
-                    (
-                        fname
-                        for fname, fsort in old_port.sort.fields
-                        if fname not in claimed and fsort == target.sort
-                    ),
-                    None,
-                )
-                if match is None:
-                    return None
-                claimed.add(match)
-                parts.append(PartSpec(name, ref=match))
-        elif old_port.sort is None:
-            if target.sort is None:
-                parts.append(PartSpec(name))
-            else:
-                sort_name = next(
-                    (
-                        n
-                        for n in sorted(current.sort_table)
-                        if current.sort_table[n] == target.sort
-                    ),
-                    None,
-                )
-                if sort_name is None:
-                    return None
-                parts.append(PartSpec(name, ref=sort_name))
-        else:
-            return None
+        parts.append(PartSpec(name, ref=sort_name))
     return tuple(parts)
 
 

@@ -73,10 +73,6 @@ class UnknownRuleNameError(ParseError):
     pass
 
 
-class PrintError(BpnError):
-    pass
-
-
 # --- refinement rules ------------------------------------------------------
 
 

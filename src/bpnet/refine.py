@@ -168,18 +168,15 @@ class Trace:
 def _validated(
     model: Model,
     context: str,
-    owners: Iterable[ProcessId] | None = None,
+    owners: Iterable[ProcessId],
     processes: Iterable[ProcessId] = (),
 ) -> Model:
     """Reject the result unless it is well-formed.
 
     Rules confine their effects to a few nets and processes, so they pass
-    that scope; ``owners=None`` forces a whole-model validation.
+    that scope: the nets they changed and the processes whose ports did.
     """
-    if owners is None:
-        violations = core.validate_model(model)
-    else:
-        violations = core.validate_scope(model, owners, processes)
+    violations = core.validate_scope(model, owners, processes)
     if violations:
         raise WouldBeIllFormedError(f"{context} would leave the model ill-formed", violations)
     return model
@@ -192,6 +189,46 @@ def _scope_owners(model: Model, procs: Iterable[ProcessId]) -> set[ProcessId]:
     whose containment map is already built."""
     located = core.container_index(model)
     return {located[p] for p in procs if p in located} | {p for p in procs if p in model.nets}
+
+
+def _rewire(
+    entry: tuple[ProcessNet, InterfaceBinding], parts: Mapping[PortId, tuple[PortId, ...]]
+) -> tuple[ProcessNet, InterfaceBinding]:
+    """A net and its binding with each port of ``parts`` replaced by its
+    parts; a channel or a binding pair is replaced part by part."""
+    net, binding = entry
+
+    def pairwise(
+        pairs: Iterable[tuple[PortId, PortId]], problem: str
+    ) -> list[tuple[PortId, PortId]]:
+        out: list[tuple[PortId, PortId]] = []
+        for a, b in pairs:
+            if a not in parts and b not in parts:
+                out.append((a, b))
+                continue
+            parts_a, parts_b = parts.get(a, (a,)), parts.get(b, (b,))
+            if len(parts_a) != len(parts_b):
+                raise WouldBeIllFormedError(problem.format(a, b))
+            out += zip(parts_a, parts_b)
+        return out
+
+    def boundary(members: frozenset[PortId]) -> frozenset[PortId]:
+        return frozenset(q for p in members for q in parts.get(p, (p,)))
+
+    channels = {ch for ch in net.channels if ch.source not in parts and ch.dest not in parts}
+    touched = [(ch.source, ch.dest) for ch in net.channels - channels]
+    problem = "channel {!r} -> {!r} has only one split endpoint"
+    channels.update(Channel(s, d) for s, d in pairwise(touched, problem))
+    pairs = pairwise(binding.pairs, "binding pair {!r} ~ {!r} split on one side only")
+    return (
+        ProcessNet(
+            net.processes,
+            frozenset(channels),
+            boundary(net.env_inputs),
+            boundary(net.env_outputs),
+        ),
+        InterfaceBinding(tuple(sorted(pairs))),
+    )
 
 
 def _require_port(model: Model, port: PortId) -> Port:
@@ -506,79 +543,78 @@ def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]
 # --- channel decomposition --------------------------------------------------------
 
 
+# the fields a part of a record port takes: one field, bare, or a field set
+PartFields = str | tuple[str, ...]
+
+
 def split_port(
     model: Model, port: PortId, parts: Sequence[tuple[str, Sort | None]]
 ) -> tuple[Model, PortRefinementMap]:
     """Split a port (and its whole closure) into parallel parts.
 
-    For a record-sorted port the part sorts must partition its fields; an
-    unspecified port splits freely.  Channels, boundary memberships,
-    interface bindings, and firing-rule references are rewritten at every
-    affected level, and the returned map records original to refined ports.
+    For a record-sorted port the part sorts must partition its fields, each
+    part taking the fields ``part_fields`` gives its sort; an unspecified
+    port splits freely.  Channels, boundary memberships, interface bindings,
+    and firing-rule references are rewritten at every affected level, and
+    the returned map records original to refined ports.
     """
-    result, subst = _split_port(model, port, [(name, sort, None) for name, sort in parts])
+    origin = _require_port(model, port)
+    if isinstance(origin.sort, RecordSort):
+        fields = part_fields(origin.sort, [sort for _, sort in parts])
+    else:
+        fields = [None] * len(parts)
+    result, subst = _split_port(
+        model, port, [(name, sort, f) for (name, sort), f in zip(parts, fields)]
+    )
     mapping = {
         old: frozenset(r.port for r in repls) for old, repls in subst.ports.items()
     }
     return result, PortRefinementMap(mapping)
 
 
-def _partition_fields(
-    sort: RecordSort, parts: Sequence[tuple[str, Sort | None, str | None]]
-) -> list[tuple[frozenset[str], bool]]:
-    """Assign record fields to parts; returns (field set, bare) per part.
+def part_fields(record: RecordSort, sorts: Sequence[Sort | None]) -> list[PartFields | None]:
+    """The fields each part of a split of ``record`` takes, from its sort.
 
-    A bare part takes the field it names, or else the first unclaimed field
-    of its sort."""
+    A record sort whose fields the record has takes those fields; any other
+    sort takes the first field of equal sort that no earlier part took,
+    bare.  A part matching neither way takes None.
+    """
+    names = set(record.field_names())
     claimed: set[str] = set()
-    assignment: list[tuple[frozenset[str], bool]] = []
-    for name, psort, named in parts:
-        if psort is None:
-            raise PartitionMismatchError(
-                f"part {name!r} needs a sort when splitting a record port"
-            )
-        if isinstance(psort, RecordSort):
-            expected = tuple(
-                (fname, fsort) for fname, fsort in sort.fields if fname in psort.field_names()
-            )
-            if expected != psort.fields:
-                raise PartitionMismatchError(
-                    f"part {name!r} is not a field sub-record in original field order"
-                )
-            names = set(psort.field_names())
-            if names & claimed:
-                raise PartitionMismatchError(
-                    f"fields {sorted(names & claimed)} covered by more than one part"
-                )
-            if not names:
-                raise PartitionMismatchError(f"part {name!r} claims no fields")
-            claimed |= names
-            assignment.append((frozenset(names), False))
+    out: list[PartFields | None] = []
+    for sort in sorts:
+        fields: PartFields | None
+        if isinstance(sort, RecordSort) and names.issuperset(sort.field_names()):
+            fields = sort.field_names()
+            claimed.update(fields)
         else:
-            match = next(
-                (
-                    fname
-                    for fname, fsort in sort.fields
-                    if fname not in claimed and fsort == psort and named in (None, fname)
-                ),
-                None,
+            fields = next(
+                (f for f, fsort in record.fields if f not in claimed and fsort == sort), None
             )
-            if match is None:
-                raise PartitionMismatchError(
-                    f"part {name!r} does not match any unclaimed record field"
-                )
-            claimed.add(match)
-            assignment.append((frozenset({match}), True))
-    missing = set(sort.field_names()) - claimed
-    if missing:
-        raise PartitionMismatchError(f"fields {sorted(missing)} not covered by any part")
-    return assignment
+            if fields is not None:
+                claimed.add(fields)
+        out.append(fields)
+    return out
+
+
+def _part_sort(record: RecordSort, fields: PartFields) -> Sort | None:
+    """The sort of a part taking these fields of ``record``: a bare field's
+    own sort, or a field set's sub-record in record order; None when the
+    record lacks one of the fields."""
+    if isinstance(fields, str):
+        return record.field_sort(fields)
+    sub = tuple((f, fsort) for f, fsort in record.fields if f in fields)
+    return RecordSort(sub) if len(sub) == len(fields) else None
 
 
 def _split_port(
-    model: Model, port: PortId, parts: Sequence[tuple[str, Sort | None, str | None]]
+    model: Model, port: PortId, parts: Sequence[tuple[str, Sort | None, PartFields | None]]
 ) -> tuple[Model, _Subst]:
-    """Split a port into parts given as (name, sort, named record field)."""
+    """Split a port into parts given as (name, sort, fields).
+
+    On a record port each part carries the fields it takes, and its sort
+    must be the sort those fields give; the parts take every field once.
+    """
     origin = _require_port(model, port)
     if len(parts) < 2:
         raise TooFewPartsError("a split needs at least two parts")
@@ -589,10 +625,36 @@ def _split_port(
         if psort is not None:
             _check_sort_value(psort, "split_port")
 
+    labels: list[tuple[frozenset[str] | None, bool]] = []
     if isinstance(origin.sort, RecordSort):
-        assignment = _partition_fields(origin.sort, parts)
+        claimed: set[str] = set()
+        for name, psort, fields in parts:
+            if psort is None:
+                raise PartitionMismatchError(
+                    f"part {name!r} needs a sort when splitting a record port"
+                )
+            bare = isinstance(fields, str)
+            names = {fields} if bare else set(fields or ())
+            taken = names & claimed
+            if fields is None or bare and taken:
+                raise PartitionMismatchError(
+                    f"part {name!r} does not match any unclaimed record field"
+                )
+            if _part_sort(origin.sort, fields) != psort:
+                raise PartitionMismatchError(
+                    f"part {name!r} is not a field sub-record in original field order"
+                )
+            if taken:
+                raise PartitionMismatchError(
+                    f"fields {sorted(taken)} covered by more than one part"
+                )
+            claimed |= names
+            labels.append((frozenset(names), bare))
+        missing = set(origin.sort.field_names()) - claimed
+        if missing:
+            raise PartitionMismatchError(f"fields {sorted(missing)} not covered by any part")
     elif origin.sort is None:
-        assignment = [(None, False)] * len(parts)
+        labels = [(None, False)] * len(parts)
     else:
         raise PartitionMismatchError(
             f"only record-sorted or unspecified ports can be split, "
@@ -638,7 +700,7 @@ def _split_port(
         return tuple(out)
 
     repls = {
-        member: tuple(_Repl(p, *assignment[i]) for i, p in enumerate(part_ids[member]))
+        member: tuple(_Repl(p, *label) for p, label in zip(part_ids[member], labels))
         for member in closure
     }
 
@@ -655,7 +717,7 @@ def _split_port(
         return tuple(dict.fromkeys(out))
 
     for member in closure:
-        owner_id = ports[part_ids[member][0]].owner
+        owner_id = model.ports[member].owner
         proc = processes[owner_id]
         proc = replace(
             proc,
@@ -669,56 +731,13 @@ def _split_port(
         processes[owner_id] = proc
         del ports[member]
 
-    split_set = set(part_ids)
-
-    def split_boundary(boundary: frozenset[PortId]) -> frozenset[PortId]:
-        out = set()
-        for p in boundary:
-            if p in split_set:
-                out.update(part_ids[p])
-            else:
-                out.add(p)
-        return frozenset(out)
-
-    nets = {}
-    for owner, (net, binding) in model.nets.items():
-        channels: set[Channel] = set()
-        for ch in net.channels:
-            if ch.source in split_set or ch.dest in split_set:
-                if not (ch.source in split_set and ch.dest in split_set):
-                    raise WouldBeIllFormedError(
-                        f"channel {ch.source!r} -> {ch.dest!r} has only one split endpoint"
-                    )
-                channels.update(
-                    Channel(s, d) for s, d in zip(part_ids[ch.source], part_ids[ch.dest])
-                )
-            else:
-                channels.add(ch)
-        pairs: list[tuple[PortId, PortId]] = []
-        for parent_port, inner_port in binding.pairs:
-            if parent_port in split_set or inner_port in split_set:
-                if not (parent_port in split_set and inner_port in split_set):
-                    raise WouldBeIllFormedError(
-                        f"binding pair {parent_port!r} ~ {inner_port!r} split on one side only"
-                    )
-                pairs.extend(zip(part_ids[parent_port], part_ids[inner_port]))
-            else:
-                pairs.append((parent_port, inner_port))
-        nets[owner] = (
-            replace(
-                net,
-                channels=frozenset(channels),
-                env_inputs=split_boundary(net.env_inputs),
-                env_outputs=split_boundary(net.env_outputs),
-            ),
-            InterfaceBinding(tuple(sorted(pairs))),
-        )
-
-    result = replace(model, processes=processes, ports=ports, nets=nets)
     procs = {model.ports[member].owner for member in closure}
-    _validated(
-        result, f"splitting {port!r}", owners=_scope_owners(model, procs), processes=procs
-    )
+    scope = _scope_owners(model, procs)
+    nets = dict(model.nets)
+    for owner in scope:
+        nets[owner] = _rewire(nets[owner], part_ids)
+    result = replace(model, processes=processes, ports=ports, nets=nets)
+    _validated(result, f"splitting {port!r}", owners=scope, processes=procs)
     return result, _Subst(ports=repls)
 
 
@@ -738,32 +757,29 @@ def _unfold(model: Model, parent: ProcessId, child: ProcessId) -> tuple[Model, _
         raise ChildNotDecomposedError(f"{child!r} has no net to unfold")
     subnet, child_binding = model.nets[child]
     down = child_binding.to_subnet()
-    child_ports = set(model.processes[child].ports())
-
-    def rewire(port_id: PortId) -> PortId:
-        return down.get(port_id, port_id) if port_id in child_ports else port_id
-
-    merged = ProcessNet(
-        processes=(net.processes - {child}) | subnet.processes,
-        channels=frozenset(
-            Channel(rewire(ch.source), rewire(ch.dest)) for ch in net.channels
+    child_ports = model.processes[child].ports()
+    unbound = [p for p in child_ports if p not in down]
+    if unbound:
+        raise InterfaceMismatchError(
+            f"port {unbound[0]!r} of {child!r} is bound to no port of its net"
         )
-        | subnet.channels,
-        env_inputs=frozenset(rewire(p) for p in net.env_inputs),
-        env_outputs=frozenset(rewire(p) for p in net.env_outputs),
-    )
-    new_parent_binding = InterfaceBinding(
-        tuple(sorted((pp, rewire(ip)) for pp, ip in parent_binding.pairs))
+    inner = {p: (down[p],) for p in child_ports}
+    rewired, binding = _rewire((net, parent_binding), inner)
+    merged = ProcessNet(
+        (net.processes - {child}) | subnet.processes,
+        rewired.channels | subnet.channels,
+        rewired.env_inputs,
+        rewired.env_outputs,
     )
 
     processes = {p: proc for p, proc in model.processes.items() if p != child}
-    ports = {p: port for p, port in model.ports.items() if p not in child_ports}
+    ports = {p: port for p, port in model.ports.items() if p not in inner}
     nets = {o: e for o, e in model.nets.items() if o != child}
-    nets[parent] = (merged, new_parent_binding)
+    nets[parent] = (merged, binding)
     result = replace(model, processes=processes, ports=ports, nets=nets)
     _validated(result, f"unfolding {child!r}", owners=[parent])
     subst = _Subst(
-        ports={p: (_Repl(down[p]),) for p in sorted(child_ports)},
+        ports={p: (_Repl(q),) for p, (q,) in inner.items()},
         procs={child: frozenset(subnet.processes)},
     )
     return result, subst
@@ -777,7 +793,7 @@ def fold(model: Model, owner: ProcessId, group: Iterable[ProcessId], new_name: s
 def _fold(
     model: Model, owner: ProcessId, group: Iterable[ProcessId], new_name: str
 ) -> tuple[Model, _Subst]:
-    net, _ = model.net_of(owner)
+    net, owner_binding = model.net_of(owner)
     group = frozenset(group)
     if not group:
         raise EmptyGroupError("the folded group must be non-empty")
@@ -821,81 +837,48 @@ def _fold(
         )
     qid = core.fresh_id(f"{owner}.{new_name}", model.processes)
 
-    def port_owner(pid: PortId) -> ProcessId:
-        return model.ports[pid].owner
-
-    internal, outer_channels = [], []
-    crossing_in: list[Channel] = []
-    crossing_out: list[Channel] = []
-    for ch in sorted(net.channels, key=lambda c: (c.source, c.dest)):
-        s_in, d_in = port_owner(ch.source) in group, port_owner(ch.dest) in group
-        if s_in and d_in:
-            internal.append(ch)
-        elif d_in:
-            crossing_in.append(ch)
-        elif s_in:
-            crossing_out.append(ch)
-        else:
-            outer_channels.append(ch)
+    inside = {p for m in group for p in model.processes[m].ports()}
+    internal = frozenset(
+        ch for ch in net.channels if ch.source in inside and ch.dest in inside
+    )
+    external = net.channels - internal
+    boundary_in = sorted(({ch.dest for ch in external} | net.env_inputs) & inside)
+    boundary_out = sorted(({ch.source for ch in external} | net.env_outputs) & inside)
 
     ports = dict(model.ports)
-    q_inputs: list[PortId] = []
-    q_outputs: list[PortId] = []
+    q_ports: dict[str, list[PortId]] = {INPUT: [], OUTPUT: []}
     q_port_names: set[str] = set()
-    pairs: list[tuple[PortId, PortId]] = []
-    replacement: dict[PortId, PortId] = {}
+    fresh: dict[PortId, tuple[PortId]] = {}
+    for direction, boundary in ((INPUT, boundary_in), (OUTPUT, boundary_out)):
+        for inner in boundary:
+            inner_port = ports[inner]
+            name = core.fresh_name(inner_port.name, q_port_names)
+            q_port_names.add(name)
+            port_id = core.fresh_id(f"{qid}:{name}", ports)
+            ports[port_id] = Port(port_id, name, direction, qid, inner_port.sort)
+            q_ports[direction].append(port_id)
+            fresh[inner] = (port_id,)
 
-    def make_q_port(inner: PortId, direction: str) -> PortId:
-        inner_port = ports[inner]
-        name = core.fresh_name(inner_port.name, q_port_names)
-        q_port_names.add(name)
-        port_id = core.fresh_id(f"{qid}:{name}", ports)
-        ports[port_id] = Port(port_id, name, direction, qid, inner_port.sort)
-        (q_inputs if direction == INPUT else q_outputs).append(port_id)
-        pairs.append((port_id, inner))
-        replacement[inner] = port_id
-        return port_id
-
-    boundary_in = sorted(
-        {ch.dest for ch in crossing_in} | {p for p in net.env_inputs if port_owner(p) in group}
-    )
-    for inner in boundary_in:
-        make_q_port(inner, INPUT)
-    boundary_out = sorted(
-        {ch.source for ch in crossing_out}
-        | {p for p in net.env_outputs if port_owner(p) in group}
-    )
-    for inner in boundary_out:
-        make_q_port(inner, OUTPUT)
-
-    new_channels = set(outer_channels)
-    new_channels.update(Channel(ch.source, replacement[ch.dest]) for ch in crossing_in)
-    new_channels.update(Channel(replacement[ch.source], ch.dest) for ch in crossing_out)
-
-    parent_net = ProcessNet(
-        processes=(net.processes - group) | {qid},
-        channels=frozenset(new_channels),
-        env_inputs=frozenset(replacement.get(p, p) for p in net.env_inputs),
-        env_outputs=frozenset(replacement.get(p, p) for p in net.env_outputs),
+    remaining = ProcessNet(
+        (net.processes - group) | {qid}, external, net.env_inputs, net.env_outputs
     )
     extracted = ProcessNet(
         processes=group,
-        channels=frozenset(internal),
+        channels=internal,
         env_inputs=frozenset(boundary_in),
         env_outputs=frozenset(boundary_out),
+    )
+    q_binding = InterfaceBinding(
+        tuple(sorted((q, inner) for inner, (q,) in fresh.items()))
     )
 
     processes = dict(model.processes)
     processes[qid] = Process(
-        qid, new_name, inputs=tuple(q_inputs), outputs=tuple(q_outputs)
+        qid, new_name, inputs=tuple(q_ports[INPUT]), outputs=tuple(q_ports[OUTPUT])
     )
     nets = dict(model.nets)
-    _, owner_binding = nets[owner]
-    owner_binding = InterfaceBinding(
-        tuple(sorted((pp, replacement.get(ip, ip)) for pp, ip in owner_binding.pairs))
-    )
-    nets[owner] = (parent_net, owner_binding)
-    nets[qid] = (extracted, InterfaceBinding(tuple(sorted(pairs))))
+    nets[owner] = _rewire((remaining, owner_binding), fresh)
+    nets[qid] = (extracted, q_binding)
     result = replace(model, processes=processes, ports=ports, nets=nets)
     _validated(result, f"folding into {new_name!r}", owners=[owner, qid], processes=[qid])
     return result, _Subst()
@@ -1184,39 +1167,31 @@ class SplitPortStep:
         if port_id is None:
             raise UnknownPortError(f"no port named {self.port.port!r} on {pid!r}")
         sort = model.ports[port_id].sort
-        resolved: list[tuple[str, Sort | None, str | None]] = []
+        resolved: list[tuple[str, Sort | None, PartFields | None]] = []
         for part in self.parts:
             if isinstance(sort, RecordSort):
-                if part.fields is not None:
-                    sub = tuple(
-                        (f, s) for f, s in sort.fields if f in set(part.fields)
-                    )
-                    if len(sub) != len(part.fields):
-                        raise PartitionMismatchError(
-                            f"part {part.name!r} names fields missing from the record"
-                        )
-                    resolved.append((part.name, RecordSort(sub), None))
-                elif part.ref is not None:
-                    fsort = sort.field_sort(part.ref)
-                    if fsort is None:
-                        raise PartitionMismatchError(
-                            f"record has no field named {part.ref!r}"
-                        )
-                    resolved.append((part.name, fsort, part.ref))
-                else:
+                fields = part.ref if part.fields is None else part.fields
+                if fields is None:
                     raise PartitionMismatchError(
                         f"part {part.name!r} needs a field reference on a record port"
                     )
-            else:
-                if part.fields is not None:
+                psort = _part_sort(sort, fields)
+                if psort is None:
                     raise PartitionMismatchError(
-                        "field lists are only meaningful for record-sorted ports"
+                        f"record has no field named {fields!r}"
+                        if isinstance(fields, str)
+                        else f"part {part.name!r} names fields missing from the record"
                     )
-                if part.ref is not None:
-                    psort = resolve_sort_expr(core.SortNameRef(part.ref), model.sort_table)
-                    resolved.append((part.name, psort, None))
-                else:
-                    resolved.append((part.name, None, None))
+                resolved.append((part.name, psort, fields))
+            elif part.fields is not None:
+                raise PartitionMismatchError(
+                    "field lists are only meaningful for record-sorted ports"
+                )
+            elif part.ref is not None:
+                psort = resolve_sort_expr(core.SortNameRef(part.ref), model.sort_table)
+                resolved.append((part.name, psort, None))
+            else:
+                resolved.append((part.name, None, None))
         return _split_port(model, port_id, resolved)
 
 
@@ -1297,6 +1272,7 @@ __all__ = [
     "add_channel",
     "assign_sort",
     "split_port",
+    "part_fields",
     "unfold",
     "fold",
     "PortRef",

@@ -90,6 +90,25 @@ class TestApply:
         assert code == EXIT_SCRIPT_FAILS
         assert "step 2 failed" in capsys.readouterr().err
 
+    def test_unfold_of_child_with_unbound_port_exits_three(self, tmp_path, capsys):
+        model = tmp_path / "unbound.bpn"
+        model.write_text(
+            "process top { in a }\n"
+            "net for top {\n"
+            "  process c { in x; out y }\n"
+            "  input c.x binds top.a\n"
+            "}\n"
+            "net for top.c {\n"
+            "  process d { in x }\n"
+            "  input d.x binds c.x\n"
+            "}\n"
+        )
+        script = tmp_path / "unfold.bps"
+        script.write_text("unfold top.c\n")
+        code = run("apply", model, script, tmp_path / "out.bpn")
+        assert code == EXIT_SCRIPT_FAILS
+        assert capsys.readouterr().err.startswith("step 1 failed: port 'top.c:y'")
+
 
 class TestCheck:
     def test_identity(self, tmp_path):

@@ -3,7 +3,8 @@
 Invariants in the package must hold under ``python -O``, which strips
 ``assert``: every check raises explicitly instead.  The model and the
 simulator must not import the rule engine, the parser builds no model
-value and the search no net spec itself, and only ``core`` writes sort text."""
+value and the search no net spec itself, the search matches no record
+fields itself, and only ``core`` writes sort text."""
 
 from __future__ import annotations
 
@@ -82,6 +83,18 @@ def test_search_builds_no_net_spec():
     exporter the printer uses: the search writes no spec of its own."""
     calls = _calls(_tree("check.py"), SPEC_VALUES)
     assert calls == [], f"check.py constructs specs: {calls}"
+
+
+def test_search_reads_no_record_fields():
+    """Which fields a split part takes is ``refine.part_fields``' rule: the
+    search reads no record's fields, so it cannot grow a copy of it."""
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree("check.py"))
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"fields", "field_sort", "field_names"}
+    ]
+    assert lines == [], f"check.py reads record fields on lines {lines}"
 
 
 @pytest.mark.parametrize(

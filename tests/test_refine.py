@@ -262,6 +262,54 @@ class TestSplitPort:
         assert len(mapping[port]) == 2
         assert validate_model(result) == []
 
+    def test_nets_outside_the_closure_are_kept(self):
+        m = textio.parse_model(
+            "process top { }\n"
+            "net for top {\n  process a { out o }\n  process b { in i }\n  process d { }\n"
+            "  channel a.o -> b.i\n}\n"
+            "net for top.b {\n  process c { in i }\n  input c.i binds b.i\n}\n"
+            "net for top.d {\n  process e { }\n}\n"
+        )
+        port = core.port_by_name(m, "top.a", "o")
+        result, mapping = refine.split_port(m, port, [("p", None), ("q", None)])
+        assert validate_model(result) == []
+        inner = core.port_by_name(m, "top.b.c", "i")
+        assert names_of(result, mapping[inner]) == ["p", "q"]
+        assert result.nets["top.d"] is m.nets["top.d"]
+
+    # a record whose field ``r`` is itself a record
+    NESTED = (
+        "sort X\nsort B\nsort R = record { x: X }\nsort T = record { r: R, b: B }\n"
+        "process top { out o : T }\nrule top : needs { } produces { o.r, o.b }"
+    )
+    R = RecordSort((("x", AtomicSort("X")),))
+
+    def test_named_record_field_goes_to_its_part(self):
+        m = textio.parse_model(self.NESTED)
+        result, trace = apply_script(m, textio.parse_script("split-port top.o -> p : r, q : b"))
+        assert validate_model(result) == []
+        assert result.ports["top:p"].sort == self.R
+        assert trace.fragment_image("top:o", "r") == {("top:p", "whole")}
+        (rule,) = result.processes["top"].firing_rules
+        assert rule.produces == (("top:p", "whole"), ("top:q", "whole"))
+
+    def test_record_sorted_part_takes_its_field_bare(self):
+        m = textio.parse_model(self.NESTED)
+        port = core.port_by_name(m, "top", "o")
+        result, mapping = refine.split_port(m, port, [("p", self.R), ("q", AtomicSort("B"))])
+        assert validate_model(result) == []
+        assert names_of(result, mapping[port]) == ["p", "q"]
+        assert result.ports["top:p"].sort == self.R
+        (rule,) = result.processes["top"].firing_rules
+        assert rule.produces == (("top:p", "whole"), ("top:q", "whole"))
+
+    def test_search_rederives_record_field_split(self):
+        m = textio.parse_model(self.NESTED)
+        refined, _ = apply_script(m, textio.parse_script("split-port top.o -> p : r, q : b"))
+        script = check.brute_force_derivable(m, refined, max_steps=1)
+        assert script is not None
+        assert check.check_refinement(m, refined, script).status == check.REFINES
+
 
 class TestUnfold:
     def test_library_unfold_wires_subnet_into_top_net(self, library_refined):
