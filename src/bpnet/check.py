@@ -356,6 +356,28 @@ def _infer_parts(
     return tuple(parts)
 
 
+# each rule kind's change to the process count, known before it is applied
+_PROCESS_DELTA = {
+    DecomposeStep: lambda step: len(step.subnet.members),
+    FoldStep: lambda step: 1,
+    UnfoldStep: lambda step: -1,
+    AddChannelStep: lambda step: 0,
+    AssignSortStep: lambda step: 0,
+    SplitPortStep: lambda step: 0,
+}
+
+
+def _steps_needed(step: Step, current: Model, refined: Model) -> int:
+    """Fewest steps after ``step`` that can reach refined: only unfold lowers
+    the process count, by one, so a surplus of k processes needs k steps and
+    a deficit one; assign-sort keeps the port count, so if that differs from
+    refined's its result needs one step more."""
+    gap = len(refined.processes) - len(current.processes) - _PROCESS_DELTA[type(step)](step)
+    if gap:
+        return max(-gap, 1)
+    return int(isinstance(step, AssignSortStep) and len(current.ports) != len(refined.ports))
+
+
 def brute_force_derivable(
     base: Model,
     refined: Model,
@@ -365,7 +387,12 @@ def brute_force_derivable(
     """Exhaustively search for a script deriving refined from base.
 
     Depth-first over the candidate enumeration, deterministic first witness.
-    Raises SearchBudgetExceededError past ``node_limit`` explored nodes.
+    A candidate is not applied when ``_steps_needed`` exceeds the steps
+    left.  That bound never exceeds the true number of steps, so it skips
+    only subtrees without a witness, and the first witness is the one a
+    search applying every candidate returns.  Every enumerated candidate,
+    skipped or applied, counts toward ``node_limit``; past it the search
+    raises SearchBudgetExceededError.
     """
     nodes = 0
 
@@ -382,6 +409,8 @@ def brute_force_derivable(
                 raise SearchBudgetExceededError(
                     f"brute-force search exceeded {node_limit} nodes"
                 )
+            if _steps_needed(step, current, refined) > max_steps - depth - 1:
+                continue
             try:
                 nxt, _ = step.apply(current)
             except BpnError:

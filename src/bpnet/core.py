@@ -42,6 +42,14 @@ class RecordSort:
 
     fields: tuple[tuple[str, "Sort"], ...]
 
+    # the generated hash, computed once: records key the sort-check cache
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.fields,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def field_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.fields)
 

@@ -175,6 +175,88 @@ def gen_model(
     return model
 
 
+# The search benchmark's base shape: the root net runs p0 -> p1 -> p2, and p1
+# and p2 are decomposed into members named a* and b*.  Member names are
+# unique per level, so both subnets can be unfolded, alone or in turn.
+DERIVE_BASE = """\
+sort S0
+sort S1
+sort S2
+sort S3
+sort R0 = record { f0: S0, f1: S1 }
+sort R1 = record { f0: S2, f1: S3, f2: S0 }
+
+process system { in in_0 : R1 in_1 : S2; out out_0 : S0 out_1 }
+rule system : needs { in_0, in_1 } produces { out_0, out_1 }
+
+net for system {
+  process p0 { in i0 : R1 i1 : S2; out o0 : S0 o1 }
+  rule p0 : needs { i0, i1 } produces { o0, o1 }
+  process p1 { in c0 : S0; out o0 : S0 }
+  rule p1 : needs { c0 } produces { o0 }
+  process p2 { in c0 c1 : S0; out o0 : S0 o1 }
+  rule p2 : needs { c0, c1 } produces { o0, o1 }
+  channel p0.o0 -> p1.c0
+  channel p0.o1 -> p2.c0
+  channel p1.o0 -> p2.c1
+  input p0.i0 binds system.in_0
+  input p0.i1 binds system.in_1
+  output p2.o0 binds system.out_0
+  output p2.o1 binds system.out_1
+}
+
+net for system.p1 {
+  process a0 { in i0 : S0; out o0 : S1 }
+  rule a0 : needs { i0 } produces { o0 }
+  process a1 { in c0 : S1; out o0 : S0 }
+  rule a1 : needs { c0 } produces { o0 }
+  channel a0.o0 -> a1.c0
+  input a0.i0 binds p1.c0
+  output a1.o0 binds p1.o0
+}
+
+net for system.p2 {
+  process b0 { in i0; out o0 : S1 }
+  rule b0 : needs { i0 } produces { o0 }
+  process b1 { in i0 : S0 c0 : S1; out o0 : S0 o1 }
+  rule b1 : needs { i0, c0 } produces { o0, o1 }
+  channel b0.o0 -> b1.c0
+  input b0.i0 binds p2.c0
+  input b1.i0 binds p2.c1
+  output b1.o0 binds p2.o0
+  output b1.o1 binds p2.o1
+}
+"""
+
+
+def one_step_pairs(count: int) -> list[tuple[Model, Model, str]]:
+    """Criterion 8's corpus: (base, refined, kind) one accepted proposal apart."""
+    pairs = []
+    seed = 0
+    while len(pairs) < count:
+        base = gen_model(seed, max_depth=2, max_members=4, decompose_prob=0.3)
+        proposal = propose_step(base, random.Random(50_000 + seed))
+        seed += 1
+        if proposal is not None:
+            pairs.append((base, *proposal))
+    return pairs
+
+
+def two_step_pairs(count: int) -> list[tuple[Model, Model, str]]:
+    """(base, refined, "kind+kind") two accepted proposals apart, rng 70,000 + seed."""
+    pairs = []
+    seed = 0
+    while len(pairs) < count:
+        base = gen_model(seed, max_depth=2, max_members=4, decompose_prob=0.3)
+        rng = random.Random(70_000 + seed)
+        seed += 1
+        first = propose_step(base, rng)
+        second = first and propose_step(first[0], rng)
+        if second:
+            pairs.append((base, second[0], f"{first[1]}+{second[1]}"))
+    return pairs
+
+
 # --- random applicable rule applications ----------------------------------------
 
 

@@ -11,7 +11,7 @@ from bpnet.check import DOES_NOT_MATCH, REFINES, SCRIPT_FAILS
 from bpnet.errors import SearchBudgetExceededError
 from bpnet.refine import RefinementScript
 
-from genmodels import gen_model, propose_step, rename_ids
+from genmodels import DERIVE_BASE, gen_model, propose_step, rename_ids
 
 
 class TestModelIsomorphic:
@@ -168,3 +168,32 @@ class TestBruteForce:
         script = check.brute_force_derivable(base, refined, max_steps=1)
         assert script is not None, kind
         assert check.check_refinement(base, refined, script).status == REFINES
+
+    def test_unfold_found_in_one_step(self):
+        base = textio.parse_model(DERIVE_BASE)
+        refined, _ = refine.UnfoldStep(("system", "p2")).apply(base)
+        script = check.brute_force_derivable(base, refined, max_steps=1)
+        assert script == RefinementScript((refine.UnfoldStep(("system", "p2")),))
+        assert check.check_refinement(base, refined, script).status == REFINES
+
+    def test_two_unfolds_found_without_applying_assign_sort(self, monkeypatch):
+        base = textio.parse_model(DERIVE_BASE)
+        once, _ = refine.UnfoldStep(("system", "p1")).apply(base)
+        refined, _ = refine.UnfoldStep(("system", "p2")).apply(once)
+        applied = []
+        apply = refine.AssignSortStep.apply
+
+        def counting(step, model):
+            applied.append(step)
+            return apply(step, model)
+
+        monkeypatch.setattr(refine.AssignSortStep, "apply", counting)
+        script = check.brute_force_derivable(base, refined, max_steps=2)
+        assert script is not None
+        assert [step.describe() for step in script.steps] == [
+            "unfold system.p1",
+            "unfold system.p2",
+        ]
+        assert check.check_refinement(base, refined, script).status == REFINES
+        # an assign-sort keeps the process count, a surplus the steps left cannot remove
+        assert applied == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -371,6 +372,38 @@ sorts = st.recursive(
     max_leaves=6,
 )
 maybe_sorts = st.one_of(st.none(), sorts)
+
+
+def _rebuilt(sort):
+    """An equal sort made of new objects throughout."""
+    if isinstance(sort, RecordSort):
+        return RecordSort(tuple((name, _rebuilt(s)) for name, s in sort.fields))
+    if isinstance(sort, CollectionSort):
+        return CollectionSort(sort.kind, _rebuilt(sort.element))
+    return AtomicSort(sort.name)
+
+
+class TestRecordSortValue:
+    @given(sorts)
+    @settings(deadline=None)
+    def test_equal_sorts_built_separately_hash_equal(self, s):
+        hash(s)
+        other = _rebuilt(s)
+        assert other == s and other is not s
+        assert hash(other) == hash(s)
+
+    def test_cached_hash_changes_no_dataclass_view(self):
+        record = RecordSort((("f0", AtomicSort("A")), ("f1", AtomicSort("B"))))
+        hash(record)
+        assert [f.name for f in dataclasses.fields(record)] == ["fields"]
+        assert repr(record) == (
+            "RecordSort(fields=(('f0', AtomicSort(name='A')), ('f1', AtomicSort(name='B'))))"
+        )
+        assert dataclasses.replace(record) == record
+        changed = dataclasses.replace(record, fields=record.fields[:1])
+        assert changed != record and hash(changed) == hash(RecordSort(record.fields[:1]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.fields = ()
 
 
 class TestSortsCompatible:
