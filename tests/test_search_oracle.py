@@ -17,7 +17,7 @@ import pytest
 
 from bpnet import check, refine, textio
 from bpnet.errors import SearchBudgetExceededError
-from bpnet.refine import UnfoldStep
+from bpnet.refine import AssignSortStep, UnfoldStep
 
 import reference_search
 from genmodels import DERIVE_BASE, one_step_pairs, propose_step, two_step_pairs
@@ -68,12 +68,11 @@ def reference(corpus):
         def wrapper(step, model):
             result = apply(step, model)
             after = result[0]
-            kind = type(step).__name__
-            applied[kind] += 1
+            applied[type(step).__name__] += 1
             delta = len(after.processes) - len(model.processes)
             if delta != check._PROCESS_DELTA[type(step)](step):
                 broken.append(f"{step.describe()}: process count changed by {delta}")
-            if kind == "AssignSortStep" and len(after.ports) != len(model.ports):
+            if isinstance(step, AssignSortStep) and len(after.ports) != len(model.ports):
                 broken.append(f"{step.describe()}: port count changed")
             return result
 
