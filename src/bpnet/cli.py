@@ -9,14 +9,7 @@ from pathlib import Path
 
 from . import check, core, sim, textio
 from .core import Model, format_port
-from .errors import (
-    BpnError,
-    InvalidEnvFragmentError,
-    NoNetError,
-    ParseError,
-    StepFailedError,
-    UnknownProcessError,
-)
+from .errors import BpnError, NoNetError, ParseError, StepFailedError, UnknownProcessError
 from .refine import Trace, apply_script
 
 EXIT_OK = 0
@@ -59,7 +52,10 @@ def _read_file(path: str) -> str:
     if not p.is_file():
         print(f"bpn: no such file: {path}", file=sys.stderr)
         raise _UsageError()
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_model(path: str) -> Model:
@@ -93,12 +89,18 @@ def _arrow_lines(trace: Trace, final: Model) -> list[str]:
     return lines
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _depth(text: str) -> int:
     try:
-        model = _load_model(args.model)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"depth must be at least 1, got {depth}")
+    return depth
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
     violations = core.validate_model(model)
     for violation in violations:
         _print_violation(violation)
@@ -106,12 +108,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-        script = _load_script(args.script)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    model = _load_model(args.model)
+    script = _load_script(args.script)
     try:
         refined, trace = apply_script(model, script)
     except StepFailedError as exc:
@@ -124,13 +122,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        base = _load_model(args.base)
-        refined = _load_model(args.refined)
-        script = _load_script(args.script)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    base = _load_model(args.base)
+    refined = _load_model(args.refined)
+    script = _load_script(args.script)
     verdict = check.check_refinement(base, refined, script)
     print(f"{verdict.status}: {verdict.detail}")
     if verdict.status == check.REFINES:
@@ -141,11 +135,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    model = _load_model(args.model)
     try:
         entries = sim.parse_env_text(_read_file(args.env))
         fragments = sim.prepare_env(model, entries)
@@ -158,17 +148,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if rendered:
             print(rendered)
         return EXIT_OK
-    except (InvalidEnvFragmentError, BpnError) as exc:
+    except BpnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    model = _load_model(args.model)
     try:
         owner = (
             core.resolve_path(model, tuple(args.net.split(".")))
@@ -183,11 +169,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_fmt(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    model = _load_model(args.model)
     print(textio.print_model(model), end="")
     return EXIT_OK
 
@@ -224,7 +206,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("export-dot", help="render a net as a DOT digraph")
     p.add_argument("model")
     p.add_argument("--net", default=None, help="dotted process path (default: root)")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_depth, default=1)
     p.set_defaults(fn=cmd_export_dot)
 
     p = sub.add_parser("fmt", help="reprint a model in canonical form")
@@ -240,6 +222,10 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
     except _UsageError as exc:
         return int(exc.code)
+    except ParseError as exc:
+        # a model or script that does not load; an env file reports its own
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except SystemExit as exc:
         # argparse exits 2 for usage problems; the documented contract is 64
         return EXIT_USAGE if exc.code not in (0, None) else 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import CycleDetectedError, NoNetError, UnknownProcessError
+from .errors import CycleDetectedError, NoNetError, UnknownProcessError, UnknownSortNameError
 
 ProcessId = str
 PortId = str
@@ -171,10 +171,6 @@ class InterfaceBinding:
 
     pairs: tuple[tuple[PortId, PortId], ...] = ()
 
-    @staticmethod
-    def of(mapping: Mapping[PortId, PortId]) -> "InterfaceBinding":
-        return InterfaceBinding(tuple(sorted(mapping.items())))
-
     def to_subnet(self) -> dict[PortId, PortId]:
         return {parent: inner for parent, inner in self.pairs}
 
@@ -197,9 +193,6 @@ class Model:
             return self.processes[pid]
         except KeyError:
             raise UnknownProcessError(f"unknown process {pid!r}") from None
-
-    def port(self, pid: PortId) -> Port:
-        return self.ports[pid]
 
     def net_of(self, owner: ProcessId) -> tuple[ProcessNet, InterfaceBinding]:
         self.process(owner)
@@ -465,8 +458,9 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 #
 # Each check is implemented once.  ``_process_violations`` and
 # ``_net_violations`` hold every check local to one process or one net;
-# ``validate_scope`` runs them on a scope, and ``validate_model`` runs them on
-# every process and net after the checks that need the whole model.
+# ``validate_scope`` runs them on a scope, ``validate_change`` on the scope a
+# change reaches, and ``validate_model`` on every process and net after the
+# checks that need the whole model.
 
 
 def _port_sort_violations(port_id: PortId, sort: Sort | None) -> Iterator[Violation]:
@@ -866,6 +860,55 @@ def validate_scope(
     return findings
 
 
+def nets_reading(model: Model, processes: Iterable[ProcessId]) -> set[ProcessId]:
+    """Owners of the nets whose checks read these processes and their ports:
+    the net that holds each process and the net each decomposed one owns.
+
+    A net holds the processes it is the first to list, as in the containment
+    map; the nets are scanned rather than the map built, because a rule's
+    result may never need the map.
+    """
+    unplaced = set(processes)
+    owners = unplaced & model.nets.keys()
+    for owner, (net, _) in model.nets.items():
+        if not unplaced:
+            break
+        if not unplaced.isdisjoint(net.processes):
+            owners.add(owner)
+            unplaced -= net.processes
+    return owners
+
+
+def _replaced(old: Mapping, new: Mapping) -> list:
+    """Keys whose entry ``new`` added or replaced relative to ``old``."""
+    return [] if old is new else [k for k, v in new.items() if old.get(k) is not v]
+
+
+def validate_change(before: Model, after: Model) -> list[Violation]:
+    """``validate_scope`` on the entries whose checks read what ``after``
+    added, replaced or removed relative to ``before``, compared by identity.
+
+    The scope is each changed process and the owner of each changed or
+    removed port, if it still exists, the nets reading those processes, and
+    each changed net.  Sufficient when ``before`` was well-formed, because a
+    process's checks read only it and its ports, and a net's only the net,
+    its owner, its members and their ports.
+    """
+    ports = _replaced(before.ports, after.ports)
+    # a removed process or net has no checks, but a removed port's owner
+    # may remain; counting shared keys is cheaper than the key difference
+    if len(after.ports) - sum(p not in before.ports for p in ports) < len(before.ports):
+        ports += before.ports.keys() - after.ports.keys()
+    procs = set(_replaced(before.processes, after.processes))
+    for port_id in ports:
+        for model in (before, after):
+            port = model.ports.get(port_id)
+            if port is not None and port.owner in after.processes:
+                procs.add(port.owner)
+    owners = nets_reading(after, procs).union(_replaced(before.nets, after.nets))
+    return validate_scope(after, owners, procs)
+
+
 def validate_model(model: Model) -> list[Violation]:
     """Every violation: the whole-model checks, then the checks of each
     process by id, then those of each net by owner."""
@@ -911,8 +954,6 @@ SortExpr = Union[SortNameRef, RecordExpr, CollectionExpr]
 
 def resolve_sort_expr(expr: SortExpr, table: Mapping[str, Sort]) -> Sort:
     """Resolve a textual sort expression against a table of declared sorts."""
-    from .errors import UnknownSortNameError
-
     if isinstance(expr, SortNameRef):
         sort = table.get(expr.name)
         if sort is None:

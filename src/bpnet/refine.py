@@ -87,8 +87,6 @@ class _Subst:
 
 
 def _map_fragment(repls: tuple[_Repl, ...], label: str) -> list[tuple[PortId, str]]:
-    if len(repls) == 1 and repls[0].fields is None and not repls[0].bare:
-        return [(repls[0].port, label)]
     if label == WHOLE:
         return [(r.port, WHOLE) for r in repls]
     out = []
@@ -165,30 +163,16 @@ class Trace:
 # --- shared helpers -----------------------------------------------------------
 
 
-def _validated(
-    model: Model,
-    context: str,
-    owners: Iterable[ProcessId],
-    processes: Iterable[ProcessId] = (),
-) -> Model:
+def _validated(before: Model, after: Model, context: str) -> Model:
     """Reject the result unless it is well-formed.
 
-    Rules confine their effects to a few nets and processes, so they pass
-    that scope: the nets they changed and the processes whose ports did.
+    Rules reuse every entry they leave alone, so ``core.validate_change``
+    finds what they changed and checks only that.
     """
-    violations = core.validate_scope(model, owners, processes)
+    violations = core.validate_change(before, after)
     if violations:
         raise WouldBeIllFormedError(f"{context} would leave the model ill-formed", violations)
-    return model
-
-
-def _scope_owners(model: Model, procs: Iterable[ProcessId]) -> set[ProcessId]:
-    """The nets a change to these processes' ports can affect: the net that
-    holds each process and the net each decomposed one owns.  Only the tree
-    is read, so a rule that keeps it may pass the model it started from,
-    whose containment map is already built."""
-    located = core.container_index(model)
-    return {located[p] for p in procs if p in located} | {p for p in procs if p in model.nets}
+    return after
 
 
 def _rewire(
@@ -328,12 +312,10 @@ def _decompose(
         processes[p.id] = p
     nets = dict(model.nets)
     nets[pid] = (subnet, binding)
-    result = replace(model, processes=processes, ports=port_table, nets=nets)
-    _validated(
-        result,
+    result = _validated(
+        model,
+        replace(model, processes=processes, ports=port_table, nets=nets),
         f"decomposing {pid!r}",
-        owners=_scope_owners(result, [pid]),
-        processes=[pid] + new_proc_ids,
     )
     subst = _Subst(
         ports={p: (_Repl(to_subnet[p]),) for p in proc.ports()},
@@ -388,12 +370,9 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
 
     ports = dict(model.ports)
     processes = dict(model.processes)
-    nets = {owner: entry for owner, entry in model.nets.items()}
-    touched_owners: set[ProcessId] = {common}
-    touched_procs: set[ProcessId] = {source.process, dest.process}
+    nets = dict(model.nets)
 
     def add_port(pid: ProcessId, name: str, direction: str) -> PortId:
-        touched_procs.add(pid)
         proc = processes[pid]
         taken_names = {ports[p].name for p in proc.ports() if p in ports}
         final_name = core.fresh_name(name, taken_names)
@@ -405,14 +384,24 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
             processes[pid] = replace(proc, outputs=proc.outputs + (port_id,))
         return port_id
 
+    def bind(owner: ProcessId, parent_port: PortId, inner: PortId, direction: str) -> None:
+        """Put ``inner`` on the boundary of ``owner``'s net, bound to ``parent_port``."""
+        net, binding = nets[owner]
+        if direction == INPUT:
+            net = replace(net, env_inputs=net.env_inputs | {inner})
+        else:
+            net = replace(net, env_outputs=net.env_outputs | {inner})
+        pairs = tuple(sorted(binding.pairs + ((parent_port, inner),)))
+        nets[owner] = (net, InterfaceBinding(pairs))
+
     def realize_down(pid: ProcessId, name: str, direction: str) -> PortId:
         """Create the port on ``pid`` and mirror it through decomposed layers."""
         port_id = add_port(pid, name, direction)
         cur_pid, cur_port = pid, port_id
         while cur_pid in nets:
-            net, binding = nets[cur_pid]
             members = sorted(
-                net.processes, key=lambda m: (processes[m].name if m in processes else m, m)
+                nets[cur_pid][0].processes,
+                key=lambda m: (processes[m].name if m in processes else m, m),
             )
             if not members:
                 raise WouldBeIllFormedError(
@@ -420,13 +409,7 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
                 )
             member = members[0]
             inner = add_port(member, name, direction)
-            if direction == INPUT:
-                net = replace(net, env_inputs=net.env_inputs | {inner})
-            else:
-                net = replace(net, env_outputs=net.env_outputs | {inner})
-            binding = InterfaceBinding(tuple(sorted(binding.pairs + ((cur_port, inner),))))
-            nets[cur_pid] = (net, binding)
-            touched_owners.add(cur_pid)
+            bind(cur_pid, cur_port, inner, direction)
             cur_pid, cur_port = member, inner
         return port_id
 
@@ -455,17 +438,8 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
         cur_pid, cur_port = pid, port_id
         while cur_pid != stop:
             owner = located[cur_pid]
-            net, binding = nets[owner]
-            if direction == INPUT:
-                net = replace(net, env_inputs=net.env_inputs | {cur_port})
-            else:
-                net = replace(net, env_outputs=net.env_outputs | {cur_port})
             parent_port = add_port(owner, ports[cur_port].name, direction)
-            binding = InterfaceBinding(
-                tuple(sorted(binding.pairs + ((parent_port, cur_port),)))
-            )
-            nets[owner] = (net, binding)
-            touched_owners.add(owner)
+            bind(owner, parent_port, cur_port, direction)
             cur_pid, cur_port = owner, parent_port
         return cur_port
 
@@ -485,9 +459,6 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
 
     # keep constraint 3 an invariant: propagate a one-sided sort over the closure
     closure = core.port_closure(candidate, src_port)
-    closure_procs = {ports[p].owner for p in closure if p in ports}
-    touched_procs |= closure_procs
-    touched_owners |= _scope_owners(candidate, closure_procs)
     specified = {ports[p].sort for p in closure if p in ports and ports[p].sort is not None}
     if len(specified) > 1:
         raise SortMismatchError("channel would connect ports with conflicting sorts")
@@ -498,10 +469,7 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
                 ports[p] = replace(ports[p], sort=the_sort)
         candidate = replace(candidate, ports=ports)
 
-    _validated(
-        candidate, "adding the channel", owners=touched_owners, processes=touched_procs
-    )
-    return candidate, _Subst()
+    return _validated(model, candidate, "adding the channel"), _Subst()
 
 
 # --- data refinement ------------------------------------------------------------
@@ -532,12 +500,7 @@ def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]
     ports = dict(model.ports)
     for member in unsorted:
         ports[member] = replace(ports[member], sort=sort)
-    result = replace(model, ports=ports)
-    procs = {model.ports[member].owner for member in closure}
-    _validated(
-        result, "assigning the sort", owners=_scope_owners(model, procs), processes=procs
-    )
-    return result, _Subst()
+    return _validated(model, replace(model, ports=ports), "assigning the sort"), _Subst()
 
 
 # --- channel decomposition --------------------------------------------------------
@@ -731,14 +694,11 @@ def _split_port(
         processes[owner_id] = proc
         del ports[member]
 
-    procs = {model.ports[member].owner for member in closure}
-    scope = _scope_owners(model, procs)
     nets = dict(model.nets)
-    for owner in scope:
+    for owner in core.nets_reading(model, {model.ports[m].owner for m in closure}):
         nets[owner] = _rewire(nets[owner], part_ids)
     result = replace(model, processes=processes, ports=ports, nets=nets)
-    _validated(result, f"splitting {port!r}", owners=scope, processes=procs)
-    return result, _Subst(ports=repls)
+    return _validated(model, result, f"splitting {port!r}"), _Subst(ports=repls)
 
 
 # --- folding and unfolding --------------------------------------------------------
@@ -776,8 +736,9 @@ def _unfold(model: Model, parent: ProcessId, child: ProcessId) -> tuple[Model, _
     ports = {p: port for p, port in model.ports.items() if p not in inner}
     nets = {o: e for o, e in model.nets.items() if o != child}
     nets[parent] = (merged, binding)
-    result = replace(model, processes=processes, ports=ports, nets=nets)
-    _validated(result, f"unfolding {child!r}", owners=[parent])
+    result = _validated(
+        model, replace(model, processes=processes, ports=ports, nets=nets), f"unfolding {child!r}"
+    )
     subst = _Subst(
         ports={p: (_Repl(q),) for p, (q,) in inner.items()},
         procs={child: frozenset(subnet.processes)},
@@ -880,8 +841,7 @@ def _fold(
     nets[owner] = _rewire((remaining, owner_binding), fresh)
     nets[qid] = (extracted, q_binding)
     result = replace(model, processes=processes, ports=ports, nets=nets)
-    _validated(result, f"folding into {new_name!r}", owners=[owner, qid], processes=[qid])
-    return result, _Subst()
+    return _validated(model, result, f"folding into {new_name!r}"), _Subst()
 
 
 # --- scripts -------------------------------------------------------------------

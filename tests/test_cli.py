@@ -197,6 +197,20 @@ class TestExportDotAndFmt:
     def test_dot_without_net_exits_one(self, capsys):
         assert run("export-dot", FIXTURES / "bp.bpn") == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "depth, problem",
+        [
+            ("0", "depth must be at least 1, got 0"),
+            ("-1", "depth must be at least 1, got -1"),
+            ("two", "invalid int value: 'two'"),
+        ],
+    )
+    def test_bad_depth_is_usage_error(self, depth, problem, capsys):
+        assert run("export-dot", FIXTURES / "library.bpn", "--depth", depth) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --depth: {problem}\n")
+
     def test_fmt_is_canonical_fixpoint(self, tmp_path, capsys):
         assert run("fmt", FIXTURES / "bp_refined.bpn") == EXIT_OK
         once = capsys.readouterr().out
@@ -204,6 +218,34 @@ class TestExportDotAndFmt:
         second.write_text(once)
         assert run("fmt", second) == EXIT_OK
         assert capsys.readouterr().out == once
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is a parse error that names the file."""
+
+    @pytest.fixture
+    def latin1(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("process caf\u00e9 { }\n".encode("latin-1"))
+        return path
+
+    def test_model(self, latin1, capsys):
+        assert run("validate", latin1) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"parse error: {latin1}: not UTF-8 text (invalid continuation byte at byte 11)\n"
+        )
+
+    def test_script(self, latin1, tmp_path, capsys):
+        code = run("apply", FIXTURES / "bp.bpn", latin1, tmp_path / "out.bpn")
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"parse error: {latin1}: not UTF-8 text")
+        assert not (tmp_path / "out.bpn").exists()
+
+    def test_env(self, latin1, capsys):
+        assert run("simulate", FIXTURES / "library.bpn", latin1) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {latin1}: not UTF-8 text")
 
 
 class TestUsage:

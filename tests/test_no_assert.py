@@ -4,7 +4,8 @@ Invariants in the package must hold under ``python -O``, which strips
 ``assert``: every check raises explicitly instead.  The model and the
 simulator must not import the rule engine, the parser builds no model
 value and the search no net spec itself, the search matches no record
-fields itself, and only ``core`` writes sort text."""
+fields itself, the rules name no validation scope, and only ``core``
+writes sort text."""
 
 from __future__ import annotations
 
@@ -95,6 +96,14 @@ def test_search_reads_no_record_fields():
         and node.attr in {"fields", "field_sort", "field_names"}
     ]
     assert lines == [], f"check.py reads record fields on lines {lines}"
+
+
+def test_rules_name_no_validation_scope():
+    """What a rule must re-check follows from what it changed, which
+    ``core.validate_change`` derives: no rule picks the nets and processes
+    to check itself."""
+    calls = _calls(_tree("refine.py"), {"validate_scope"})
+    assert calls == [], f"refine.py calls validate_scope: {calls}"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """``validate_model`` and ``validate_scope`` against the validator they
-replaced, on a corpus of models with one corruption each."""
+replaced, and ``validate_change`` against a full-scope check, on a corpus
+of models with one corruption each."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from bpnet.core import (
     Model,
     ProcessNet,
     RecordSort,
+    validate_change,
     validate_model,
     validate_scope,
 )
@@ -153,7 +155,7 @@ def corpus():
     for label, model in bases:
         rng = random.Random(label)
         for kind, bad in corruptions(model, rng):
-            yield f"{label}:{kind}", kind, bad
+            yield f"{label}:{kind}", kind, model, bad
 
 
 @pytest.fixture(scope="module")
@@ -167,19 +169,20 @@ def lines(violations) -> Counter:
 
 class TestAgainstReferenceValidator:
     def test_corpus_covers_every_corruption(self, cases):
-        kinds = Counter(kind for _, kind, _ in cases)
+        kinds = Counter(kind for _, kind, _, _ in cases)
+        assert len(cases) == 353
         assert len(kinds) == 13, kinds
         assert min(kinds.values()) >= 10, kinds
 
     def test_same_violations_as_the_reference(self, cases):
-        for label, _, model in cases:
+        for label, _, _, model in cases:
             expected = lines(reference_validate_model(model))
             assert expected, f"{label}: the corruption went unnoticed"
             expected = Counter({k: n for k, n in expected.items() if not k.endswith(DROPPED)})
             assert lines(validate_model(model)) == expected, label
 
     def test_scope_reports_a_part_of_the_model_report(self, cases):
-        for label, _, model in cases:
+        for label, _, _, model in cases:
             full = lines(validate_model(model))
             for owner in model.nets:
                 part = lines(validate_scope(model, owners=[owner]))
@@ -187,6 +190,16 @@ class TestAgainstReferenceValidator:
             for pid in model.processes:
                 part = lines(validate_scope(model, processes=[pid]))
                 assert not part - full, (label, pid)
+
+    def test_change_scope_finds_what_the_full_scope_finds(self, cases):
+        """Each corruption is a change to a well-formed base, so the scope
+        ``validate_change`` derives from it reports every per-process and
+        per-net violation of the corrupted model, in the same order."""
+        for label, _, base, bad in cases:
+            assert not validate_model(base), label
+            assert validate_change(base, bad) == validate_scope(
+                bad, bad.nets, bad.processes
+            ), label
 
 
 def test_undefined_member_is_reported_once():
