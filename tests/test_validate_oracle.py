@@ -1,6 +1,6 @@
 """``validate_model`` and ``validate_scope`` against the validator they
 replaced, and ``validate_change`` against a full-scope check, on a corpus
-of models with one corruption each."""
+of models with one corruption each and on the results rules build."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from bpnet import textio
+from bpnet import refine, textio
 from bpnet.core import (
     INPUT,
     OUTPUT,
@@ -26,7 +26,7 @@ from bpnet.core import (
 )
 
 from conftest import load_model
-from genmodels import gen_model, rename_ids
+from genmodels import gen_model, propose_step, rename_ids
 from reference_validate import reference_validate_model
 
 FIXTURES = ["bp.bpn", "bp_fig6.bpn", "bp_refined.bpn", "library.bpn", "library_refined.bpn"]
@@ -145,6 +145,10 @@ def corruptions(model: Model, rng: random.Random):
         yield "process-in-two-nets", _with_net(
             model, other, processes=model.nets[other][0].processes | {stray}
         )
+    victim = pick(members)
+    yield "dropped-process", dataclasses.replace(
+        model, processes={p: q for p, q in model.processes.items() if p != victim}
+    )
 
 
 def corpus():
@@ -170,8 +174,8 @@ def lines(violations) -> Counter:
 class TestAgainstReferenceValidator:
     def test_corpus_covers_every_corruption(self, cases):
         kinds = Counter(kind for _, kind, _, _ in cases)
-        assert len(cases) == 353
-        assert len(kinds) == 13, kinds
+        assert len(cases) == 381
+        assert len(kinds) == 14, kinds
         assert min(kinds.values()) >= 10, kinds
 
     def test_same_violations_as_the_reference(self, cases):
@@ -200,6 +204,29 @@ class TestAgainstReferenceValidator:
             assert validate_change(base, bad) == validate_scope(
                 bad, bad.nets, bad.processes
             ), label
+
+
+def test_change_scope_on_rule_results(monkeypatch):
+    """Every result a rule builds during random walks, accepted or not, gets
+    the same report from ``validate_change`` as from a full-scope check."""
+    checked: list[list] = []
+    original = refine._validated
+
+    def compared(before, after, context):
+        change = validate_change(before, after)
+        assert change == validate_scope(after, after.nets, after.processes), context
+        checked.append(change)
+        return original(before, after, context)
+
+    monkeypatch.setattr(refine, "_validated", compared)
+    for seed in range(30):
+        model = gen_model(seed, max_depth=3, max_members=6)
+        rng = random.Random(seed)
+        for _ in range(30):
+            assert not validate_model(model), seed
+            model, _ = propose_step(model, rng)
+    rejected = sum(map(bool, checked))
+    assert len(checked) > 1500 and rejected > 500, (len(checked), rejected)
 
 
 def test_undefined_member_is_reported_once():
