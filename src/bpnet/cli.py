@@ -31,20 +31,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError()
 
 
-def _use_color() -> bool:
+def _use_color(stream) -> bool:
     mode = os.environ.get("BPN_COLOR", "auto")
     if mode == "always":
         return True
     if mode == "never":
         return False
-    return sys.stdout.isatty()
+    return stream.isatty()
 
 
-def _print_violation(violation: core.Violation) -> None:
-    code = violation.code
-    if _use_color():
-        code = f"\x1b[31m{code}\x1b[0m"
-    print(f"{code} {','.join(violation.location)}: {violation.message}")
+def _report_violations(model: Model, stream) -> bool:
+    """Print the model's violations to ``stream``; whether there were any."""
+    violations = core.validate_model(model)
+    color = violations and _use_color(stream)
+    for violation in violations:
+        code = f"\x1b[31m{violation.code}\x1b[0m" if color else violation.code
+        print(f"{code} {','.join(violation.location)}: {violation.message}", file=stream)
+    return bool(violations)
 
 
 def _read_file(path: str) -> str:
@@ -101,15 +104,15 @@ def _depth(text: str) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    violations = core.validate_model(model)
-    for violation in violations:
-        _print_violation(violation)
-    return EXIT_INVALID if violations else EXIT_OK
+    return EXIT_INVALID if _report_violations(model, sys.stdout) else EXIT_OK
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     script = _load_script(args.script)
+    # the rules assume a well-formed input and re-check only what they change
+    if _report_violations(model, sys.stderr):
+        return EXIT_INVALID
     try:
         refined, trace = apply_script(model, script)
     except StepFailedError as exc:

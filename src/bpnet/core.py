@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Container, Iterable, Iterator, Mapping, Optional, Union
+from typing import Container, Iterable, Mapping, Optional, Union
 
 from .errors import CycleDetectedError, NoNetError, UnknownProcessError, UnknownSortNameError
 
@@ -98,9 +98,7 @@ def sorts_compatible(a: Sort | None, b: Sort | None) -> bool:
     Underspecification is permitted: a missing sort is compatible with
     anything.  Two specified sorts must be structurally equal.
     """
-    if a is None or b is None:
-        return True
-    return a == b
+    return a is b or a is None or b is None or a == b
 
 
 # --- firing rules ----------------------------------------------------------
@@ -164,12 +162,30 @@ class ProcessNet:
     env_inputs: frozenset[PortId] = frozenset()
     env_outputs: frozenset[PortId] = frozenset()
 
+    # orderings the validator reads, computed once: models share their nets
+    @functools.cached_property
+    def sorted_members(self) -> tuple[ProcessId, ...]:
+        return tuple(sorted(self.processes))
+
+    @functools.cached_property
+    def sorted_channels(self) -> tuple[Channel, ...]:
+        return tuple(sorted(self.channels, key=lambda c: (c.source, c.dest)))
+
+    @functools.cached_property
+    def sorted_boundary(self) -> tuple[tuple[PortId, ...], tuple[PortId, ...]]:
+        """The sorted env inputs and the sorted env outputs."""
+        return tuple(sorted(self.env_inputs)), tuple(sorted(self.env_outputs))
+
 
 @dataclass(frozen=True)
 class InterfaceBinding:
     """Direction-preserving bijection: parent port <-> subnet boundary port."""
 
     pairs: tuple[tuple[PortId, PortId], ...] = ()
+
+    @functools.cached_property
+    def sorted_pairs(self) -> tuple[tuple[PortId, PortId], ...]:
+        return tuple(sorted(self.pairs))
 
     def to_subnet(self) -> dict[PortId, PortId]:
         return {parent: inner for parent, inner in self.pairs}
@@ -377,30 +393,37 @@ def process_digraph(
 
 
 def find_cycle(graph: Mapping[ProcessId, set[ProcessId]]) -> list[ProcessId] | None:
-    """A directed cycle in the successor map, or None when acyclic."""
+    """A directed cycle in the successor map, or None when acyclic.
+
+    Depth-first from each node in sorted order, successors in sorted order,
+    so the witness is deterministic.  The search keeps its own stack, so a
+    long chain cannot exhaust the interpreter's recursion limit.  A node
+    without successors lies on no cycle and is closed without a visit.
+    """
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in graph}
-    stack: list[ProcessId] = []
-
-    def visit(node: ProcessId) -> list[ProcessId] | None:
-        color[node] = GREY
-        stack.append(node)
-        for succ in sorted(graph[node]):
-            if color[succ] == GREY:
-                return stack[stack.index(succ) :]
-            if color[succ] == WHITE:
-                cycle = visit(succ)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(graph):
-        if color[node] == WHITE:
-            cycle = visit(node)
-            if cycle is not None:
-                return list(cycle)
+    color = dict.fromkeys(graph, WHITE)
+    for start in sorted(graph):
+        if color[start] != WHITE or not graph[start]:
+            continue
+        color[start] = GREY
+        path = [start]
+        pending = [iter(sorted(graph[start]))]
+        while pending:
+            for succ in pending[-1]:
+                seen = color[succ]
+                if seen == GREY:
+                    return path[path.index(succ) :]
+                if seen == WHITE:
+                    if not graph[succ]:
+                        color[succ] = BLACK
+                        continue
+                    color[succ] = GREY
+                    path.append(succ)
+                    pending.append(iter(sorted(graph[succ])))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
     return None
 
 
@@ -460,60 +483,74 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 # ``_net_violations`` hold every check local to one process or one net;
 # ``validate_scope`` runs them on a scope, ``validate_change`` on the scope a
 # change reaches, and ``validate_model`` on every process and net after the
-# checks that need the whole model.
+# checks that need the whole model.  Every check appends to the findings list
+# its caller passes in.  Where a check reports in sorted order, it finds the
+# offenders in one unsorted pass and sorts only those: a well-formed model
+# has none.
 
 
-def _port_sort_violations(port_id: PortId, sort: Sort | None) -> Iterator[Violation]:
+def _port_sort_violations(port_id: PortId, sort: Sort | None, out: list[Violation]) -> None:
     for problem in _sort_problems_cached(sort):
-        yield Violation(SORT_MISMATCH, (port_id,), f"malformed port sort: {problem}")
+        out.append(Violation(SORT_MISMATCH, (port_id,), f"malformed port sort: {problem}"))
 
 
-def _process_violations(model: Model, pid: ProcessId) -> Iterator[Violation]:
+def _process_violations(model: Model, pid: ProcessId, out: list[Violation]) -> None:
     """Port-table entries, port sorts and firing-rule references of a process."""
     proc = model.processes[pid]
+    ports = model.ports
     seen_names: dict[str, PortId] = {}
     sorts_reported: set[PortId] = set()
     for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
         for port_id in port_ids:
-            port = model.ports.get(port_id)
+            port = ports.get(port_id)
             if port is None:
-                yield Violation(
-                    DANGLING_REF, (pid, port_id), "process lists an undefined port"
+                out.append(
+                    Violation(DANGLING_REF, (pid, port_id), "process lists an undefined port")
                 )
                 continue
             if port.owner != pid:
-                yield Violation(
-                    PORT_CLASH,
-                    (pid, port_id),
-                    f"port is owned by {port.owner!r} but listed by {pid!r}",
+                out.append(
+                    Violation(
+                        PORT_CLASH,
+                        (pid, port_id),
+                        f"port is owned by {port.owner!r} but listed by {pid!r}",
+                    )
                 )
             elif port.direction != direction:
-                yield Violation(
-                    PORT_CLASH,
-                    (pid, port_id),
-                    f"port direction {port.direction!r} listed under {direction!r}",
+                out.append(
+                    Violation(
+                        PORT_CLASH,
+                        (pid, port_id),
+                        f"port direction {port.direction!r} listed under {direction!r}",
+                    )
                 )
             if seen_names.setdefault(port.name, port_id) != port_id:
-                yield Violation(
-                    PORT_CLASH,
-                    (pid, port_id),
-                    f"duplicate port name {port.name!r} on process",
+                out.append(
+                    Violation(
+                        PORT_CLASH,
+                        (pid, port_id),
+                        f"duplicate port name {port.name!r} on process",
+                    )
                 )
-            # the owner reports a port's sort, once however often it lists it
+            # the owner reports a port's sort, once however often it lists it;
+            # an atomic sort has no structural defect
             if (
                 port.owner == pid
                 and port.sort is not None
+                and not isinstance(port.sort, AtomicSort)
                 and _sort_problems_cached(port.sort)
                 and port_id not in sorts_reported
             ):
                 sorts_reported.add(port_id)
-                yield from _port_sort_violations(port_id, port.sort)
-    inputs, outputs = set(proc.inputs), set(proc.outputs)
+                _port_sort_violations(port_id, port.sort, out)
+    # a ``whole`` reference to a listed port is always sound
     for rule in proc.firing_rules:
         for port_id, label in rule.needs:
-            yield from _check_rule_ref(model, pid, port_id, label, inputs, "needs")
+            if label != WHOLE or port_id not in proc.inputs:
+                _check_rule_ref(model, pid, port_id, label, proc.inputs, "needs", out)
         for port_id, label in rule.produces:
-            yield from _check_rule_ref(model, pid, port_id, label, outputs, "produces")
+            if label != WHOLE or port_id not in proc.outputs:
+                _check_rule_ref(model, pid, port_id, label, proc.outputs, "produces", out)
 
 
 def _check_rule_ref(
@@ -521,307 +558,361 @@ def _check_rule_ref(
     pid: ProcessId,
     port_id: PortId,
     label: str,
-    allowed: set[PortId],
+    allowed: tuple[PortId, ...],
     side: str,
-) -> Iterator[Violation]:
+    out: list[Violation],
+) -> None:
+    """A firing-rule reference other than ``whole`` on a listed port."""
     if port_id not in allowed:
         expected = "input" if side == "needs" else "output"
-        yield Violation(
-            DANGLING_REF,
-            (pid, port_id),
-            f"firing rule {side} {port_id!r}, which is not an {expected} port of the process",
+        out.append(
+            Violation(
+                DANGLING_REF,
+                (pid, port_id),
+                f"firing rule {side} {port_id!r}, which is not an {expected} port of the process",
+            )
         )
         return
     port = model.ports.get(port_id)
     if port is None:
         return
-    if label == WHOLE:
-        return
     if not isinstance(port.sort, RecordSort) or port.sort.field_sort(label) is None:
-        yield Violation(
-            DANGLING_REF,
-            (pid, port_id),
-            f"firing rule uses label {label!r} which is not a record field of the port sort",
+        out.append(
+            Violation(
+                DANGLING_REF,
+                (pid, port_id),
+                f"firing rule uses label {label!r} which is not a record field of the port sort",
+            )
         )
 
 
-def _model_violations(model: Model) -> Iterator[Violation]:
+def _model_violations(model: Model, out: list[Violation]) -> None:
     """The checks that need the whole model: the sort table, the containment
     tree, ports listed by several processes, and ports their owner does not
     list (whose sorts no per-process check reaches)."""
-    for name in sorted(model.sort_table):
-        for problem in sort_problems(model.sort_table[name]):
-            yield Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}")
-    yield from _check_hierarchy(model)
-    listed_by: dict[PortId, list[ProcessId]] = {}
-    for pid in sorted(model.processes):
-        for port_id in model.processes[pid].ports():
-            listed_by.setdefault(port_id, []).append(pid)
-    for port_id in sorted(listed_by):
-        listers = listed_by[port_id]
-        if len(listers) > 1:
-            yield Violation(
-                PORT_CLASH,
-                (port_id,) + tuple(listers),
-                "port listed by more than one process interface entry",
+    table = model.sort_table
+    for name in sorted([name for name, sort in table.items() if _sort_problems_cached(sort)]):
+        for problem in _sort_problems_cached(table[name]):
+            out.append(Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}"))
+    _check_hierarchy(model, out)
+    processes, ports = model.processes, model.ports
+    first_lister: dict[PortId, ProcessId] = {}
+    relisted: set[PortId] = set()
+    for pid, proc in processes.items():
+        for port_ids in (proc.inputs, proc.outputs):
+            for port_id in port_ids:
+                if port_id in first_lister:
+                    relisted.add(port_id)
+                else:
+                    first_lister[port_id] = pid
+    if relisted:
+        by_id = sorted(processes)
+        for port_id in sorted(relisted):
+            listers = tuple(
+                pid for pid in by_id for listed in processes[pid].ports() if listed == port_id
             )
-    for port_id in sorted(model.ports):
-        port = model.ports[port_id]
-        if port.owner not in model.processes:
-            yield Violation(
-                DANGLING_REF, (port_id,), f"port owner {port.owner!r} is undefined"
+            out.append(
+                Violation(
+                    PORT_CLASH,
+                    (port_id,) + listers,
+                    "port listed by more than one process interface entry",
+                )
             )
-        elif port.owner not in listed_by.get(port_id, ()):
-            yield Violation(
-                DANGLING_REF, (port_id,), "port is not listed by its owner's interface"
-            )
-        else:
-            continue
-        yield from _port_sort_violations(port_id, port.sort)
+    unlisted: dict[PortId, str] = {}
+    for port_id, port in ports.items():
+        owner = processes.get(port.owner)
+        if owner is None:
+            unlisted[port_id] = f"port owner {port.owner!r} is undefined"
+        elif (
+            first_lister.get(port_id) != port.owner
+            and port_id not in owner.inputs
+            and port_id not in owner.outputs
+        ):
+            unlisted[port_id] = "port is not listed by its owner's interface"
+    for port_id in sorted(unlisted):
+        out.append(Violation(DANGLING_REF, (port_id,), unlisted[port_id]))
+        _port_sort_violations(port_id, ports[port_id].sort, out)
 
 
-def _check_hierarchy(model: Model) -> Iterator[Violation]:
-    if model.root not in model.processes:
-        yield Violation(DANGLING_REF, (model.root,), "root process is undefined")
-    membership: dict[ProcessId, list[ProcessId]] = {}
-    for owner in sorted(model.nets):
-        if owner not in model.processes:
-            yield Violation(DANGLING_REF, (owner,), "net owner is undefined")
-        for member in sorted(model.nets[owner][0].processes):
-            membership.setdefault(member, []).append(owner)
-    for member in sorted(membership):
-        owners = membership[member]
-        if len(owners) > 1:
-            yield Violation(
+def _check_hierarchy(model: Model, out: list[Violation]) -> None:
+    processes, nets, root = model.processes, model.nets, model.root
+    if root not in processes:
+        out.append(Violation(DANGLING_REF, (root,), "root process is undefined"))
+    for owner in sorted([owner for owner in nets if owner not in processes]):
+        out.append(Violation(DANGLING_REF, (owner,), "net owner is undefined"))
+    # each member's parent is the least owner of a net listing it
+    parent: dict[ProcessId, ProcessId] = {}
+    shared: set[ProcessId] = set()
+    for owner, (net, _) in nets.items():
+        for member in net.processes:
+            first = parent.setdefault(member, owner)
+            if first != owner:
+                shared.add(member)
+                if owner < first:
+                    parent[member] = owner
+    for member in sorted(shared):
+        owners = sorted([owner for owner, (net, _) in nets.items() if member in net.processes])
+        out.append(
+            Violation(
                 HIERARCHY_NOT_TREE,
                 (member,) + tuple(owners),
                 "process contained in more than one net",
             )
-    if model.root in membership:
-        yield Violation(
-            HIERARCHY_NOT_TREE,
-            (model.root,),
-            "root process must not be contained in any net",
         )
-    parent = {m: owners[0] for m, owners in membership.items()}
-    for pid in sorted(model.processes):
-        if pid == model.root:
+    if root in parent:
+        out.append(
+            Violation(HIERARCHY_NOT_TREE, (root,), "root process must not be contained in any net")
+        )
+    # a process whose parent chain ends without repeating is placed; so is
+    # every process on that chain, which is not walked again
+    placed: set[ProcessId] = set()
+    found: dict[ProcessId, Violation] = {}
+    for pid in processes:
+        if pid == root or pid in placed:
             continue
         if pid not in parent:
-            yield Violation(
+            found[pid] = Violation(
                 HIERARCHY_NOT_TREE, (pid,), "process is not contained in any net"
             )
             continue
         seen = {pid}
         node = pid
-        while node in parent:
+        while True:
             node = parent[node]
+            if node in placed or node not in parent:
+                placed |= seen
+                break
             if node in seen:
-                yield Violation(
-                    HIERARCHY_NOT_TREE,
-                    tuple(sorted(seen)),
-                    "containment relation is cyclic",
+                found[pid] = Violation(
+                    HIERARCHY_NOT_TREE, tuple(sorted(seen)), "containment relation is cyclic"
                 )
                 break
             seen.add(node)
+    for pid in sorted(found):
+        out.append(found[pid])
 
 
-def _net_violations(model: Model, owner: ProcessId) -> Iterator[Violation]:
+def _net_violations(model: Model, owner: ProcessId, out: list[Violation]) -> None:
     """Member names, reference integrity, constraints 1-4, input totality and
     the interface binding of the net owned by ``owner``."""
     net, binding = model.nets[owner]
-    yield from _net_body_violations(model, net, owner)
-    yield from _binding_violations(model, owner, net, binding)
+    _net_body_violations(model, net, owner, out)
+    _binding_violations(model, owner, net, binding, out)
 
 
-def _net_body_violations(model: Model, net: ProcessNet, at: str) -> Iterator[Violation]:
-    members = sorted(net.processes)
+def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Violation]) -> None:
+    processes, ports = model.processes, model.ports
+    # the process digraph; its keys are the defined members, in sorted order
+    graph: dict[ProcessId, set[ProcessId]] = {}
     names_seen: dict[str, ProcessId] = {}
-    for member in members:
-        proc = model.processes.get(member)
+    for member in net.sorted_members:
+        proc = processes.get(member)
         if proc is None:
-            yield Violation(DANGLING_REF, (at, member), "net member is undefined")
-        elif proc.name in names_seen:
-            yield Violation(
-                PORT_CLASH,
-                (at, member, names_seen[proc.name]),
-                f"duplicate process name {proc.name!r} within one net",
+            out.append(Violation(DANGLING_REF, (at, member), "net member is undefined"))
+            continue
+        graph[member] = set()
+        if proc.name in names_seen:
+            out.append(
+                Violation(
+                    PORT_CLASH,
+                    (at, member, names_seen[proc.name]),
+                    f"duplicate process name {proc.name!r} within one net",
+                )
             )
         else:
             names_seen[proc.name] = member
-    defined = [m for m in members if m in model.processes]
-    member_set = set(defined)
 
-    def resolvable(port_id: PortId) -> Port | None:
-        return model.ports.get(port_id)
-
-    usable_channels: list[Channel] = []
-    self_loopers: list[ProcessId] = []
-    for ch in sorted(net.channels, key=lambda c: (c.source, c.dest)):
-        src, dst = resolvable(ch.source), resolvable(ch.dest)
-        ok = True
-        if src is None:
-            yield Violation(DANGLING_REF, (at, ch.source), "channel source is undefined")
-            ok = False
-        if dst is None:
-            yield Violation(DANGLING_REF, (at, ch.dest), "channel dest is undefined")
-            ok = False
-        if not ok:
+    # one pass over the channels checks each, counts the drivers of each
+    # input and adds its edge to the digraph
+    driven: dict[PortId, int] = {}
+    for ch in net.sorted_channels:
+        src, dst = ports.get(ch.source), ports.get(ch.dest)
+        if src is None or dst is None:
+            if src is None:
+                out.append(
+                    Violation(DANGLING_REF, (at, ch.source), "channel source is undefined")
+                )
+            if dst is None:
+                out.append(Violation(DANGLING_REF, (at, ch.dest), "channel dest is undefined"))
             continue
+        ok = True
         if src.direction != OUTPUT:
-            yield Violation(
-                DANGLING_REF, (at, ch.source), "channel source is not an output port"
+            out.append(
+                Violation(DANGLING_REF, (at, ch.source), "channel source is not an output port")
             )
             ok = False
         if dst.direction != INPUT:
-            yield Violation(
-                DANGLING_REF, (at, ch.dest), "channel dest is not an input port"
+            out.append(
+                Violation(DANGLING_REF, (at, ch.dest), "channel dest is not an input port")
             )
             ok = False
-        if src.owner not in member_set:
-            yield Violation(
-                DANGLING_REF, (at, ch.source), "channel source is not on a member process"
+        if src.owner not in graph:
+            out.append(
+                Violation(
+                    DANGLING_REF, (at, ch.source), "channel source is not on a member process"
+                )
             )
             ok = False
-        if dst.owner not in member_set:
-            yield Violation(
-                DANGLING_REF, (at, ch.dest), "channel dest is not on a member process"
+        if dst.owner not in graph:
+            out.append(
+                Violation(DANGLING_REF, (at, ch.dest), "channel dest is not on a member process")
             )
             ok = False
-        if ok and src.owner == dst.owner:
-            yield Violation(
-                SELF_LOOP,
-                (src.owner, ch.source, ch.dest),
-                "channel connects a process to itself",
+        if not ok:
+            continue
+        if src.owner == dst.owner:
+            out.append(
+                Violation(
+                    SELF_LOOP,
+                    (src.owner, ch.source, ch.dest),
+                    "channel connects a process to itself",
+                )
             )
-            self_loopers.append(src.owner)
-            ok = False
-        if ok:
-            usable_channels.append(ch)
-            if not sorts_compatible(src.sort, dst.sort):
-                yield Violation(
+            graph[src.owner].add(src.owner)
+            continue
+        driven[ch.dest] = driven.get(ch.dest, 0) + 1
+        graph[src.owner].add(dst.owner)
+        if not sorts_compatible(src.sort, dst.sort):
+            out.append(
+                Violation(
                     SORT_MISMATCH,
                     (ch.source, ch.dest),
                     f"channel sorts differ: {render_sort(src.sort)} vs {render_sort(dst.sort)}",
                 )
+            )
 
-    for boundary, direction in ((net.env_inputs, INPUT), (net.env_outputs, OUTPUT)):
-        for port_id in sorted(boundary):
-            port = resolvable(port_id)
+    env_inputs, env_outputs = net.sorted_boundary
+    for boundary, direction in ((env_inputs, INPUT), (env_outputs, OUTPUT)):
+        for port_id in boundary:
+            port = ports.get(port_id)
             if port is None:
-                yield Violation(DANGLING_REF, (at, port_id), "boundary port is undefined")
-            elif port.direction != direction or port.owner not in member_set:
-                yield Violation(
-                    DANGLING_REF,
-                    (at, port_id),
-                    f"boundary {direction}-entry is not an {direction}put port of a member",
+                out.append(Violation(DANGLING_REF, (at, port_id), "boundary port is undefined"))
+            elif port.direction != direction or port.owner not in graph:
+                out.append(
+                    Violation(
+                        DANGLING_REF,
+                        (at, port_id),
+                        f"boundary {direction}-entry is not an {direction}put port of a member",
+                    )
                 )
 
-    driven: dict[PortId, int] = {}
-    for ch in usable_channels:
-        driven[ch.dest] = driven.get(ch.dest, 0) + 1
-    for port_id in sorted(driven):
+    env_in = net.env_inputs
+    for port_id in sorted([p for p, n in driven.items() if n > 1 or p in env_in]):
         if driven[port_id] > 1:
-            yield Violation(
-                INPUT_MULTIPLY_DRIVEN,
-                (port_id,),
-                f"input port driven by {driven[port_id]} channels",
+            out.append(
+                Violation(
+                    INPUT_MULTIPLY_DRIVEN,
+                    (port_id,),
+                    f"input port driven by {driven[port_id]} channels",
+                )
             )
-        if port_id in net.env_inputs:
-            yield Violation(
-                INPUT_BOTH_INTERNAL_AND_ENV,
-                (port_id,),
-                "input port is both a channel destination and an environment input",
+        if port_id in env_in:
+            out.append(
+                Violation(
+                    INPUT_BOTH_INTERNAL_AND_ENV,
+                    (port_id,),
+                    "input port is both a channel destination and an environment input",
+                )
             )
-    for member in defined:
-        for port_id in model.processes[member].inputs:
-            if port_id not in driven and port_id not in net.env_inputs:
-                yield Violation(
-                    INPUT_UNCONNECTED,
-                    (member, port_id),
-                    "input port is neither channel-driven nor an environment input",
+    for member in graph:
+        for port_id in processes[member].inputs:
+            if port_id not in driven and port_id not in env_in:
+                out.append(
+                    Violation(
+                        INPUT_UNCONNECTED,
+                        (member, port_id),
+                        "input port is neither channel-driven nor an environment input",
+                    )
                 )
 
-    graph: dict[ProcessId, set[ProcessId]] = {p: set() for p in defined}
-    for ch in usable_channels:
-        s, d = model.ports[ch.source].owner, model.ports[ch.dest].owner
-        if s != d:
-            graph[s].add(d)
-    for p in self_loopers:
-        if p in graph:
-            graph[p].add(p)
     cycle = find_cycle(graph)
     if cycle is not None:
-        yield Violation(
-            CYCLE_DETECTED,
-            tuple(cycle),
-            "channels induce a cyclic dependency between processes",
+        out.append(
+            Violation(
+                CYCLE_DETECTED,
+                tuple(cycle),
+                "channels induce a cyclic dependency between processes",
+            )
         )
 
 
 def _binding_violations(
-    model: Model, owner: ProcessId, net: ProcessNet, binding: InterfaceBinding
-) -> Iterator[Violation]:
+    model: Model,
+    owner: ProcessId,
+    net: ProcessNet,
+    binding: InterfaceBinding,
+    out: list[Violation],
+) -> None:
     proc = model.processes.get(owner)
     if proc is None:
         return
-    boundary = net.env_inputs | net.env_outputs
+    ports = model.ports
+    env_in, env_out = net.env_inputs, net.env_outputs
     seen_parent: set[PortId] = set()
     seen_inner: set[PortId] = set()
-    for parent_port, inner_port in sorted(binding.pairs):
+    for parent_port, inner_port in binding.sorted_pairs:
         if parent_port in seen_parent:
-            yield Violation(
-                BINDING_INCOMPLETE, (owner, parent_port), "parent port bound twice"
+            out.append(
+                Violation(BINDING_INCOMPLETE, (owner, parent_port), "parent port bound twice")
             )
         if inner_port in seen_inner:
-            yield Violation(
-                BINDING_INCOMPLETE, (owner, inner_port), "boundary port bound twice"
+            out.append(
+                Violation(BINDING_INCOMPLETE, (owner, inner_port), "boundary port bound twice")
             )
         seen_parent.add(parent_port)
         seen_inner.add(inner_port)
-        pp, ip = model.ports.get(parent_port), model.ports.get(inner_port)
+        pp, ip = ports.get(parent_port), ports.get(inner_port)
         if pp is None or pp.owner != owner:
-            yield Violation(
-                BINDING_INCOMPLETE,
-                (owner, parent_port),
-                "binding names a port that is not on the decomposed process",
+            out.append(
+                Violation(
+                    BINDING_INCOMPLETE,
+                    (owner, parent_port),
+                    "binding names a port that is not on the decomposed process",
+                )
             )
             continue
-        if ip is None or inner_port not in boundary:
-            yield Violation(
-                BINDING_INCOMPLETE,
-                (owner, inner_port),
-                "binding names a port that is not on the subnet boundary",
+        if ip is None or (inner_port not in env_in and inner_port not in env_out):
+            out.append(
+                Violation(
+                    BINDING_INCOMPLETE,
+                    (owner, inner_port),
+                    "binding names a port that is not on the subnet boundary",
+                )
             )
             continue
-        expected = net.env_inputs if pp.direction == INPUT else net.env_outputs
-        if inner_port not in expected:
-            yield Violation(
-                BINDING_INCOMPLETE,
-                (owner, parent_port, inner_port),
-                "binding does not preserve port direction",
+        if inner_port not in (env_in if pp.direction == INPUT else env_out):
+            out.append(
+                Violation(
+                    BINDING_INCOMPLETE,
+                    (owner, parent_port, inner_port),
+                    "binding does not preserve port direction",
+                )
             )
-        both_unspecified = pp.sort is None and ip.sort is None
-        if not both_unspecified and pp.sort != ip.sort:
-            yield Violation(
-                BINDING_SORT_MISMATCH,
-                (parent_port, inner_port),
-                "bound ports must both be unspecified or carry equal sorts",
+        # equal when both are unspecified
+        if pp.sort is not ip.sort and pp.sort != ip.sort:
+            out.append(
+                Violation(
+                    BINDING_SORT_MISMATCH,
+                    (parent_port, inner_port),
+                    "bound ports must both be unspecified or carry equal sorts",
+                )
             )
-    for port_id in sorted(proc.ports()):
-        if port_id not in seen_parent:
-            yield Violation(
+    for port_id in sorted([p for p in proc.ports() if p not in seen_parent]):
+        out.append(
+            Violation(
                 BINDING_INCOMPLETE,
                 (owner, port_id),
                 "parent port is not bound to any subnet boundary port",
             )
-    for port_id in sorted(boundary):
-        if port_id not in seen_inner:
-            yield Violation(
+        )
+    for port_id in sorted((env_in | env_out) - seen_inner):
+        out.append(
+            Violation(
                 BINDING_INCOMPLETE,
                 (owner, port_id),
                 "subnet boundary port is not bound to any parent port",
             )
+        )
 
 
 def validate_net(model: Model, owner: ProcessId) -> list[Violation]:
@@ -833,7 +924,9 @@ def validate_net(model: Model, owner: ProcessId) -> list[Violation]:
     Output ports may feed any number of channels.
     """
     model.net_of(owner)
-    return list(_net_violations(model, owner))
+    findings: list[Violation] = []
+    _net_violations(model, owner, findings)
+    return findings
 
 
 def validate_scope(
@@ -851,12 +944,12 @@ def validate_scope(
     findings: list[Violation] = []
     for pid in sorted(set(processes)):
         if pid in model.processes:
-            findings.extend(_process_violations(model, pid))
+            _process_violations(model, pid, findings)
         else:
             findings.append(Violation(DANGLING_REF, (pid,), "process is undefined"))
     for owner in sorted(set(owners)):
         if owner in model.nets:
-            findings.extend(_net_violations(model, owner))
+            _net_violations(model, owner, findings)
     return findings
 
 
@@ -910,9 +1003,10 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
 def validate_model(model: Model) -> list[Violation]:
     """Every violation: the whole-model checks, then the checks of each
     process by id, then those of each net by owner."""
-    return list(_model_violations(model)) + validate_scope(
-        model, model.nets, model.processes
-    )
+    findings: list[Violation] = []
+    _model_violations(model, findings)
+    findings += validate_scope(model, model.nets, model.processes)
+    return findings
 
 
 # --- sort expressions ---------------------------------------------------------

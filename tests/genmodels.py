@@ -472,3 +472,16 @@ def rename_ids(model: Model) -> Model:
             ),
         )
     return Model(model.sort_table, procs, ports, pmap[model.root], nets)
+
+
+def chain_text(length: int, back_edge: bool = False) -> str:
+    """Model text of one net whose members ``p0 .. p{length-1}`` each feed the
+    next; with ``back_edge`` the last also feeds the first, closing a cycle."""
+    lines = ["process system { }", "net for system {"]
+    lines.append("  process p0 { in back; out o }" if back_edge else "  process p0 { out o }")
+    lines += [f"  process p{k} {{ in i; out o }}" for k in range(1, length)]
+    lines += [f"  channel p{k - 1}.o -> p{k}.i" for k in range(1, length)]
+    if back_edge:
+        lines.append(f"  channel p{length - 1}.o -> p0.back")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -2,12 +2,14 @@
 
 It ran the per-process checks in whole-model passes of its own, beside the
 copies in ``validate_scope``, and reported an undefined net member twice:
-once from the containment check and once from the net's own checks.
+once from the containment check and once from the net's own checks.  Its
+cycle search, ``find_cycle``, is the recursive one ``core.find_cycle``
+replaced; it fails on chains deeper than the recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from bpnet.core import (
     BINDING_INCOMPLETE,
@@ -33,11 +35,38 @@ from bpnet.core import (
     ProcessNet,
     RecordSort,
     Violation,
-    find_cycle,
     render_sort,
     sort_problems,
     sorts_compatible,
 )
+
+
+def find_cycle(graph: Mapping[ProcessId, set[ProcessId]]) -> list[ProcessId] | None:
+    """A directed cycle in the successor map, or None when acyclic."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in graph}
+    stack: list[ProcessId] = []
+
+    def visit(node: ProcessId) -> list[ProcessId] | None:
+        color[node] = GREY
+        stack.append(node)
+        for succ in sorted(graph[node]):
+            if color[succ] == GREY:
+                return stack[stack.index(succ) :]
+            if color[succ] == WHITE:
+                cycle = visit(succ)
+                if cycle is not None:
+                    return cycle
+        stack.pop()
+        color[node] = BLACK
+        return None
+
+    for node in sorted(graph):
+        if color[node] == WHITE:
+            cycle = visit(node)
+            if cycle is not None:
+                return list(cycle)
+    return None
 
 
 def _check_sort_values(model: Model) -> Iterator[Violation]:

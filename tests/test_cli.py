@@ -15,6 +15,10 @@ from bpnet.cli import (
 
 from conftest import FIXTURES
 from dotcheck import check_dot
+from genmodels import chain_text
+
+# members in a chain deeper than the interpreter's default recursion limit
+CHAIN = 1500
 
 
 def run(*argv):
@@ -45,6 +49,20 @@ class TestValidate:
         assert run("validate", bad) == EXIT_INVALID
         out = capsys.readouterr().out
         assert sum(1 for line in out.splitlines() if line.startswith("CycleDetected")) == 1
+
+    def test_chain_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        """A chain of 1,500 members validates clean; closing it reports the
+        whole chain from ``p0``, the recursive search's witness."""
+        chain = tmp_path / "chain.bpn"
+        chain.write_text(chain_text(CHAIN))
+        assert run("validate", chain) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        chain.write_text(chain_text(CHAIN, back_edge=True))
+        assert run("validate", chain) == EXIT_INVALID
+        witness = ",".join(f"system.p{k}" for k in range(CHAIN))
+        assert capsys.readouterr().out == (
+            f"CycleDetected {witness}: channels induce a cyclic dependency between processes\n"
+        )
 
     def test_missing_file_is_usage_error(self):
         assert run("validate", "no/such/file.bpn") == EXIT_USAGE
@@ -80,6 +98,18 @@ class TestApply:
         model = textio.parse_model((FIXTURES / "library.bpn").read_text())
         assert out_file.read_text() == textio.print_model(model)
 
+    def test_rules_on_a_chain_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        chain = tmp_path / "chain.bpn"
+        chain.write_text(chain_text(CHAIN))
+        script = tmp_path / "close.bps"
+        script.write_text(f"add-channel system.p{CHAIN - 1}.o -> system.p0.back\n")
+        assert run("apply", chain, script, tmp_path / "out.bpn") == EXIT_SCRIPT_FAILS
+        assert capsys.readouterr().err.startswith(
+            "step 1 failed: channel would close the cycle system.p0 -> system.p1 -> "
+        )
+        script.write_text("fold system { p0, p1 } as q\n")
+        assert run("apply", chain, script, tmp_path / "out.bpn") == EXIT_OK
+
     def test_cycle_script_exits_three(self, tmp_path, capsys):
         script = tmp_path / "bad.bps"
         script.write_text(
@@ -90,7 +120,10 @@ class TestApply:
         assert code == EXIT_SCRIPT_FAILS
         assert "step 2 failed" in capsys.readouterr().err
 
-    def test_unfold_of_child_with_unbound_port_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("steps", ["", "unfold top.c\n"], ids=["empty", "unfold"])
+    def test_ill_formed_model_is_rejected_before_replay(self, tmp_path, capsys, steps):
+        """An input ``bpn validate`` rejects is reported in its format, on
+        stderr, and no step runs on it: the rules assume a well-formed model."""
         model = tmp_path / "unbound.bpn"
         model.write_text(
             "process top { in a }\n"
@@ -104,10 +137,18 @@ class TestApply:
             "}\n"
         )
         script = tmp_path / "unfold.bps"
-        script.write_text("unfold top.c\n")
-        code = run("apply", model, script, tmp_path / "out.bpn")
-        assert code == EXIT_SCRIPT_FAILS
-        assert capsys.readouterr().err.startswith("step 1 failed: port 'top.c:y'")
+        script.write_text(steps)
+        out_file = tmp_path / "out.bpn"
+        assert run("validate", model) == EXIT_INVALID
+        report = capsys.readouterr().out
+        assert report == (
+            "BindingIncomplete top.c,top.c:y: "
+            "parent port is not bound to any subnet boundary port\n"
+        )
+        assert run("apply", model, script, out_file) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", report)
+        assert not out_file.exists()
 
 
 class TestCheck:

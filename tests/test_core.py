@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bpnet import core, textio
 from bpnet.core import (
     AtomicSort,
+    Channel,
     CollectionSort,
     InterfaceBinding,
     Model,
@@ -26,6 +27,7 @@ from bpnet.core import (
 from bpnet.errors import CycleDetectedError, NoNetError, UnknownProcessError
 
 from genmodels import gen_model
+from reference_validate import find_cycle as recursive_find_cycle
 
 
 def codes(violations):
@@ -406,6 +408,61 @@ class TestRecordSortValue:
             record.fields = ()
 
 
+def _views(value) -> tuple:
+    """Everything a dataclass shows of a value: fields, repr, hash, and what
+    ``replace`` and equality make of it."""
+    copy = dataclasses.replace(value)
+    return (
+        [f.name for f in dataclasses.fields(value)],
+        repr(value),
+        hash(value),
+        copy == value,
+        repr(copy),
+        hash(copy),
+    )
+
+
+class TestCachedOrderings:
+    NET = ProcessNet(
+        frozenset({"b", "a"}),
+        frozenset({Channel("b:o", "a:i"), Channel("a:o", "b:i")}),
+        frozenset({"b:x", "a:x"}),
+        frozenset({"b:y"}),
+    )
+    BINDING = InterfaceBinding((("p:2", "b:y"), ("p:1", "a:x")))
+
+    def test_filling_the_caches_changes_no_dataclass_view(self):
+        net, binding = dataclasses.replace(self.NET), dataclasses.replace(self.BINDING)
+        before = _views(net), _views(binding)
+        assert net.sorted_members == ("a", "b")
+        assert net.sorted_channels == (Channel("a:o", "b:i"), Channel("b:o", "a:i"))
+        assert net.sorted_boundary == (("a:x", "b:x"), ("b:y",))
+        assert binding.sorted_pairs == (("p:1", "a:x"), ("p:2", "b:y"))
+        assert (_views(net), _views(binding)) == before
+        assert net == self.NET and binding == self.BINDING
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.processes = frozenset()
+
+    def test_a_replaced_value_orders_afresh(self):
+        net = dataclasses.replace(self.NET)
+        assert net.sorted_members == ("a", "b")
+        grown = dataclasses.replace(
+            net,
+            processes=net.processes | {"0"},
+            channels=net.channels | {Channel("0:o", "a:j")},
+            env_inputs=frozenset({"0:x"}),
+            env_outputs=frozenset(),
+        )
+        assert grown.sorted_members == ("0", "a", "b")
+        assert grown.sorted_channels[0] == Channel("0:o", "a:j")
+        assert grown.sorted_boundary == (("0:x",), ())
+        binding = dataclasses.replace(self.BINDING)
+        assert binding.sorted_pairs[0] == ("p:1", "a:x")
+        assert dataclasses.replace(binding, pairs=(("p:0", "0:x"),)).sorted_pairs == (
+            ("p:0", "0:x"),
+        )
+
+
 class TestSortsCompatible:
     def test_spec_examples(self):
         assert sorts_compatible(None, None)
@@ -446,7 +503,8 @@ class TestTotalityInvariant:
 @given(st.integers(0, 5), st.data())
 @settings(deadline=None, max_examples=60)
 def test_cycle_detection_matches_reachability_oracle(n_extra, data):
-    """serialize_order fails exactly when transitive closure has a self-path."""
+    """serialize_order fails exactly when transitive closure has a self-path,
+    and find_cycle gives the witness the recursive search it replaced gave."""
     n = n_extra + 1
     edges = data.draw(
         st.lists(
@@ -475,3 +533,8 @@ def test_cycle_detection_matches_reachability_oracle(n_extra, data):
         assert not cyclic
     except CycleDetectedError:
         assert cyclic
+    net, _ = m.nets["system"]
+    for include_self in (False, True):
+        graph = core.process_digraph(m, net, include_self=include_self)
+        assert core.find_cycle(graph) == recursive_find_cycle(graph)
+    assert (core.find_cycle(graph) is not None) == cyclic

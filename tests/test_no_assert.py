@@ -1,7 +1,8 @@
 """Rules on the source of ``src/bpnet``, checked on its syntax tree.
 
 Invariants in the package must hold under ``python -O``, which strips
-``assert``: every check raises explicitly instead.  The model and the
+``assert``: every check raises explicitly instead, and ``bpn validate``
+reports the same under ``-O`` as without it.  The model and the
 simulator must not import the rule engine, the parser builds no model
 value and the search no net spec itself, the search matches no record
 fields itself, the rules name no validation scope, and only ``core``
@@ -10,11 +11,17 @@ writes sort text."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bpnet").glob("*.py"))
+from genmodels import chain_text
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "bpnet").glob("*.py"))
 
 
 def test_sources_found():
@@ -121,3 +128,40 @@ def test_record_sort_text_only_in_core(path):
         and "record {" in node.value
     ]
     assert lines == [], f"{path.name}: record sort text on lines {lines}"
+
+
+def _validate(path: Path, *flags: str) -> tuple[int, str]:
+    path_entries = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "BPN_COLOR": "never", "PYTHONPATH": os.pathsep.join(path_entries)}
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "bpnet.cli", "validate", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize(
+    "name, text, code",
+    [
+        ("chain", chain_text(1500), 0),
+        (
+            "library-closed",
+            (ROOT / "fixtures" / "library.bpn").read_text(encoding="utf-8").replace(
+                "  input retrieve_book.in_1",
+                "  channel notify_user.out_1 -> retrieve_book.in_1\n  input retrieve_book.in_1",
+            ),
+            1,
+        ),
+    ],
+    ids=["chain", "library-closed"],
+)
+def test_validate_under_optimize(tmp_path, name, text, code):
+    """``bpn validate`` under ``python -O`` prints what it prints without."""
+    path = tmp_path / f"{name}.bpn"
+    path.write_text(text, encoding="utf-8")
+    plain = _validate(path)
+    assert plain[0] == code, plain
+    assert _validate(path, "-O") == plain

@@ -346,6 +346,21 @@ class TestUnfold:
         with pytest.raises(NoSuchChildError):
             refine.unfold(library_refined, "system", "system")
 
+    def test_child_port_bound_to_nothing_is_interface_mismatch(self):
+        m = textio.parse_model(
+            "process top { in a }\n"
+            "net for top {\n"
+            "  process c { in x; out y }\n"
+            "  input c.x binds top.a\n"
+            "}\n"
+            "net for top.c {\n"
+            "  process d { in x }\n"
+            "  input d.x binds c.x\n"
+            "}\n"
+        )
+        with pytest.raises(InterfaceMismatchError, match="port 'top.c:y' of 'top.c'"):
+            refine.unfold(m, "top", "top.c")
+
 
 class TestFold:
     def test_fold_then_unfold_restores_net(self, bp_fig6):

@@ -14,8 +14,10 @@ from bpnet import refine, textio
 from bpnet.core import (
     INPUT,
     OUTPUT,
+    WHOLE,
     AtomicSort,
     Channel,
+    FiringRule,
     InterfaceBinding,
     Model,
     ProcessNet,
@@ -171,6 +173,36 @@ def lines(violations) -> Counter:
     return Counter(str(v) for v in violations)
 
 
+def reference_lines(model: Model) -> Counter:
+    """The reference validator's lines, less the one it alone reports."""
+    return Counter(
+        {k: n for k, n in lines(reference_validate_model(model)).items() if not k.endswith(DROPPED)}
+    )
+
+
+@pytest.fixture(scope="module")
+def walks():
+    """What 30 random walks of 30 steps build: each rule result, accepted or
+    rejected, with the model the rule ran on, and the models walked through."""
+    built: list[tuple[Model, Model, str]] = []
+    visited: list[Model] = []
+    original = refine._validated
+
+    def recorded(before, after, context):
+        built.append((before, after, context))
+        return original(before, after, context)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(refine, "_validated", recorded)
+        for seed in range(30):
+            model = gen_model(seed, max_depth=3, max_members=6)
+            rng = random.Random(seed)
+            for _ in range(30):
+                model, _ = propose_step(model, rng)
+                visited.append(model)
+    return built, visited
+
+
 class TestAgainstReferenceValidator:
     def test_corpus_covers_every_corruption(self, cases):
         kinds = Counter(kind for _, kind, _, _ in cases)
@@ -180,9 +212,8 @@ class TestAgainstReferenceValidator:
 
     def test_same_violations_as_the_reference(self, cases):
         for label, _, _, model in cases:
-            expected = lines(reference_validate_model(model))
+            expected = reference_lines(model)
             assert expected, f"{label}: the corruption went unnoticed"
-            expected = Counter({k: n for k, n in expected.items() if not k.endswith(DROPPED)})
             assert lines(validate_model(model)) == expected, label
 
     def test_scope_reports_a_part_of_the_model_report(self, cases):
@@ -206,27 +237,34 @@ class TestAgainstReferenceValidator:
             ), label
 
 
-def test_change_scope_on_rule_results(monkeypatch):
+def test_change_scope_on_rule_results(walks):
     """Every result a rule builds during random walks, accepted or not, gets
     the same report from ``validate_change`` as from a full-scope check."""
-    checked: list[list] = []
-    original = refine._validated
-
-    def compared(before, after, context):
+    built, visited = walks
+    rejected = 0
+    for before, after, context in built:
         change = validate_change(before, after)
         assert change == validate_scope(after, after.nets, after.processes), context
-        checked.append(change)
-        return original(before, after, context)
+        rejected += bool(change)
+    assert len(built) > 1500 and rejected > 500, (len(built), rejected)
+    assert not any(map(validate_model, visited))
 
-    monkeypatch.setattr(refine, "_validated", compared)
-    for seed in range(30):
-        model = gen_model(seed, max_depth=3, max_members=6)
-        rng = random.Random(seed)
-        for _ in range(30):
-            assert not validate_model(model), seed
-            model, _ = propose_step(model, rng)
-    rejected = sum(map(bool, checked))
-    assert len(checked) > 1500 and rejected > 500, (len(checked), rejected)
+
+def test_same_violations_as_the_reference_on_walk_models(walks):
+    """The reference agrees on every rule result of the walks, accepted or
+    rejected, and on each walked model with one corruption."""
+    built, visited = walks
+    for _, after, context in built:
+        assert lines(validate_model(after)) == reference_lines(after), context
+    kinds: Counter = Counter()
+    for k, model in enumerate(visited):
+        rng = random.Random(k)
+        kind, bad = rng.choice(list(corruptions(model, rng)))
+        kinds[kind] += 1
+        expected = reference_lines(bad)
+        assert expected, (k, kind)
+        assert lines(validate_model(bad)) == expected, (k, kind)
+    assert len(kinds) == 14, kinds
 
 
 def test_undefined_member_is_reported_once():
@@ -245,6 +283,49 @@ def test_undefined_member_is_reported_once():
     bad = dataclasses.replace(model, nets=nets)
     about_ghost = [str(v) for v in validate_model(bad) if "ghost" in v.location]
     assert about_ghost == ["DanglingRef system,ghost: net member is undefined"]
+
+
+def test_a_process_in_two_nets_has_the_least_owner_as_parent():
+    """The containment walk follows the least owner listing a process,
+    whatever order the net table holds its entries in."""
+    model = textio.parse_model(
+        """
+        process system { }
+        net for system { process a { } }
+        net for system.a { process b { } }
+        net for system.a.b { process c { } }
+        """
+    )
+    bad = _with_net(model, "system.a.b", processes=frozenset({"system.a.b.c", "system.a"}))
+    for nets in (bad.nets, dict(reversed(list(bad.nets.items())))):
+        bad = dataclasses.replace(bad, nets=nets)
+        assert lines(validate_model(bad)) == reference_lines(bad)
+        assert [v.message for v in validate_model(bad)] == ["process contained in more than one net"]
+
+
+def test_whole_reference_to_an_unlisted_port_is_dangling():
+    model = load_model("library.bpn")
+    pid = "system.retrieve_book"
+    proc = model.processes[pid]
+    rule = FiringRule(needs=((proc.outputs[0], WHOLE),), produces=((proc.inputs[0], WHOLE),))
+    bad = _with_process(model, pid, firing_rules=proc.firing_rules + (rule,))
+    assert lines(validate_model(bad)) == reference_lines(bad)
+    assert [v.message.split(",")[1] for v in validate_model(bad)] == [
+        " which is not an input port of the process",
+        " which is not an output port of the process",
+    ]
+
+
+def test_a_port_listed_twice_by_one_process_names_it_twice():
+    model = load_model("library.bpn")
+    pid = "system.retrieve_book"
+    proc = model.processes[pid]
+    bad = _with_process(model, pid, inputs=proc.inputs + proc.inputs[:1])
+    assert lines(validate_model(bad)) == reference_lines(bad)
+    clash = f"PortClash {proc.inputs[0]},{pid},{pid}: "
+    assert clash + "port listed by more than one process interface entry" in lines(
+        validate_model(bad)
+    )
 
 
 def test_validate_model_orders_whole_model_then_processes_then_nets():
