@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping, Optional, Union
@@ -219,16 +220,63 @@ class Model:
 
     @functools.cached_property
     def _containers(self) -> dict[ProcessId, ProcessId]:
-        """Each net member mapped to the owner of the first net listing it.
+        """Each net member mapped to the least owner of a net listing it.
 
-        Computed once, on first use: a model is immutable, and
+        A well-formed model lists each member once; taking the least owner
+        keeps the answer for one listed twice independent of the order of
+        ``nets``.  Computed once, on first use: a model is immutable, and
         ``dataclasses.replace`` builds a new instance with an empty cache.
         """
         index: dict[ProcessId, ProcessId] = {}
         for owner, (net, _) in self.nets.items():
             for member in net.processes:
-                index.setdefault(member, owner)
+                if index.setdefault(member, owner) > owner:
+                    index[member] = owner
         return index
+
+    @functools.cached_property
+    def _flat(self) -> tuple[ProcessNet, dict[PortId, PortId]]:
+        """The leaf-level net plus the composed binding from root ports to
+        its boundary, computed once.
+
+        Walks the tree down from the root: its leaves are the flat net's
+        processes, and every channel endpoint, boundary port and root port
+        is followed down through the interface bindings to a leaf's port.
+        Port ids are unique across the model, so names may repeat between
+        levels.
+        """
+        if self.root not in self.nets:
+            root = self.processes[self.root]
+            net = ProcessNet(
+                processes=frozenset({self.root}),
+                env_inputs=frozenset(root.inputs),
+                env_outputs=frozenset(root.outputs),
+            )
+            return net, {p: p for p in root.ports()}
+        owners, seen, leaves = [self.root], {self.root}, set()
+        for owner in owners:  # grows as it goes: every decomposed process once
+            for member in self.nets[owner][0].processes:
+                if member not in self.nets:
+                    leaves.add(member)
+                elif member not in seen:
+                    seen.add(member)
+                    owners.append(member)
+        root_net, root_binding = self.nets[self.root]
+        down: dict[PortId, PortId] = {}
+        for owner in reversed(owners):  # children first, so inner ports are resolved
+            for parent_port, inner in self.nets[owner][1].pairs:
+                down[parent_port] = down.get(inner, inner)
+        flat = ProcessNet(
+            processes=frozenset(leaves),
+            channels=frozenset(
+                Channel(down.get(ch.source, ch.source), down.get(ch.dest, ch.dest))
+                for owner in owners
+                for ch in self.nets[owner][0].channels
+            ),
+            env_inputs=frozenset(down.get(p, p) for p in root_net.env_inputs),
+            env_outputs=frozenset(down.get(p, p) for p in root_net.env_outputs),
+        )
+        return flat, {p: down[p] for p, _ in root_binding.pairs}
 
 
 def container_index(model: Model) -> Mapping[ProcessId, ProcessId]:
@@ -236,23 +284,29 @@ def container_index(model: Model) -> Mapping[ProcessId, ProcessId]:
     return MappingProxyType(model._containers)
 
 
+def containment_chain(model: Model, pid: ProcessId) -> list[ProcessId]:
+    """``pid``, then each process containing the one before it.  The walk
+    up the containment map ends at the root, at a process no net lists, or
+    at the first process it reaches twice, so also on cyclic containment."""
+    located = model._containers
+    chain = [pid]
+    seen: set[ProcessId] = set()
+    while pid != model.root and pid not in seen:
+        seen.add(pid)
+        pid = located.get(pid)
+        if pid is None:
+            break
+        chain.append(pid)
+    return chain
+
+
 def display_path(model: Model, pid: ProcessId) -> tuple[str, ...]:
     """Names from the root to a process, as used in the text format."""
-    located = model._containers
-    names: list[str] = []
-    cur = pid
-    seen: set[ProcessId] = set()
-    while True:
-        proc = model.processes.get(cur)
-        names.append(proc.name if proc is not None else cur)
-        if cur == model.root or cur in seen:
-            break
-        seen.add(cur)
-        parent = located.get(cur)
-        if parent is None:
-            break
-        cur = parent
-    return tuple(reversed(names))
+    processes = model.processes
+    return tuple(
+        processes[p].name if p in processes else p
+        for p in reversed(containment_chain(model, pid))
+    )
 
 
 def resolve_path(model: Model, path: tuple[str, ...]) -> ProcessId:
@@ -640,25 +694,19 @@ def _check_hierarchy(model: Model, out: list[Violation]) -> None:
         out.append(Violation(DANGLING_REF, (root,), "root process is undefined"))
     for owner in sorted([owner for owner in nets if owner not in processes]):
         out.append(Violation(DANGLING_REF, (owner,), "net owner is undefined"))
-    # each member's parent is the least owner of a net listing it
-    parent: dict[ProcessId, ProcessId] = {}
-    shared: set[ProcessId] = set()
-    for owner, (net, _) in nets.items():
-        for member in net.processes:
-            first = parent.setdefault(member, owner)
-            if first != owner:
-                shared.add(member)
-                if owner < first:
-                    parent[member] = owner
-    for member in sorted(shared):
-        owners = sorted([owner for owner, (net, _) in nets.items() if member in net.processes])
-        out.append(
-            Violation(
-                HIERARCHY_NOT_TREE,
-                (member,) + tuple(owners),
-                "process contained in more than one net",
+    parent = model._containers
+    # more listings than listed processes: some process is in several nets
+    if sum(len(net.processes) for net, _ in nets.values()) > len(parent):
+        listings = Counter(member for net, _ in nets.values() for member in net.processes)
+        for member in sorted([m for m, count in listings.items() if count > 1]):
+            owners = sorted([o for o, (net, _) in nets.items() if member in net.processes])
+            out.append(
+                Violation(
+                    HIERARCHY_NOT_TREE,
+                    (member,) + tuple(owners),
+                    "process contained in more than one net",
+                )
             )
-        )
     if root in parent:
         out.append(
             Violation(HIERARCHY_NOT_TREE, (root,), "root process must not be contained in any net")
@@ -953,25 +1001,6 @@ def validate_scope(
     return findings
 
 
-def nets_reading(model: Model, processes: Iterable[ProcessId]) -> set[ProcessId]:
-    """Owners of the nets whose checks read these processes and their ports:
-    the net the containment map places each process in and the net each owns.
-
-    The nets are scanned rather than the map built: most rule results, the
-    rejected ones above all, never need the map, and building it for each
-    made a rule-walk step about 7 % slower.
-    """
-    unplaced = set(processes)
-    owners = unplaced & model.nets.keys()
-    for owner, (net, _) in model.nets.items():
-        if not unplaced:
-            break
-        if not unplaced.isdisjoint(net.processes):
-            owners.add(owner)
-            unplaced -= net.processes
-    return owners
-
-
 def _replaced(old: Mapping, new: Mapping) -> list:
     """Keys whose entry ``new`` added or replaced relative to ``old``."""
     return [] if old is new else [k for k, v in new.items() if old.get(k) is not v]
@@ -982,10 +1011,11 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     added, replaced or removed relative to ``before``, compared by identity.
 
     The scope is each changed process and the owner of each changed or
-    removed port, if it still exists, the nets reading those processes and
-    the removed ones, and each changed net.  Sufficient when ``before`` was
-    well-formed, because a process's checks read only it and its ports, and
-    a net's only the net, its owner, its members and their ports.
+    removed port, if it still exists; the net the containment map places
+    each of those and each removed process in, and the net each owns; and
+    each changed net.  Sufficient when ``before`` was well-formed, because
+    a process's checks read only it and its ports, and a net's only the
+    net, its owner, its members and their ports.
     """
     ports = _replaced(before.ports, after.ports)
     ports += before.ports.keys() - after.ports.keys()
@@ -995,8 +1025,11 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
             port = model.ports.get(port_id)
             if port is not None and port.owner in after.processes:
                 procs.add(port.owner)
-    removed = before.processes.keys() - after.processes.keys()
-    owners = nets_reading(after, procs | removed).union(_replaced(before.nets, after.nets))
+    reading = procs | (before.processes.keys() - after.processes.keys())
+    located = after._containers
+    owners = {located[p] for p in reading if p in located}
+    owners |= reading & after.nets.keys()
+    owners.update(_replaced(before.nets, after.nets))
     return validate_scope(after, owners, procs)
 
 
@@ -1156,6 +1189,7 @@ __all__ = [
     "find_cycle",
     "port_closure",
     "container_index",
+    "containment_chain",
     "display_path",
     "resolve_path",
     "port_by_name",

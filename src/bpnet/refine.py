@@ -98,12 +98,6 @@ def _map_fragment(repls: tuple[_Repl, ...], label: str) -> list[tuple[PortId, st
     return out
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    rule: str
-    params: str
-
-
 class Trace:
     """Accumulated witness of a script replay.
 
@@ -116,12 +110,10 @@ class Trace:
 
     def __init__(self, base: Model):
         self.base = base
-        self.steps: list[TraceStep] = []
         self._substs: list[_Subst] = []
 
-    def record(self, rule: str, params: str, subst: _Subst) -> None:
+    def record(self, subst: _Subst) -> None:
         self._substs.append(subst)
-        self.steps.append(TraceStep(rule, params))
 
     def port_map(self) -> PortRefinementMap:
         return PortRefinementMap({p: self.port_image(p) for p in self.base.ports})
@@ -157,7 +149,7 @@ class Trace:
         return frozenset(frontier)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._substs)
 
 
 # --- shared helpers -----------------------------------------------------------
@@ -351,22 +343,13 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
     if source.process == dest.process:
         raise WouldCreateCycleError("a channel may not connect a process to itself")
 
-    located = core.container_index(model)
-
-    def ancestors(pid: ProcessId) -> list[ProcessId]:
-        chain = [pid]
-        while chain[-1] in located:
-            chain.append(located[chain[-1]])
-        return chain
-
-    anc_s, anc_d = ancestors(source.process), ancestors(dest.process)
-    if source.process in anc_d or dest.process in anc_s:
+    chain_s = core.containment_chain(model, source.process)
+    chain_d = core.containment_chain(model, dest.process)
+    if source.process in chain_d or dest.process in chain_s:
         raise CrossNetEndpointsError("one endpoint process contains the other")
-    common = next((a for a in anc_s if a in set(anc_d)), None)
+    common = next((a for a in chain_s if a in chain_d), None)
     if common is None or common not in model.nets:
         raise CrossNetEndpointsError("endpoints do not share an enclosing net")
-    child_s = anc_s[anc_s.index(common) - 1]
-    child_d = anc_d[anc_d.index(common) - 1]
 
     ports = dict(model.ports)
     processes = dict(model.processes)
@@ -434,17 +417,16 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
                 f"{core.render_sort(ports[dst_port].sort)}"
             )
 
-    def lift(pid: ProcessId, port_id: PortId, stop: ProcessId, direction: str) -> PortId:
-        cur_pid, cur_port = pid, port_id
-        while cur_pid != stop:
-            owner = located[cur_pid]
-            parent_port = add_port(owner, ports[cur_port].name, direction)
-            bind(owner, parent_port, cur_port, direction)
-            cur_pid, cur_port = owner, parent_port
-        return cur_port
+    def lift(chain: list[ProcessId], port_id: PortId, direction: str) -> PortId:
+        """Mirror the port on ``chain[0]`` up to the member of the common net."""
+        for owner in chain[1 : chain.index(common)]:
+            parent_port = add_port(owner, ports[port_id].name, direction)
+            bind(owner, parent_port, port_id, direction)
+            port_id = parent_port
+        return port_id
 
-    top_src = lift(source.process, src_port, child_s, OUTPUT)
-    top_dst = lift(dest.process, dst_port, child_d, INPUT)
+    top_src = lift(chain_s, src_port, OUTPUT)
+    top_dst = lift(chain_d, dst_port, INPUT)
 
     net, binding = nets[common]
     new_net = replace(net, channels=net.channels | {Channel(top_src, top_dst)})
@@ -694,8 +676,11 @@ def _split_port(
         processes[owner_id] = proc
         del ports[member]
 
+    # the nets that list an owner of the closure, or that one owns
+    owners = {model.ports[m].owner for m in closure}
+    located = core.container_index(model)
     nets = dict(model.nets)
-    for owner in core.nets_reading(model, {model.ports[m].owner for m in closure}):
+    for owner in {located[o] for o in owners if o in located} | (owners & nets.keys()):
         nets[owner] = _rewire(nets[owner], part_ids)
     result = replace(model, processes=processes, ports=ports, nets=nets)
     return _validated(model, result, f"splitting {port!r}"), _Subst(ports=repls)
@@ -1219,14 +1204,13 @@ def apply_script(model: Model, script: RefinementScript) -> tuple[Model, Trace]:
             current, subst = step.apply(current)
         except BpnError as exc:
             raise StepFailedError(index, exc) from exc
-        trace.record(type(step).__name__, step.describe(), subst)
+        trace.record(subst)
     return current, trace
 
 
 __all__ = [
     "PortRefinementMap",
     "Trace",
-    "TraceStep",
     "Endpoint",
     "decompose_process",
     "add_channel",

@@ -13,11 +13,11 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     WHOLE,
-    Channel,
     FiringRule,
     Model,
     Port,
@@ -88,46 +88,11 @@ def flatten(model: Model) -> ProcessNet:
     return flatten_with_boundary(model)[0]
 
 
-def flatten_with_boundary(model: Model) -> tuple[ProcessNet, dict[PortId, PortId]]:
-    """The flat net plus the composed binding from root ports to its boundary.
-
-    Walks the tree down from the root: its leaves are the flat net's
-    processes, and every channel endpoint, boundary port and root port is
-    followed down through the interface bindings to a leaf's port.  Port ids
-    are unique across the model, so display names may repeat between levels.
-    """
-    if model.root not in model.nets:
-        root = model.processes[model.root]
-        net = ProcessNet(
-            processes=frozenset({model.root}),
-            env_inputs=frozenset(root.inputs),
-            env_outputs=frozenset(root.outputs),
-        )
-        return net, {p: p for p in root.ports()}
-    owners, seen, leaves = [model.root], {model.root}, set()
-    for owner in owners:  # grows as it goes: every decomposed process once
-        for member in model.nets[owner][0].processes:
-            if member not in model.nets:
-                leaves.add(member)
-            elif member not in seen:
-                seen.add(member)
-                owners.append(member)
-    root_net, root_binding = model.nets[model.root]
-    down: dict[PortId, PortId] = {}
-    for owner in reversed(owners):  # children first, so inner ports are resolved
-        for parent_port, inner in model.nets[owner][1].pairs:
-            down[parent_port] = down.get(inner, inner)
-    flat = ProcessNet(
-        processes=frozenset(leaves),
-        channels=frozenset(
-            Channel(down.get(ch.source, ch.source), down.get(ch.dest, ch.dest))
-            for owner in owners
-            for ch in model.nets[owner][0].channels
-        ),
-        env_inputs=frozenset(down.get(p, p) for p in root_net.env_inputs),
-        env_outputs=frozenset(down.get(p, p) for p in root_net.env_outputs),
-    )
-    return flat, {p: down[p] for p, _ in root_binding.pairs}
+def flatten_with_boundary(model: Model) -> tuple[ProcessNet, Mapping[PortId, PortId]]:
+    """The flat net plus the composed binding, read-only, from root ports to
+    its boundary.  The tree is walked once per model (``Model._flat``)."""
+    flat, boundary = model._flat
+    return flat, MappingProxyType(boundary)
 
 
 # --- greedy execution --------------------------------------------------------------

@@ -69,6 +69,10 @@ RESERVED = frozenset(
        input output binds record seq set as""".split()
 )
 
+# The most record and collection sorts one sort expression may nest: every
+# command recurses once or more per level of a sort.
+MAX_SORT_NESTING = 100
+
 # One alternative per token kind; ``bad`` takes the first character that no
 # other alternative accepts, including the quote of an unterminated string.
 _TOKEN = re.compile(
@@ -172,17 +176,20 @@ class _Cursor:
 # --- shared statement parsers ---------------------------------------------------
 
 
-def _parse_sort_expr(cur: _Cursor) -> SortExpr:
+def _parse_sort_expr(cur: _Cursor, depth: int = 0) -> SortExpr:
+    """A sort expression inside ``depth`` record and collection sorts."""
     tok = cur.take()
     if tok is None or tok.kind != "ident":
         raise ParseError("expected a sort expression", cur.span(tok))
+    if tok.text in ("record", core.SEQUENCE, core.SET) and depth == MAX_SORT_NESTING:
+        raise ParseError(f"sort nested more than {MAX_SORT_NESTING} deep", cur.span(tok))
     if tok.text == "record":
         cur.take_punct("{")
         fields: list[tuple[str, SortExpr]] = []
         while not cur.at_punct("}"):
             fname = cur.take_ident("field name", allow_reserved=True)
             cur.take_punct(":")
-            fields.append((fname.text, _parse_sort_expr(cur)))
+            fields.append((fname.text, _parse_sort_expr(cur, depth + 1)))
             if cur.at_punct(","):
                 cur.take()
         cur.take_punct("}")
@@ -190,7 +197,7 @@ def _parse_sort_expr(cur: _Cursor) -> SortExpr:
             raise ParseError("a record sort needs at least one field", cur.span(tok))
         return RecordExpr(tuple(fields))
     if tok.text in (core.SEQUENCE, core.SET):
-        return CollectionExpr(tok.text, _parse_sort_expr(cur))
+        return CollectionExpr(tok.text, _parse_sort_expr(cur, depth + 1))
     if tok.text in RESERVED:
         raise ParseError(f"{tok.text!r} cannot name a sort", cur.span(tok))
     return SortNameRef(tok.text)
@@ -742,10 +749,13 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
     render(owner, net, depth, "  ")
 
     def resolve(port_id: str) -> str:
-        # descend through bindings while the owning process is expanded
+        # descend through bindings while the owning process is expanded and
+        # its binding has an image for the port
         while port_id in model.ports and model.ports[port_id].owner in expanded:
-            pid = model.ports[port_id].owner
-            port_id = model.nets[pid][1].to_subnet().get(port_id, port_id)
+            inner = model.nets[model.ports[port_id].owner][1].to_subnet().get(port_id)
+            if inner is None:
+                break
+            port_id = inner
         return port_id
 
     def label(sort: Sort | None) -> str:

@@ -1,12 +1,47 @@
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bpnet
 from bpnet import textio
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# the source tree of the package under test, for child interpreters
+SOURCE = Path(bpnet.__file__).resolve().parent.parent
+
+
+def run_bounded(
+    code: str, seconds: float = 30, memory: int = 1 << 29
+) -> subprocess.CompletedProcess:
+    """Run Python ``code`` in a child interpreter with at most ``seconds`` of
+    wall-clock time and ``memory`` bytes of address space.
+
+    A call that used to loop forever fails the calling test, through the
+    timeout or a ``MemoryError`` in the child, instead of hanging the suite.
+    """
+
+    def cap_memory() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    path = os.pathsep.join(filter(None, [str(SOURCE), os.environ.get("PYTHONPATH")]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=seconds,
+            preexec_fn=cap_memory,
+            env={**os.environ, "BPN_COLOR": "never", "PYTHONPATH": path},
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"did not finish within {seconds} s")
 
 
 def load_model(name: str):

@@ -12,8 +12,9 @@ from bpnet.cli import (
     EXIT_SCRIPT_FAILS,
     EXIT_USAGE,
 )
+from bpnet.core import Model
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_bounded
 from dotcheck import check_dot
 from genmodels import chain_text
 
@@ -215,10 +216,86 @@ class TestSimulate:
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "PASS"
 
+    @pytest.mark.parametrize("trials", ["1", "3"])
+    def test_one_tree_walk_per_command(self, monkeypatch, trials, capsys):
+        # the flat view is a cached property of the model; count its walks
+        flat_view = Model.__dict__["_flat"]
+        walk, walked = flat_view.func, []
+
+        def counted(model):
+            walked.append(model)
+            return walk(model)
+
+        monkeypatch.setattr(flat_view, "func", counted)
+        argv = ("simulate", FIXTURES / "library_refined.bpn", FIXTURES / "library.env")
+        assert run(*argv, "--trials", trials) == EXIT_OK
+        assert capsys.readouterr().out
+        assert len(walked) == 1
+
     def test_invalid_env_fragment_exits_one(self, tmp_path, capsys):
         env = tmp_path / "bad.env"
         env.write_text("ghost whole = 1\n")
         assert run("simulate", FIXTURES / "library.bpn", env) == EXIT_INVALID
+
+
+def nested_sort(depth: int) -> str:
+    return "record { f : seq " * (depth // 2) + "seq " * (depth % 2) + "T" + " }" * (depth // 2)
+
+
+class TestSortNesting:
+    """A sort expression nests at most ``textio.MAX_SORT_NESTING`` record and
+    collection sorts; one level more is a parse error, not a traceback."""
+
+    def write(self, tmp_path, depth):
+        sort = nested_sort(depth)
+        model = tmp_path / "deep.bpn"
+        model.write_text(
+            f"""
+            sort T
+            sort D = {sort}
+            process system {{ in req : {sort}; out ack }}
+            net for system {{
+              process a {{ in i : D; out o }}
+              rule a : needs {{ i }} produces {{ o }}
+              input a.i binds system.req; output a.o binds system.ack
+            }}
+            """
+        )
+        script = tmp_path / "deep.bps"
+        script.write_text(f"assign-sort system.ack : {sort}\n")
+        env = tmp_path / "deep.env"
+        env.write_text("req whole = x\n")
+        return model, script, env
+
+    def test_deepest_sort_runs_through_every_command(self, tmp_path, capsys):
+        model, script, env = self.write(tmp_path, textio.MAX_SORT_NESTING)
+        assert run("validate", model) == EXIT_OK
+        assert run("fmt", model) == EXIT_OK
+        printed = tmp_path / "printed.bpn"
+        printed.write_text(capsys.readouterr().out)
+        assert run("validate", printed) == EXIT_OK
+        assert run("simulate", model, env) == EXIT_OK
+        assert capsys.readouterr().out == "ack whole = (whole)\n"
+        out = tmp_path / "out.bpn"
+        assert run("apply", model, script, out) == EXIT_OK
+        assert run("validate", out) == EXIT_OK
+        refined = textio.parse_model(out.read_text())
+        assert refined.ports["system:ack"].sort == refined.ports["system:req"].sort
+
+    def test_one_level_deeper_is_a_parse_error(self, tmp_path, capsys):
+        model, script, env = self.write(tmp_path, textio.MAX_SORT_NESTING + 1)
+        for argv in (
+            ("validate", model),
+            ("fmt", model),
+            ("simulate", model, env),
+            ("export-dot", model),
+            ("apply", FIXTURES / "library.bpn", script, tmp_path / "out.bpn"),
+        ):
+            assert run(*argv) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("parse error: ")
+            assert f"sort nested more than {textio.MAX_SORT_NESTING} " in captured.err
 
 
 class TestExportDotAndFmt:
@@ -234,6 +311,31 @@ class TestExportDotAndFmt:
         )
         assert code == EXIT_OK
         assert "subgraph cluster" in capsys.readouterr().out
+
+    def test_dot_stops_at_a_port_the_binding_leaves_unbound(self, tmp_path):
+        # b is expanded, but its binding maps neither of its ports
+        model = tmp_path / "unbound.bpn"
+        model.write_text(
+            """
+            process system { in req; out ack }
+            net for system {
+              process a { in i; out o }; process b { in i; out o }
+              channel a.o -> b.i
+              input a.i binds system.req; output b.o binds system.ack
+            }
+            net for system.b { process x { in i; out o } }
+            """
+        )
+        done = run_bounded(
+            "import sys; from bpnet import cli\n"
+            f"sys.exit(cli.main(['export-dot', {str(model)!r}, '--depth', '2']))"
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        check_dot(done.stdout)
+        # a is p0 and b's member x p1: the channel ends at b's own node, p2
+        assert '  p0 [label="a"];' in done.stdout
+        assert '    p1 [label="x"];' in done.stdout
+        assert "  p0 -> p2;" in done.stdout.splitlines()
 
     def test_dot_without_net_exits_one(self, capsys):
         assert run("export-dot", FIXTURES / "bp.bpn") == EXIT_INVALID

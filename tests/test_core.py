@@ -26,6 +26,7 @@ from bpnet.core import (
 )
 from bpnet.errors import CycleDetectedError, NoNetError, UnknownProcessError
 
+from conftest import run_bounded
 from genmodels import gen_model
 from reference_validate import find_cycle as recursive_find_cycle
 
@@ -277,6 +278,66 @@ class TestValidateModel:
             core.Violation("no-such-code", ("root",), "x")
         with pytest.raises(ValueError, match="at least one location"):
             core.Violation(core.DANGLING_REF, (), "x")
+
+
+class TestContainment:
+    def test_shared_member_answers_do_not_depend_on_net_order(self):
+        """A process two nets list is placed in the least owner's net,
+        whichever order ``model.nets`` lists the owners in."""
+        m = parse(
+            """
+            process system { }
+            net for system { process a { }; process b { } }
+            net for system.a { process c { } }
+            net for system.b { process d { } }
+            """
+        )
+        net_b, binding_b = m.nets["system.b"]
+        shared = dataclasses.replace(net_b, processes=net_b.processes | {"system.a.c"})
+        nets = {**m.nets, "system.b": (shared, binding_b)}
+        answers = []
+        for order in (["system", "system.a", "system.b"], ["system", "system.b", "system.a"]):
+            model = dataclasses.replace(m, nets={owner: nets[owner] for owner in order})
+            answers.append(
+                (
+                    dict(core.container_index(model)),
+                    core.display_path(model, "system.a.c"),
+                    [str(v) for v in validate_model(model)],
+                )
+            )
+        assert answers[0] == answers[1]
+        index, path, violations = answers[0]
+        assert index["system.a.c"] == "system.a"
+        assert path == ("system", "a", "c")
+        assert violations == [
+            "HierarchyNotTree system.a.c,system.a,system.b: process contained in more than one net"
+        ]
+
+    def test_chain_ends_on_cyclic_containment(self):
+        # in a child process: a walk that never ends would fill memory
+        done = run_bounded(
+            """
+from dataclasses import replace
+from bpnet import core, textio
+m = textio.parse_model(
+    "process system { }; net for system { process a { } }; "
+    "net for system.a { process b { } }"
+)
+net, binding = m.nets["system.a"]
+net = replace(net, processes=net.processes | {"system"})
+cyclic = replace(m, nets={**m.nets, "system.a": (net, binding)})
+print(core.containment_chain(cyclic, "system.a.b"))
+print(core.display_path(cyclic, "system.a.b"))
+# off the root, the walk ends at the first process it reaches twice
+print(core.containment_chain(replace(cyclic, root="elsewhere"), "system.a.b"))
+"""
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "['system.a.b', 'system.a', 'system']",
+            "('system', 'a', 'b')",
+            "['system.a.b', 'system.a', 'system', 'system.a']",
+        ]
 
 
 class TestSerializeOrder:

@@ -30,6 +30,7 @@ from bpnet.refine import (
     build_subnet,
 )
 
+from conftest import FIXTURES, run_bounded
 from genmodels import gen_model, propose_step
 
 
@@ -140,6 +141,34 @@ class TestAddChannel:
                 Endpoint("system.reserve_book.issue_notification", "out_x"),
                 Endpoint("system.reserve_book", "in_x"),
             )
+
+    def test_cyclic_containment_ends_in_a_rule_error(self):
+        # the root is put in the net of one of its members; the walk up from
+        # check_availability ends at the root, the dest, which contains it
+        done = run_bounded(
+            f"""
+import dataclasses
+from bpnet import refine, textio
+from bpnet.errors import RuleError
+with open({str(FIXTURES / "library_refined.bpn")!r}) as f:
+    model = textio.parse_model(f.read())
+net, binding = model.nets["system.reserve_book"]
+net = dataclasses.replace(net, processes=net.processes | {{"system"}})
+model = dataclasses.replace(
+    model, nets={{**model.nets, "system.reserve_book": (net, binding)}}
+)
+try:
+    refine.add_channel(
+        model,
+        refine.Endpoint("system.reserve_book.check_availability", "zz"),
+        refine.Endpoint("system", "yy"),
+    )
+except RuleError as exc:
+    print(type(exc).__name__)
+"""
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "CrossNetEndpointsError\n"
 
     def test_same_process_endpoints_rejected(self, bp_fig6):
         with pytest.raises(WouldCreateCycleError):
