@@ -280,7 +280,7 @@ def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
             continue
         twin = twins.get(pid)
         if twin is not None and twin in refined.nets:
-            yield DecomposeStep(paths[pid], net_spec(refined, twin, current.sort_table))
+            yield DecomposeStep(paths[pid], net_spec(refined, twin, current._sort_names))
 
     # split a port that disappears in the refined twin
     for pid in twins:
@@ -346,10 +346,7 @@ def _infer_parts(
         if target.sort is None:
             parts.append(PartSpec(name))
             continue
-        sort_name = next(
-            (n for n in sorted(current.sort_table) if current.sort_table[n] == target.sort),
-            None,
-        )
+        sort_name = current._sort_names.get(target.sort)
         if sort_name is None:
             return None
         parts.append(PartSpec(name, ref=sort_name))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -177,7 +178,9 @@ def cmd_fmt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
     parser = _ArgumentParser(
         prog="bpn", description="Hierarchical business process net toolkit"
     )

@@ -219,6 +219,13 @@ class Model:
             raise NoNetError(f"process {owner!r} has no net") from None
 
     @functools.cached_property
+    def _sort_names(self) -> dict[Sort, str]:
+        """Each sort the table declares, mapped to its least name."""
+        table = self.sort_table
+        # names in falling order, so that the least is written last
+        return {table[name]: name for name in sorted(table, reverse=True)}
+
+    @functools.cached_property
     def _containers(self) -> dict[ProcessId, ProcessId]:
         """Each net member mapped to the least owner of a net listing it.
 
@@ -1091,21 +1098,24 @@ def resolve_sort_expr(expr: SortExpr, table: Mapping[str, Sort]) -> Sort:
     )
 
 
-def sort_expr(sort: Sort, table: Mapping[str, Sort]) -> SortExpr:
+def sort_expr(sort: Sort, names: Mapping[Sort, str]) -> SortExpr:
     """Reference form of a sort, the inverse of ``resolve_sort_expr``.
 
-    It is the least name ``table`` declares for the sort; otherwise the
-    sort's structure with each part in reference form.  An atomic sort with
-    no declared name is named by itself.
+    It is the sort's name in ``names``, a sort table's index such as
+    ``Model._sort_names``; otherwise the sort's structure.
     """
-    names = [name for name, declared in table.items() if declared == sort]
-    if names:
-        return SortNameRef(min(names))
+    name = names.get(sort)
+    return sort_structure(sort, names) if name is None else SortNameRef(name)
+
+
+def sort_structure(sort: Sort, names: Mapping[Sort, str]) -> SortExpr:
+    """A sort's structure, each part in reference form against ``names``.
+    An atomic sort is named by itself."""
     if isinstance(sort, AtomicSort):
         return SortNameRef(sort.name)
     if isinstance(sort, CollectionSort):
-        return CollectionExpr(sort.kind, sort_expr(sort.element, table))
-    return RecordExpr(tuple((name, sort_expr(fsort, table)) for name, fsort in sort.fields))
+        return CollectionExpr(sort.kind, sort_expr(sort.element, names))
+    return RecordExpr(tuple((name, sort_expr(fsort, names)) for name, fsort in sort.fields))
 
 
 def render_sort(sort: Sort) -> str:
@@ -1178,6 +1188,7 @@ __all__ = [
     "SortExpr",
     "resolve_sort_expr",
     "sort_expr",
+    "sort_structure",
     "sorts_compatible",
     "sort_problems",
     "render_sort",

@@ -883,27 +883,30 @@ def build_subnet(
     prefix = f"{pid}." if pid else ""
     member_ids: dict[str, ProcessId] = {}
     port_ids: dict[tuple[str, str], PortId] = {}
-    members: dict[ProcessId, Process] = {}
+    # each member's spec, inputs and outputs, then its firing rules, by its new id
+    made: dict[ProcessId, tuple[ProcessSpec, tuple[PortId, ...], tuple[PortId, ...]]] = {}
+    rules: dict[ProcessId, list[FiringRule]] = {}
     new_ports: dict[PortId, Port] = {}
-    taken_procs = ChainMap(members, model.processes)
-    taken_ports = ChainMap(new_ports, model.ports)
 
     for mspec in spec.members:
         if mspec.name in member_ids:
             raise FreshnessViolationError(f"member {mspec.name!r} declared twice")
-        mid = core.fresh_id(prefix + mspec.name, taken_procs)
+        mid = prefix + mspec.name
+        if mid in made or mid in model.processes:
+            mid = core.fresh_id(mid, ChainMap(made, model.processes))
         member_ids[mspec.name] = mid
         ins, outs = [], []
         for direction, decls, target in ((INPUT, mspec.inputs, ins), (OUTPUT, mspec.outputs, outs)):
             for pname, sexpr in decls:
-                port_id = core.fresh_id(f"{mid}:{pname}", taken_ports)
+                port_id = f"{mid}:{pname}"
+                if port_id in new_ports or port_id in model.ports:
+                    port_id = core.fresh_id(port_id, ChainMap(new_ports, model.ports))
                 sort = resolve_sort_expr(sexpr, table) if sexpr is not None else None
                 new_ports[port_id] = Port(port_id, pname, direction, mid, sort)
                 port_ids[(mspec.name, pname)] = port_id
                 target.append(port_id)
-        members[mid] = Process(
-            mid, mspec.name, inputs=tuple(ins), outputs=tuple(outs), behavior_note=mspec.note
-        )
+        made[mid] = (mspec, tuple(ins), tuple(outs))
+        rules[mid] = []
 
     def member_port(member: str, port: str) -> PortId:
         key = (member, port)
@@ -915,15 +918,15 @@ def build_subnet(
         mid = member_ids.get(rspec.process)
         if mid is None:
             raise UnknownPortError(f"rule names unknown subnet member {rspec.process!r}")
-        rule = FiringRule(
-            needs=tuple((member_port(rspec.process, p), lab) for p, lab in rspec.needs),
-            produces=tuple(
-                (member_port(rspec.process, p), lab) for p, lab in rspec.produces
-            ),
-            compute=rspec.compute,
+        needs, produces = (
+            tuple((member_port(rspec.process, p), lab) for p, lab in refs)
+            for refs in (rspec.needs, rspec.produces)
         )
-        proc = members[mid]
-        members[mid] = replace(proc, firing_rules=proc.firing_rules + (rule,))
+        rules[mid].append(FiringRule(needs, produces, rspec.compute))
+    members = [
+        Process(mid, mspec.name, ins, outs, mspec.note, tuple(rules[mid]))
+        for mid, (mspec, ins, outs) in made.items()
+    ]
 
     channels = frozenset(
         Channel(member_port(sa, pa), member_port(sb, pb))
@@ -945,22 +948,23 @@ def build_subnet(
             pairs.append((parent_id, inner))
 
     net = ProcessNet(
-        processes=frozenset(members),
+        processes=frozenset(made),
         channels=channels,
         env_inputs=frozenset(env_in),
         env_outputs=frozenset(env_out),
     )
     return (
-        list(members.values()),
+        members,
         list(new_ports.values()),
         net,
         InterfaceBinding(tuple(sorted(pairs))),
     )
 
 
-def net_spec(model: Model, owner: ProcessId, table: Mapping[str, Sort]) -> NetSpec:
+def net_spec(model: Model, owner: ProcessId, names: Mapping[Sort, str]) -> NetSpec:
     """The NetSpec that ``build_subnet`` builds the net of ``owner`` back
-    from, each port sort in its reference form against ``table``.
+    from, each port sort in its reference form against ``names``, a sort
+    table's index such as ``Model._sort_names``.
 
     An empty ``owner`` gives the top level: the root, then the other
     processes no net contains, by (name, id).  Members come by (name, id)
@@ -992,7 +996,7 @@ def net_spec(model: Model, owner: ProcessId, table: Mapping[str, Sort]) -> NetSp
             if port.sort is not None:
                 expr = exprs.get(port.sort)
                 if expr is None:
-                    expr = exprs[port.sort] = core.sort_expr(port.sort, table)
+                    expr = exprs[port.sort] = core.sort_expr(port.sort, names)
             out.append((port.name, expr))
         return tuple(out)
 

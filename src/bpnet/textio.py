@@ -2,7 +2,11 @@
 
 Line ends, like blanks, only separate tokens: a statement may span lines,
 and one line may hold several statements (``;`` may also separate them).
-``#`` starts a comment that runs to the end of its line; files are UTF-8.
+The line ends are those of ``str.splitlines``, a carriage return and line
+feed counting as one.  ``#`` starts a comment that runs to the end of its
+line; files are UTF-8.  The whole text is split into tokens at once, and a
+token's line and column are computed only for an error.
+
 Model files (``.bpn``) declare sorts, a root process, and one ``net for
 <path>`` block per decomposed process; member processes are declared inside
 the block of the net containing them.  Each block is read as a decomposition
@@ -14,8 +18,9 @@ constraint checking.
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import NamedTuple
+import string
 
 from . import core
 from .core import (
@@ -69,108 +74,119 @@ RESERVED = frozenset(
        input output binds record seq set as""".split()
 )
 
-# The most record and collection sorts one sort expression may nest: every
-# command recurses once or more per level of a sort.
+# The most record and collection sorts one sort expression, or one declared
+# sort, may nest: every command recurses once or more per level of a sort.
 MAX_SORT_NESTING = 100
+_TOO_DEEP = f"sort nested more than {MAX_SORT_NESTING} deep"
 
-# One alternative per token kind; ``bad`` takes the first character that no
-# other alternative accepts, including the quote of an unterminated string.
+# Line ends are those of ``str.splitlines``.
+_EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+# Blanks, then one token: a comment (dropped once found), an identifier, a
+# string with its quotes, a punctuation mark, or a bad character.  The bad
+# alternative takes any one character the others do not, including the
+# quote of an unterminated string, but never a blank, so that trailing
+# blanks match nothing.
 _TOKEN = re.compile(
-    r"""[ \t]+
-      | (?P<comment>\#)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | "(?P<string>[^"]*)"
-      | (?P<punct>->|[{}:;,.=-])
-      | (?P<bad>.)""",
+    rf"""[ \t{_EOL}]*(
+        \#[^{_EOL}]*
+      | [A-Za-z_][A-Za-z0-9_]*
+      | "[^"{_EOL}]*"
+      | ->|[{{}}:;,.=-]
+      | [^ \t{_EOL}])""",
     re.VERBOSE,
 )
+_IDENT_START = frozenset(string.ascii_letters + "_")
+# the characters a one-character token may be
+_GOOD_CHARS = _IDENT_START | frozenset("{}:;,.=-")
 
 
-class Token(NamedTuple):
-    kind: str  # ident | string | punct
-    text: str
-    line: int
-    column: int
+def _shown(tok: str) -> str:
+    """A token as error messages quote it: a string without its quotes."""
+    return tok[1:-1] if tok[0] == '"' else tok
 
 
 class _Cursor:
     """The tokens of a text, read one at a time.
 
-    Line ends, like blanks, only separate tokens.  ``end`` is the position
-    just past the last line, where an error at the end of input points.
+    A token is its source text, a string keeping its quotes, so its first
+    character gives its kind: a letter or ``_`` an identifier, ``"`` a
+    string, anything else punctuation.  Positions are computed only for
+    errors, from a token's index.
     """
 
     def __init__(self, text: str, filename: str):
-        self.tokens: list[Token] = []
+        tokens = _TOKEN.findall(text)
+        if "#" in text:
+            tokens = [tok for tok in tokens if tok[0] != "#"]
+        self.tokens = tokens
         self.pos = 0
+        self.text = text
         self.filename = filename
-        lines = text.splitlines() or [""]
-        for lineno, line in enumerate(lines, start=1):
-            for m in _TOKEN.finditer(line):
-                kind = m.lastgroup
-                if kind is None:
-                    continue
-                if kind == "comment":
-                    break
-                if kind == "bad":
-                    what = (
-                        "unterminated string"
-                        if m.group() == '"'
-                        else f"unexpected character {m.group()!r}"
-                    )
-                    raise ParseError(what, SourceSpan(filename, lineno, m.start() + 1))
-                self.tokens.append(Token(kind, m.group(kind), lineno, m.start() + 1))
-        self.end = SourceSpan(filename, len(lines), len(lines[-1]) + 1)
+        bad = [tok for tok in set(tokens) if len(tok) == 1 and tok not in _GOOD_CHARS]
+        if bad:
+            first = min(map(tokens.index, bad))
+            tok = tokens[first]
+            what = "unterminated string" if tok == '"' else f"unexpected character {tok!r}"
+            raise ParseError(what, self.span(first))
 
-    def span(self, token: Token | None = None) -> SourceSpan:
-        if token is None:
-            token = self.peek()
-        if token is None:
-            return self.end
-        return SourceSpan(self.filename, token.line, token.column)
+    def span(self, index: int | None = None) -> SourceSpan:
+        """Where token ``index`` (by default the last one taken) starts;
+        past the last token, the position just past the last line."""
+        if index is None:
+            index = self.last
+        if index >= len(self.tokens):
+            lines = self.text.splitlines() or [""]
+            return SourceSpan(self.filename, len(lines), len(lines[-1]) + 1)
+        starts = (m.start(1) for m in _TOKEN.finditer(self.text) if m[1][0] != "#")
+        offset = next(itertools.islice(starts, index, None))
+        # the token's first character ends the last of these lines
+        lines = self.text[: offset + 1].splitlines()
+        return SourceSpan(self.filename, len(lines), len(lines[-1]))
 
-    def peek(self) -> Token | None:
+    @property
+    def last(self) -> int:
+        """The index of the token ``take`` returned last."""
+        return self.pos - 1
+
+    def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
+    def take(self) -> str | None:
+        """The next token, or None at the end of input; ``last`` is then
+        its index either way."""
+        index = self.pos
+        self.pos = index + 1
+        return self.tokens[index] if index < len(self.tokens) else None
+
+    def at(self, text: str) -> bool:
+        return self.peek() == text
+
+    def skip(self, text: str) -> bool:
+        """Take the next token if it is ``text``; whether it was."""
+        if self.peek() != text:
+            return False
+        self.pos += 1
+        return True
+
+    def take_punct(self, text: str) -> str:
+        tok = self.take()
+        if tok != text:
+            got = f", got {_shown(tok)!r}" if tok else ""
+            raise ParseError(f"expected {text!r}{got}", self.span())
         return tok
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == text
-
-    def take_punct(self, text: str) -> Token:
+    def take_ident(self, what: str = "identifier", allow_reserved: bool = False) -> str:
         tok = self.take()
-        if tok is None or tok.kind != "punct" or tok.text != text:
-            raise ParseError(
-                f"expected {text!r}" + (f", got {tok.text!r}" if tok else ""),
-                self.span(tok),
-            )
-        return tok
-
-    def take_ident(self, what: str = "identifier", allow_reserved: bool = False) -> Token:
-        tok = self.take()
-        if tok is None or tok.kind != "ident":
-            raise ParseError(
-                f"expected {what}" + (f", got {tok.text!r}" if tok else ""),
-                self.span(tok),
-            )
-        if not allow_reserved and tok.text in RESERVED:
-            raise ParseError(
-                f"{tok.text!r} is a reserved word and cannot name a {what}",
-                self.span(tok),
-            )
+        if tok is None or tok[0] not in _IDENT_START:
+            got = f", got {_shown(tok)!r}" if tok else ""
+            raise ParseError(f"expected {what}{got}", self.span())
+        if not allow_reserved and tok in RESERVED:
+            raise ParseError(f"{tok!r} is a reserved word and cannot name a {what}", self.span())
         return tok
 
     def skip_separators(self) -> None:
-        while self.at_punct(";"):
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.peek() is None
+        while self.skip(";"):
+            pass
 
 
 # --- shared statement parsers ---------------------------------------------------
@@ -179,47 +195,49 @@ class _Cursor:
 def _parse_sort_expr(cur: _Cursor, depth: int = 0) -> SortExpr:
     """A sort expression inside ``depth`` record and collection sorts."""
     tok = cur.take()
-    if tok is None or tok.kind != "ident":
-        raise ParseError("expected a sort expression", cur.span(tok))
-    if tok.text in ("record", core.SEQUENCE, core.SET) and depth == MAX_SORT_NESTING:
-        raise ParseError(f"sort nested more than {MAX_SORT_NESTING} deep", cur.span(tok))
-    if tok.text == "record":
+    if tok is None or tok[0] not in _IDENT_START:
+        raise ParseError("expected a sort expression", cur.span())
+    if tok in ("record", core.SEQUENCE, core.SET) and depth == MAX_SORT_NESTING:
+        raise ParseError(_TOO_DEEP, cur.span())
+    if tok == "record":
+        at = cur.last
         cur.take_punct("{")
         fields: list[tuple[str, SortExpr]] = []
-        while not cur.at_punct("}"):
+        while not cur.at("}"):
             fname = cur.take_ident("field name", allow_reserved=True)
             cur.take_punct(":")
-            fields.append((fname.text, _parse_sort_expr(cur, depth + 1)))
-            if cur.at_punct(","):
-                cur.take()
+            fields.append((fname, _parse_sort_expr(cur, depth + 1)))
+            cur.skip(",")
         cur.take_punct("}")
         if not fields:
-            raise ParseError("a record sort needs at least one field", cur.span(tok))
+            raise ParseError("a record sort needs at least one field", cur.span(at))
         return RecordExpr(tuple(fields))
-    if tok.text in (core.SEQUENCE, core.SET):
-        return CollectionExpr(tok.text, _parse_sort_expr(cur, depth + 1))
-    if tok.text in RESERVED:
-        raise ParseError(f"{tok.text!r} cannot name a sort", cur.span(tok))
-    return SortNameRef(tok.text)
+    if tok in (core.SEQUENCE, core.SET):
+        return CollectionExpr(tok, _parse_sort_expr(cur, depth + 1))
+    if tok in RESERVED:
+        raise ParseError(f"{tok!r} cannot name a sort", cur.span())
+    return SortNameRef(tok)
 
 
-def _parse_port_decls(cur: _Cursor) -> list[tuple[str, SortExpr | None, Token]]:
+def _parse_port_decls(cur: _Cursor) -> list[tuple[str, SortExpr | None, int]]:
+    """Port declarations, each with its name's token index."""
     decls = []
     while True:
-        tok = cur.peek()
-        if tok is None or tok.kind != "ident" or tok.text in RESERVED:
+        name, at = cur.peek(), cur.pos
+        if name is None or name[0] not in _IDENT_START or name in RESERVED:
             break
-        name = cur.take_ident("port name")
+        cur.take()
         sexpr = None
-        if cur.at_punct(":"):
-            cur.take()
+        if cur.skip(":"):
             sexpr = _parse_sort_expr(cur)
-        decls.append((name.text, sexpr, name))
+        decls.append((name, sexpr, at))
     return decls
 
 
-def _parse_process_block(cur: _Cursor) -> tuple[ProcessSpec, Token]:
+def _parse_process_block(cur: _Cursor) -> tuple[ProcessSpec, int]:
+    """A process block and its name's token index."""
     name = cur.take_ident("process name")
+    name_at = cur.last
     cur.take_punct("{")
     inputs: list[tuple[str, SortExpr | None]] = []
     outputs: list[tuple[str, SortExpr | None]] = []
@@ -227,45 +245,39 @@ def _parse_process_block(cur: _Cursor) -> tuple[ProcessSpec, Token]:
     seen: set[str] = set()
     while True:
         cur.skip_separators()
-        if cur.at_punct("}"):
-            cur.take()
+        if cur.skip("}"):
             break
         tok = cur.take()
         if tok is None:
-            raise ParseError(f"unterminated process block {name.text!r}", cur.span())
-        if tok.kind == "ident" and tok.text in (INPUT, OUTPUT):
-            for pname, sexpr, ptok in _parse_port_decls(cur):
+            raise ParseError(f"unterminated process block {name!r}", cur.span())
+        if tok in (INPUT, OUTPUT):
+            for pname, sexpr, at in _parse_port_decls(cur):
                 if pname in seen:
                     raise DuplicateDefinitionError(
-                        f"port {pname!r} declared twice on process {name.text!r}",
-                        cur.span(ptok),
+                        f"port {pname!r} declared twice on process {name!r}", cur.span(at)
                     )
                 seen.add(pname)
-                (inputs if tok.text == INPUT else outputs).append((pname, sexpr))
-        elif tok.kind == "ident" and tok.text == "note":
-            stok = cur.take()
-            if stok is None or stok.kind != "string":
-                raise ParseError("note expects a quoted string", cur.span(stok))
-            note = stok.text
+                (inputs if tok == INPUT else outputs).append((pname, sexpr))
+        elif tok == "note":
+            text = cur.take()
+            if text is None or text[0] != '"':
+                raise ParseError("note expects a quoted string", cur.span())
+            note = text[1:-1]
         else:
-            raise ParseError(
-                f"unexpected {tok.text!r} in process block", cur.span(tok)
-            )
-    return ProcessSpec(name.text, tuple(inputs), tuple(outputs), note), name
+            raise ParseError(f"unexpected {_shown(tok)!r} in process block", cur.span())
+    return ProcessSpec(name, tuple(inputs), tuple(outputs), note), name_at
 
 
 def _parse_labeled_ports(cur: _Cursor) -> tuple[tuple[str, str], ...]:
     cur.take_punct("{")
     refs: list[tuple[str, str]] = []
-    while not cur.at_punct("}"):
+    while not cur.at("}"):
         pname = cur.take_ident("port name")
         label = WHOLE
-        if cur.at_punct("."):
-            cur.take()
-            label = cur.take_ident("fragment label", allow_reserved=True).text
-        refs.append((pname.text, label))
-        if cur.at_punct(","):
-            cur.take()
+        if cur.skip("."):
+            label = cur.take_ident("fragment label", allow_reserved=True)
+        refs.append((pname, label))
+        cur.skip(",")
     cur.take_punct("}")
     return tuple(refs)
 
@@ -273,32 +285,27 @@ def _parse_labeled_ports(cur: _Cursor) -> tuple[tuple[str, str], ...]:
 def _parse_rule_stmt(cur: _Cursor) -> RuleSpec:
     proc = cur.take_ident("process name")
     cur.take_punct(":")
-    kw = cur.take_ident("'needs'", allow_reserved=True)
-    if kw.text != "needs":
-        raise ParseError("firing rule must start with 'needs'", cur.span(kw))
+    if cur.take_ident("'needs'", allow_reserved=True) != "needs":
+        raise ParseError("firing rule must start with 'needs'", cur.span())
     needs = _parse_labeled_ports(cur)
-    kw = cur.take_ident("'produces'", allow_reserved=True)
-    if kw.text != "produces":
-        raise ParseError("firing rule needs a 'produces' list", cur.span(kw))
+    if cur.take_ident("'produces'", allow_reserved=True) != "produces":
+        raise ParseError("firing rule needs a 'produces' list", cur.span())
     produces = _parse_labeled_ports(cur)
     compute = "tag"
-    tok = cur.peek()
-    if tok is not None and tok.kind == "ident" and tok.text == "using":
-        cur.take()
-        compute = cur.take_ident("compute name").text
-    return RuleSpec(proc.text, needs, produces, compute)
+    if cur.skip("using"):
+        compute = cur.take_ident("compute name")
+    return RuleSpec(proc, needs, produces, compute)
 
 
-def _parse_qualified(cur: _Cursor) -> tuple[str, str, Token]:
+def _parse_qualified(cur: _Cursor) -> tuple[str, str, int]:
+    """``process.port`` and the process name's token index."""
     proc = cur.take_ident("process name")
+    at = cur.last
     cur.take_punct(".")
-    port = cur.take_ident("port name")
-    return proc.text, port.text, proc
+    return proc, cur.take_ident("port name"), at
 
 
-def _parse_net_statements(
-    cur: _Cursor, owner_name: str, context: str
-) -> NetSpec:
+def _parse_net_statements(cur: _Cursor, owner_name: str, context: str) -> NetSpec:
     # dicts keep declaration order and find a repeat in constant time
     members: dict[str, ProcessSpec] = {}
     channels: dict[tuple[str, str, str, str], None] = {}
@@ -307,62 +314,53 @@ def _parse_net_statements(
     rules: list[RuleSpec] = []
     while True:
         cur.skip_separators()
-        if cur.at_punct("}"):
-            cur.take()
+        if cur.skip("}"):
             break
         tok = cur.take()
+        at = cur.last
         if tok is None:
             raise ParseError(f"unterminated block for {context}", cur.span())
-        if tok.kind != "ident":
-            raise ParseError(f"unexpected {tok.text!r} in net block", cur.span(tok))
-        if tok.text == "process":
-            spec, name_tok = _parse_process_block(cur)
+        if tok == "process":
+            spec, name_at = _parse_process_block(cur)
             if spec.name in members:
                 raise DuplicateDefinitionError(
                     f"process {spec.name!r} declared twice in {context}",
-                    cur.span(name_tok),
+                    cur.span(name_at),
                 )
             members[spec.name] = spec
-        elif tok.text == "channel":
+        elif tok == "channel":
             sa, pa, _ = _parse_qualified(cur)
             cur.take_punct("->")
             sb, pb, _ = _parse_qualified(cur)
             entry = (sa, pa, sb, pb)
             if entry in channels:
                 raise DuplicateDefinitionError(
-                    f"channel {sa}.{pa} -> {sb}.{pb} declared twice", cur.span(tok)
+                    f"channel {sa}.{pa} -> {sb}.{pb} declared twice", cur.span(at)
                 )
             channels[entry] = None
-        elif tok.text in ("input", "output"):
+        elif tok in ("input", "output"):
             member, mport, _ = _parse_qualified(cur)
-            kw = cur.take_ident("'binds'", allow_reserved=True)
-            if kw.text != "binds":
-                raise ParseError("boundary statement needs 'binds'", cur.span(kw))
-            pproc, pport, ptok = _parse_qualified(cur)
+            if cur.take_ident("'binds'", allow_reserved=True) != "binds":
+                raise ParseError("boundary statement needs 'binds'", cur.span())
+            pproc, pport, pat = _parse_qualified(cur)
             if pproc != owner_name:
                 raise ParseError(
                     f"boundary binds must name the owner {owner_name!r}, got {pproc!r}",
-                    cur.span(ptok),
+                    cur.span(pat),
                 )
             entry = (member, mport, pport)
-            target = input_binds if tok.text == "input" else output_binds
+            target = input_binds if tok == "input" else output_binds
             if entry in target:
                 raise DuplicateDefinitionError(
-                    f"{tok.text} bind for {member}.{mport} declared twice",
-                    cur.span(tok),
+                    f"{tok} bind for {member}.{mport} declared twice", cur.span(at)
                 )
             target[entry] = None
-        elif tok.text == "rule":
+        elif tok == "rule":
             rules.append(_parse_rule_stmt(cur))
         else:
-            raise ParseError(
-                f"unexpected {tok.text!r} in net block", cur.span(tok)
-            )
+            raise ParseError(f"unexpected {_shown(tok)!r} in net block", cur.span(at))
     return NetSpec(
-        tuple(members.values()),
-        tuple(channels),
-        tuple(input_binds),
-        tuple(output_binds),
+        tuple(members.values()), tuple(channels), tuple(input_binds), tuple(output_binds),
         tuple(rules),
     )
 
@@ -371,114 +369,118 @@ def _parse_net_statements(
 
 
 def _parse_path(cur: _Cursor) -> tuple[str, ...]:
-    parts = [cur.take_ident("process name").text]
-    while cur.at_punct("."):
-        cur.take()
-        parts.append(cur.take_ident("process name").text)
+    parts = [cur.take_ident("process name")]
+    while cur.skip("."):
+        parts.append(cur.take_ident("process name"))
     return tuple(parts)
 
 
 def parse_model(text: str, filename: str = "<model>") -> Model:
     """Parse model text; structure mirrors the text, well-formedness aside."""
     cur = _Cursor(text, filename)
-    sort_decls: dict[str, tuple[SortExpr | None, Token]] = {}
+    # each sort's expression and its name's token index
+    sort_decls: dict[str, tuple[SortExpr | None, int]] = {}
     top_procs: dict[str, ProcessSpec] = {}
     top_rules: list[RuleSpec] = []
     net_blocks: dict[tuple[str, ...], NetSpec] = {}
 
     while True:
         cur.skip_separators()
-        if cur.at_end():
+        if cur.peek() is None:
             break
         tok = cur.take()
-        if tok.kind != "ident":
-            raise ParseError(f"unexpected {tok.text!r} at top level", cur.span(tok))
-        if tok.text == "sort":
+        at = cur.last
+        if tok == "sort":
             name = cur.take_ident("sort name")
-            if name.text in sort_decls:
-                raise DuplicateDefinitionError(
-                    f"sort {name.text!r} declared twice", cur.span(name)
-                )
+            name_at = cur.last
+            if name in sort_decls:
+                raise DuplicateDefinitionError(f"sort {name!r} declared twice", cur.span())
             expr: SortExpr | None = None
-            if cur.at_punct("="):
-                cur.take()
+            if cur.skip("="):
                 expr = _parse_sort_expr(cur)
-            sort_decls[name.text] = (expr, name)
-        elif tok.text == "process":
-            spec, name_tok = _parse_process_block(cur)
+            sort_decls[name] = (expr, name_at)
+        elif tok == "process":
+            spec, name_at = _parse_process_block(cur)
             if spec.name in top_procs:
                 raise DuplicateDefinitionError(
                     f"process {spec.name!r} declared twice at top level",
-                    cur.span(name_tok),
+                    cur.span(name_at),
                 )
             top_procs[spec.name] = spec
-        elif tok.text == "net":
-            kw = cur.take_ident("'for'", allow_reserved=True)
-            if kw.text != "for":
-                raise ParseError("expected 'net for <path>'", cur.span(kw))
+        elif tok == "net":
+            if cur.take_ident("'for'", allow_reserved=True) != "for":
+                raise ParseError("expected 'net for <path>'", cur.span())
             path = _parse_path(cur)
+            where = f"net for {'.'.join(path)}"
             if path in net_blocks:
-                raise DuplicateDefinitionError(
-                    f"net for {'.'.join(path)} declared twice", cur.span(tok)
-                )
+                raise DuplicateDefinitionError(f"{where} declared twice", cur.span(at))
             cur.take_punct("{")
-            net_blocks[path] = _parse_net_statements(
-                cur, path[-1], f"net for {'.'.join(path)}"
-            )
-        elif tok.text == "rule":
+            net_blocks[path] = _parse_net_statements(cur, path[-1], where)
+        elif tok == "rule":
             top_rules.append(_parse_rule_stmt(cur))
+        elif tok[0] in _IDENT_START:
+            raise ParseError(f"unknown declaration {tok!r}", cur.span(at))
         else:
-            raise ParseError(f"unknown declaration {tok.text!r}", cur.span(tok))
+            raise ParseError(f"unexpected {_shown(tok)!r} at top level", cur.span(at))
 
     if not top_procs:
-        raise ParseError("a model must declare a root process", cur.span())
+        raise ParseError("a model must declare a root process", cur.span(cur.pos))
 
     top = NetSpec(tuple(top_procs.values()), rules=tuple(top_rules))
-    return _build_model(sort_decls, top, net_blocks, filename)
+    return _build_model(sort_decls, top, net_blocks, cur)
 
 
 def _build_model(
-    sort_decls: dict[str, tuple[SortExpr | None, Token]],
+    sort_decls: dict[str, tuple[SortExpr | None, int]],
     top: NetSpec,
     net_blocks: dict[tuple[str, ...], NetSpec],
-    filename: str,
+    cur: _Cursor,
 ) -> Model:
     """Resolve the sort table in declaration order, then build the top level
     and each net block, parents first, with the ``decompose`` rule's builder;
-    sorts are neither checked across nets nor propagated."""
-    table: dict[str, Sort] = {}
+    sorts are neither checked across nets nor propagated.
+
+    A resolved sort nests at most ``MAX_SORT_NESTING`` record and collection
+    sorts, however many declarations it is built through."""
+    # each resolved sort and the record and collection sorts it nests
+    resolved: dict[str, tuple[Sort, int]] = {}
     resolving: list[str] = []
 
-    def resolve_name(name: str, span: SourceSpan | None) -> Sort:
-        if name in table:
-            return table[name]
-        if name not in sort_decls:
-            raise UnknownSortNameError(f"unknown sort name {name!r}", span)
-        if name in resolving:
-            raise ParseError(
-                f"recursive sort definition through {name!r}", span
+    def resolve_name(name: str, at: int, depth: int) -> tuple[Sort, int]:
+        """``name`` resolved, referred to from inside ``depth`` record and
+        collection sorts of the declaration at token ``at``."""
+        if name not in resolved:
+            if name not in sort_decls:
+                raise UnknownSortNameError(f"unknown sort name {name!r}", cur.span(at))
+            if name in resolving:
+                raise ParseError(f"recursive sort definition through {name!r}", cur.span(at))
+            resolving.append(name)
+            expr, name_at = sort_decls[name]
+            resolved[name] = (
+                (AtomicSort(name), 0) if expr is None else resolve_expr(expr, name_at, depth)
             )
-        resolving.append(name)
-        expr, tok = sort_decls[name]
-        span = SourceSpan(filename, tok.line, tok.column)
-        sort = AtomicSort(name) if expr is None else resolve_expr(expr, span)
-        resolving.pop()
-        table[name] = sort
-        return sort
+            resolving.pop()
+        if depth + resolved[name][1] > MAX_SORT_NESTING:
+            raise ParseError(_TOO_DEEP, cur.span(outer))
+        return resolved[name]
 
-    def resolve_expr(expr: SortExpr, span: SourceSpan | None) -> Sort:
+    def resolve_expr(expr: SortExpr, at: int, depth: int) -> tuple[Sort, int]:
         if isinstance(expr, SortNameRef):
-            return resolve_name(expr.name, span)
+            return resolve_name(expr.name, at, depth)
+        if depth == MAX_SORT_NESTING:
+            raise ParseError(_TOO_DEEP, cur.span(outer))
         if isinstance(expr, CollectionExpr):
-            return CollectionSort(expr.kind, resolve_expr(expr.element, span))
-        fields = tuple((f, resolve_expr(s, span)) for f, s in expr.fields)
-        names = [f for f, _ in fields]
-        if len(set(names)) != len(names):
-            raise DuplicateDefinitionError("record field declared twice", span)
-        return RecordSort(fields)
+            element, nesting = resolve_expr(expr.element, at, depth + 1)
+            return CollectionSort(expr.kind, element), nesting + 1
+        fields = [(f, *resolve_expr(s, at, depth + 1)) for f, s in expr.fields]
+        if len({f for f, _, _ in fields}) != len(fields):
+            raise DuplicateDefinitionError("record field declared twice", cur.span(at))
+        return RecordSort(tuple((f, s) for f, s, _ in fields)), 1 + max(n for _, _, n in fields)
 
-    for name in sort_decls:
-        resolve_name(name, None)
+    # a sort nested too deep is reported at the declaration resolved from the top
+    for name, (_, outer) in sort_decls.items():
+        resolve_name(name, outer, 0)
+    table = {name: sort for name, (sort, _) in resolved.items()}
 
     processes: dict[ProcessId, Process] = {}
     ports: dict[PortId, Port] = {}
@@ -521,19 +523,17 @@ def _build_model(
 def _parse_port_path(cur: _Cursor) -> PortRef:
     segments = _parse_path(cur)
     if len(segments) < 2:
-        raise ParseError(
-            "expected <process-path>.<port>", cur.span()
-        )
+        raise ParseError("expected <process-path>.<port>", cur.span(cur.pos))
     return PortRef(segments[:-1], segments[-1])
 
 
-def _take_head(cur: _Cursor) -> Token:
-    tok = cur.take_ident("rule name", allow_reserved=True)
-    text = tok.text
-    while cur.at_punct("-"):
-        cur.take()
-        text += "-" + cur.take_ident("rule name", allow_reserved=True).text
-    return Token(tok.kind, text, tok.line, tok.column)
+def _take_head(cur: _Cursor) -> tuple[str, int]:
+    """A rule name, its words joined by ``-``, and its first token's index."""
+    head = cur.take_ident("rule name", allow_reserved=True)
+    at = cur.last
+    while cur.skip("-"):
+        head += "-" + cur.take_ident("rule name", allow_reserved=True)
+    return head, at
 
 
 def parse_script(text: str, filename: str = "<script>") -> RefinementScript:
@@ -542,78 +542,62 @@ def parse_script(text: str, filename: str = "<script>") -> RefinementScript:
     steps = []
     while True:
         cur.skip_separators()
-        if cur.at_end():
+        if cur.peek() is None:
             break
-        head = _take_head(cur)
-        if head.text == "decompose":
+        head, at = _take_head(cur)
+        if head == "decompose":
             path = _parse_path(cur)
             cur.take_punct("{")
             subnet = _parse_net_statements(cur, path[-1], f"decompose {'.'.join(path)}")
             steps.append(DecomposeStep(path, subnet))
-        elif head.text == "add-channel":
+        elif head == "add-channel":
             src = _parse_port_path(cur)
             cur.take_punct("->")
             dst = _parse_port_path(cur)
             steps.append(AddChannelStep(src, dst))
-        elif head.text == "assign-sort":
+        elif head == "assign-sort":
             ref = _parse_port_path(cur)
             cur.take_punct(":")
             steps.append(AssignSortStep(ref, _parse_sort_expr(cur)))
-        elif head.text == "split-port":
+        elif head == "split-port":
             ref = _parse_port_path(cur)
             cur.take_punct("->")
             parts = []
             while True:
                 pname = cur.take_ident("part name")
-                spec = PartSpec(pname.text)
-                if cur.at_punct(":"):
-                    cur.take()
-                    if cur.at_punct("{"):
-                        cur.take()
-                        fields = [cur.take_ident("field name", allow_reserved=True).text]
-                        while cur.at_punct(","):
-                            cur.take()
-                            fields.append(cur.take_ident("field name", allow_reserved=True).text)
+                spec = PartSpec(pname)
+                if cur.skip(":"):
+                    if cur.skip("{"):
+                        fields = [cur.take_ident("field name", allow_reserved=True)]
+                        while cur.skip(","):
+                            fields.append(cur.take_ident("field name", allow_reserved=True))
                         cur.take_punct("}")
-                        spec = PartSpec(pname.text, fields=tuple(fields))
+                        spec = PartSpec(pname, fields=tuple(fields))
                     else:
-                        spec = PartSpec(pname.text, ref=cur.take_ident("field or sort").text)
+                        spec = PartSpec(pname, ref=cur.take_ident("field or sort"))
                 parts.append(spec)
-                if cur.at_punct(","):
-                    cur.take()
-                else:
+                if not cur.skip(","):
                     break
             steps.append(SplitPortStep(ref, tuple(parts)))
-        elif head.text == "fold":
+        elif head == "fold":
             path = _parse_path(cur)
             cur.take_punct("{")
-            group = [cur.take_ident("member name").text]
-            while cur.at_punct(","):
-                cur.take()
-                group.append(cur.take_ident("member name").text)
+            group = [cur.take_ident("member name")]
+            while cur.skip(","):
+                group.append(cur.take_ident("member name"))
             cur.take_punct("}")
-            kw = cur.take_ident("'as'", allow_reserved=True)
-            if kw.text != "as":
-                raise ParseError("fold needs 'as <name>'", cur.span(kw))
-            new_name = cur.take_ident("process name").text
+            if cur.take_ident("'as'", allow_reserved=True) != "as":
+                raise ParseError("fold needs 'as <name>'", cur.span())
+            new_name = cur.take_ident("process name")
             steps.append(FoldStep(path, tuple(group), new_name))
-        elif head.text == "unfold":
+        elif head == "unfold":
             steps.append(UnfoldStep(_parse_path(cur)))
         else:
-            raise UnknownRuleNameError(
-                f"unknown rule {head.text!r}", cur.span(head)
-            )
+            raise UnknownRuleNameError(f"unknown rule {head!r}", cur.span(at))
     return RefinementScript(tuple(steps), provenance=filename)
 
 
 # --- canonical printing ---------------------------------------------------------------
-
-
-def _sort_owner(model: Model, sort: Sort) -> str:
-    # a self-named atomic anchors its alias group; otherwise the least name
-    if isinstance(sort, AtomicSort) and model.sort_table.get(sort.name) == sort:
-        return sort.name
-    return min(n for n, s in model.sort_table.items() if s == sort)
 
 
 def _block_lines(spec: NetSpec, owner_name: str, indent: str) -> list[str]:
@@ -667,29 +651,29 @@ def print_model(model: Model) -> str:
     byte-identically; parsing the output yields a model isomorphic to the
     input.
     """
-    table = model.sort_table
+    table, names = model.sort_table, model._sort_names
     lines: list[str] = []
     for name in sorted(table):
         sort = table[name]
-        owner = _sort_owner(model, sort)
+        # a self-named atomic anchors its alias group; otherwise the least name
+        anchored = isinstance(sort, AtomicSort) and table.get(sort.name) == sort
+        owner = sort.name if anchored else names[sort]
         if name != owner:
             lines.append(f"sort {name} = {owner}")
         elif sort == AtomicSort(name):
             lines.append(f"sort {name}")
         else:
-            # the sort's structure, each part in reference form
-            others = {n: s for n, s in table.items() if s != sort}
-            lines.append(f"sort {name} = {core.sort_expr(sort, others)}")
+            lines.append(f"sort {name} = {core.sort_structure(sort, names)}")
     if lines:
         lines.append("")
 
-    lines.extend(_block_lines(net_spec(model, "", table), "", ""))
+    lines.extend(_block_lines(net_spec(model, "", names), "", ""))
     paths = {owner: core.display_path(model, owner) for owner in model.nets}
     for owner in sorted(paths, key=paths.__getitem__):
         owner_proc = model.processes.get(owner)
         lines.append("")
         lines.append(f"net for {'.'.join(paths[owner])} {{")
-        spec = net_spec(model, owner, table)
+        spec = net_spec(model, owner, names)
         lines.extend(_block_lines(spec, owner_proc.name if owner_proc else owner, "  "))
         lines.append("}")
     return "\n".join(lines).rstrip("\n") + "\n"
@@ -761,7 +745,7 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
     def label(sort: Sort | None) -> str:
         if sort is None:
             return ""
-        return f" [label={_dot_quote(str(core.sort_expr(sort, model.sort_table)))}]"
+        return f" [label={_dot_quote(str(core.sort_expr(sort, model._sort_names)))}]"
 
     def edge(src_port: str, dst_port: str) -> None:
         sort = None
@@ -801,5 +785,4 @@ __all__ = [
     "parse_script",
     "export_dot",
     "SourceSpan",
-    "Token",
 ]

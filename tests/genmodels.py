@@ -75,14 +75,14 @@ def random_net_spec(model: Model, pid: str, rng: random.Random, members: int) ->
         port = model.ports[port_id]
         member = rng.choice(names)
         pname = fresh_name(port.name, taken(member))
-        sexpr = sort_expr(port.sort, model.sort_table) if port.sort is not None else None
+        sexpr = sort_expr(port.sort, model._sort_names) if port.sort is not None else None
         ins[member].append((pname, sexpr))
         input_binds.append((member, pname, port.name))
     for port_id in proc.outputs:
         port = model.ports[port_id]
         member = rng.choice(names)
         pname = fresh_name(port.name, taken(member))
-        sexpr = sort_expr(port.sort, model.sort_table) if port.sort is not None else None
+        sexpr = sort_expr(port.sort, model._sort_names) if port.sort is not None else None
         outs[member].append((pname, sexpr))
         output_binds.append((member, pname, port.name))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from bpnet import cli, textio
@@ -298,6 +300,53 @@ class TestSortNesting:
             assert f"sort nested more than {textio.MAX_SORT_NESTING} " in captured.err
 
 
+def sort_chain(links: int, reverse: bool = False) -> str:
+    """``links`` declarations, each one collection around the one before."""
+    decls = ["sort S0 = seq T"] + [f"sort S{i} = seq S{i - 1}" for i in range(1, links)]
+    if reverse:
+        decls.reverse()
+    return "sort T\n" + "\n".join(decls) + f"\nprocess p {{ in a : S{links - 1}; out b }}\n"
+
+
+class TestSortChains:
+    """The nesting bound holds for a sort built through a chain of
+    declarations, each of which nests only one level."""
+
+    def test_longest_chain_runs(self, tmp_path, capsys):
+        model = tmp_path / "chain.bpn"
+        model.write_text(sort_chain(textio.MAX_SORT_NESTING))
+        assert run("validate", model) == EXIT_OK
+        assert run("fmt", model) == EXIT_OK
+        assert capsys.readouterr().out.startswith("sort S0 = seq T\nsort S1 = seq S0\n")
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+    def test_long_chain_is_a_parse_error(self, tmp_path, capsys, reverse):
+        model = tmp_path / "chain.bpn"
+        model.write_text(sort_chain(1200, reverse))
+        for command in ("validate", "fmt"):
+            assert run(command, model) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("parse error: ")
+            assert f"sort nested more than {textio.MAX_SORT_NESTING} deep" in captured.err
+
+    def test_reference_into_a_deep_sort_is_bounded(self, tmp_path, capsys):
+        model = tmp_path / "chain.bpn"
+        chain = sort_chain(textio.MAX_SORT_NESTING)
+        model.write_text(chain + f"sort R = record {{ f : S{textio.MAX_SORT_NESTING - 1} }}\n")
+        assert run("validate", model) == EXIT_INVALID
+        assert "sort nested more than" in capsys.readouterr().err
+
+    def test_fmt_on_a_chain_is_fast(self, tmp_path, capsys):
+        # each level of each sort once looked through the whole sort table
+        model = tmp_path / "chain.bpn"
+        model.write_text(sort_chain(100))
+        start = time.process_time()
+        assert run("fmt", model) == EXIT_OK
+        assert time.process_time() - start < 0.25
+        assert capsys.readouterr().out.count("\n") == 103
+
+
 class TestExportDotAndFmt:
     def test_dot_on_stdout(self, capsys):
         assert run("export-dot", FIXTURES / "library.bpn") == EXIT_OK
@@ -417,3 +466,30 @@ class TestDeterminismAndColor:
         )
         assert run("validate", bad) == EXIT_INVALID
         assert "\x1b[31m" in capsys.readouterr().out
+
+
+class TestOneParserPerProcess:
+    """The argument parser is built once per process; each call still gives
+    the exit code and stdout of a fresh process."""
+
+    CALLS = [
+        ("simulate", FIXTURES / "bp.bpn", FIXTURES / "bp.env", "--trials", "3"),
+        # no --trials: the default of 1 prints the outputs, not PASS
+        ("simulate", FIXTURES / "bp.bpn", FIXTURES / "bp.env"),
+        ("validate", "--no-such-option", FIXTURES / "bp.bpn"),
+        ("validate", FIXTURES / "bp.bpn"),
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        results = []
+        for argv in self.CALLS:
+            code = run(*argv)
+            results.append((code, capsys.readouterr().out))
+        assert [code for code, _ in results] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert results[0][1] == "PASS\n"
+        assert results[1][1] not in ("", "PASS\n")
+        for argv, (code, out) in zip(self.CALLS, results):
+            args = [str(a) for a in argv]
+            fresh = run_bounded(f"import sys; from bpnet import cli; sys.exit(cli.main({args!r}))")
+            assert (fresh.returncode, fresh.stdout) == (code, out), argv
+        assert cli._build_parser() is cli._build_parser()

@@ -90,7 +90,7 @@ class TestAgainstReferenceExporter:
         for label, model in spec_models():
             for owner in sorted(model.nets):
                 expected = reference_print.net_spec_of(model, owner, model.sort_table)
-                got = refine.net_spec(model, owner, model.sort_table)
+                got = refine.net_spec(model, owner, model._sort_names)
                 assert got == without_residue(model, owner, expected), (label, owner)
                 nets += 1
                 residue += got != expected

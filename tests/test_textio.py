@@ -128,6 +128,38 @@ class TestParseModel:
         )
 
 
+class TestErrorPositions:
+    """The exact text of parse errors: line ends are those of
+    ``str.splitlines``, and a position is the token's line and column."""
+
+    @pytest.mark.parametrize(
+        "parse, text, expected",
+        [
+            ("model", "process p {\r\n  in a\r\n  @ }", "<model>:3:3: unexpected character '@'"),
+            ("model", "process p {\r  in a\r\r  out b @ }", "<model>:4:9: unexpected character '@'"),
+            ("model", "process p {\x0c  in a\x0c\x0c    @ }", "<model>:4:5: unexpected character '@'"),
+            ("model", "process p {\u2028  in a\u2028  @ }", "<model>:3:3: unexpected character '@'"),
+            # a comment that ends the input, with no line end after it
+            ("model", "process p {\n  in a # no newline", "<model>:2:20: unterminated process block 'p'"),
+            ("model", 'process p {\n  note "open', "<model>:2:8: unterminated string"),
+            ("model", "# a comment @\nprocess p { } # @\n  $", "<model>:3:3: unexpected character '$'"),
+            ("script", "unfold system.a\r\nfold system { a, b } x", "<script>:2:22: fold needs 'as <name>'"),
+            # a string is quoted without its quotes
+            ("model", 'process p {\n  "quoted" }', "<model>:2:3: unexpected 'quoted' in process block"),
+        ],
+        ids=["crlf", "cr", "form-feed", "line-separator", "comment-at-end",
+             "unterminated-string", "bad-after-comment", "script", "string-token"],
+    )
+    def test_message_and_position(self, parse, text, expected):
+        with pytest.raises(ParseError) as exc:
+            getattr(textio, f"parse_{parse}")(text)
+        assert str(exc.value) == expected
+
+    def test_trailing_blanks_and_comment(self):
+        model = textio.parse_model("process p { in a }  \t\r\n# done")
+        assert list(model.processes) == ["p"]
+
+
 class TestPrintModel:
     def test_round_trip_is_isomorphic(self, library_refined):
         text = textio.print_model(library_refined)
