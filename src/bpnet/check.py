@@ -81,8 +81,8 @@ def _match_models(a: Model, b: Model) -> tuple[Isomorphism | None, str]:
             ports_a, ports_b = getattr(pa, side), getattr(pb, side)
             if len(ports_a) != len(ports_b):
                 return f"process {pa.name!r}: different number of {side}"
-            by_name_a = {a.ports[p].name: p for p in ports_a if p in a.ports}
-            by_name_b = {b.ports[p].name: p for p in ports_b if p in b.ports}
+            by_name_a = {a.ports[p].name: p for p in ports_a}
+            by_name_b = {b.ports[p].name: p for p in ports_b}
             if len(by_name_a) != len(ports_a) or len(by_name_b) != len(ports_b):
                 return f"process {pa.name!r}: duplicate or dangling port names"
             if set(by_name_a) != set(by_name_b):
@@ -211,7 +211,7 @@ def _twin(refined: Model, path: tuple[str, ...]) -> ProcessId | None:
 
 
 def _ports_by_name(model: Model, pid: ProcessId) -> dict[str, PortId]:
-    return {model.ports[p].name: p for p in model.processes[pid].ports() if p in model.ports}
+    return {model.ports[p].name: p for p in model.processes[pid].ports()}
 
 
 def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
@@ -257,11 +257,7 @@ def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
     # add-channel between processes, fresh names from the refined twin
     for src_pid in pids:
         src_names = sorted(
-            {
-                current.ports[p].name
-                for p in current.processes[src_pid].outputs
-                if p in current.ports
-            }
+            {current.ports[p].name for p in current.processes[src_pid].outputs}
             | set(missing[src_pid])
         )
         for dst_pid in pids:

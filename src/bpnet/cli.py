@@ -74,11 +74,10 @@ def _arrow_lines(trace: Trace, final: Model) -> list[str]:
     base = trace.base
 
     def key(port_id: str, model: Model) -> tuple[str, str]:
-        port = model.ports.get(port_id)
-        if port is None:
+        owner = model.port_owners.get(port_id)
+        if owner is None:
             return ("", port_id)
-        proc = model.processes.get(port.owner)
-        return (proc.name if proc else port.owner, port.name)
+        return (model.processes[owner].name, model.ports[port_id].name)
 
     lines = []
     mapping = trace.port_map().mapping

@@ -1,10 +1,12 @@
 """Domain types for hierarchical business process nets and their validator.
 
-A model is a finite tree of process nets: every process owns typed input and
-output ports, a net wires member processes through directed channels, and a
-decomposed process is linked to its subnet through an interface binding.  All
-values are immutable; every operation in this package is a pure function from
-model to result.
+A model is a finite tree of process nets: every process holds its typed input
+and output ports, a net wires member processes through directed channels, and
+a decomposed process is linked to its subnet through an interface binding.
+Each fact about a port is stored once, in the process holding it; the model's
+port index and the owner of each port are derived from the processes, once
+per model.  All values are immutable; every operation in this package is a
+pure function from model to result.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ class RecordSort:
 class CollectionSort:
     kind: str  # "seq" or "set"
     element: "Sort"
+
+    # the generated hash, computed once, as for records
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.element))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Sort = Union[AtomicSort, RecordSort, CollectionSort]
@@ -131,21 +141,42 @@ class Port:
     id: PortId
     name: str
     direction: str  # INPUT or OUTPUT
-    owner: ProcessId
     sort: Sort | None = None
 
 
 @dataclass(frozen=True)
 class Process:
+    """A process and its interface: the ports it holds, which it owns."""
+
     id: ProcessId
     name: str
-    inputs: tuple[PortId, ...] = ()
-    outputs: tuple[PortId, ...] = ()
+    interface: tuple[Port, ...] = ()
     behavior_note: str = ""
     firing_rules: tuple[FiringRule, ...] = ()
 
+    # views of the interface, and the process's own checks, computed once:
+    # models share their processes
+
+    @functools.cached_property
+    def inputs(self) -> tuple[PortId, ...]:
+        """The ids of the input ports, in declared order."""
+        return tuple([port.id for port in self.interface if port.direction == INPUT])
+
+    @functools.cached_property
+    def outputs(self) -> tuple[PortId, ...]:
+        """The ids of the output ports, in declared order."""
+        return tuple([port.id for port in self.interface if port.direction == OUTPUT])
+
     def ports(self) -> tuple[PortId, ...]:
+        """The input ids, then the output ids."""
         return self.inputs + self.outputs
+
+    @functools.cached_property
+    def violations(self) -> tuple["Violation", ...]:
+        """What ``_process_violations`` finds on this process."""
+        found: list[Violation] = []
+        _process_violations(self, found)
+        return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -201,7 +232,6 @@ class Model:
 
     sort_table: Mapping[str, Sort]
     processes: Mapping[ProcessId, Process]
-    ports: Mapping[PortId, Port]
     root: ProcessId
     nets: Mapping[ProcessId, tuple[ProcessNet, InterfaceBinding]]
 
@@ -217,6 +247,36 @@ class Model:
             return self.nets[owner]
         except KeyError:
             raise NoNetError(f"process {owner!r} has no net") from None
+
+    @functools.cached_property
+    def _interfaces(self) -> tuple[dict[PortId, Port], dict[PortId, ProcessId], set[PortId]]:
+        """Each port id mapped to its port and to the process holding it,
+        found in one pass over the processes, and the ids held more than
+        once.  Of several holders the least, by process id, owns the id, so
+        the answer does not depend on the order of ``processes``."""
+        ports: dict[PortId, Port] = {}
+        owners: dict[PortId, ProcessId] = {}
+        repeated: set[PortId] = set()
+        for pid, proc in self.processes.items():
+            for port in proc.interface:
+                held = owners.get(port.id)
+                if held is not None:
+                    repeated.add(port.id)
+                    if held <= pid:
+                        continue
+                ports[port.id] = port
+                owners[port.id] = pid
+        return ports, owners, repeated
+
+    @functools.cached_property
+    def ports(self) -> Mapping[PortId, Port]:
+        """Each port of the model by id (read-only)."""
+        return MappingProxyType(self._interfaces[0])
+
+    @functools.cached_property
+    def port_owners(self) -> Mapping[PortId, ProcessId]:
+        """The process holding each port, by port id (read-only)."""
+        return MappingProxyType(self._interfaces[1])
 
     @functools.cached_property
     def _sort_names(self) -> dict[Sort, str]:
@@ -346,9 +406,9 @@ def port_by_name(model: Model, pid: ProcessId, name: str) -> PortId | None:
     proc = model.processes.get(pid)
     if proc is None:
         return None
+    ports = model.ports
     for port_id in proc.ports():
-        port = model.ports.get(port_id)
-        if port is not None and port.name == name:
+        if ports[port_id].name == name:
             return port_id
     return None
 
@@ -358,9 +418,7 @@ def format_port(model: Model, pid: PortId) -> str:
     port = model.ports.get(pid)
     if port is None:
         return pid
-    proc = model.processes.get(port.owner)
-    owner = proc.name if proc is not None else port.owner
-    return f"{port.name}^{{{owner}}}"
+    return f"{port.name}^{{{model.processes[model.port_owners[pid]].name}}}"
 
 
 def fresh_id(base: str, taken: Container[str]) -> str:
@@ -442,14 +500,11 @@ def process_digraph(
     ``include_self`` is set (the validator reports them separately).
     """
     graph: dict[ProcessId, set[ProcessId]] = {p: set() for p in net.processes}
+    owners = model.port_owners
     for ch in net.channels:
-        src = model.ports.get(ch.source)
-        dst = model.ports.get(ch.dest)
-        if src is None or dst is None:
-            continue
-        if src.owner in graph and dst.owner in graph:
-            if src.owner != dst.owner or include_self:
-                graph[src.owner].add(dst.owner)
+        src, dst = owners.get(ch.source), owners.get(ch.dest)
+        if src in graph and dst in graph and (src != dst or include_self):
+            graph[src].add(dst)
     return graph
 
 
@@ -541,134 +596,72 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 # --- validation --------------------------------------------------------------
 #
 # Each check is implemented once.  ``_process_violations`` and
-# ``_net_violations`` hold every check local to one process or one net;
-# ``validate_scope`` runs them on a scope, ``validate_change`` on the scope a
-# change reaches, and ``validate_model`` on every process and net after the
-# checks that need the whole model.  Every check appends to the findings list
-# its caller passes in.  Where a check reports in sorted order, it finds the
-# offenders in one unsorted pass and sorts only those: a well-formed model
-# has none.
+# ``_net_violations`` hold every check local to one process or one net; a
+# process's checks read only the process, so ``Process.violations`` runs them
+# once per process however many models share it.  ``validate_scope`` runs the
+# checks on a scope, ``validate_change`` on the scope a change reaches, and
+# ``validate_model`` on every process and net after the checks that need the
+# whole model.  Every check appends to the findings list its caller passes
+# in.  Where a check reports in sorted order, it finds the offenders in one
+# unsorted pass and sorts only those: a well-formed model has none.
 
 
-def _port_sort_violations(port_id: PortId, sort: Sort | None, out: list[Violation]) -> None:
-    for problem in _sort_problems_cached(sort):
-        out.append(Violation(SORT_MISMATCH, (port_id,), f"malformed port sort: {problem}"))
-
-
-def _process_violations(model: Model, pid: ProcessId, out: list[Violation]) -> None:
-    """Port-table entries, port sorts and firing-rule references of a process."""
-    proc = model.processes[pid]
-    ports = model.ports
+def _process_violations(proc: Process, out: list[Violation]) -> None:
+    """Port names, port sorts and firing-rule references of a process, in
+    the order ``ports`` lists the ports."""
+    pid = proc.id
+    held: dict[PortId, Port] = {}
     seen_names: dict[str, PortId] = {}
-    sorts_reported: set[PortId] = set()
-    for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
-        for port_id in port_ids:
-            port = ports.get(port_id)
-            if port is None:
-                out.append(
-                    Violation(DANGLING_REF, (pid, port_id), "process lists an undefined port")
-                )
+    for direction in (INPUT, OUTPUT):
+        for port in proc.interface:
+            if port.direction != direction:
                 continue
-            if port.owner != pid:
+            if seen_names.setdefault(port.name, port.id) != port.id:
                 out.append(
                     Violation(
                         PORT_CLASH,
-                        (pid, port_id),
-                        f"port is owned by {port.owner!r} but listed by {pid!r}",
-                    )
-                )
-            elif port.direction != direction:
-                out.append(
-                    Violation(
-                        PORT_CLASH,
-                        (pid, port_id),
-                        f"port direction {port.direction!r} listed under {direction!r}",
-                    )
-                )
-            if seen_names.setdefault(port.name, port_id) != port_id:
-                out.append(
-                    Violation(
-                        PORT_CLASH,
-                        (pid, port_id),
+                        (pid, port.id),
                         f"duplicate port name {port.name!r} on process",
                     )
                 )
-            # the owner reports a port's sort, once however often it lists it;
-            # an atomic sort has no structural defect
-            if (
-                port.owner == pid
-                and port.sort is not None
-                and not isinstance(port.sort, AtomicSort)
-                and _sort_problems_cached(port.sort)
-                and port_id not in sorts_reported
-            ):
-                sorts_reported.add(port_id)
-                _port_sort_violations(port_id, port.sort, out)
-    # a ``whole`` reference to a listed port is always sound
+            # a port's sort is reported once however often it is held; an
+            # atomic sort has no structural defect
+            if port.id not in held and not isinstance(port.sort, AtomicSort):
+                for problem in _sort_problems_cached(port.sort):
+                    out.append(
+                        Violation(SORT_MISMATCH, (port.id,), f"malformed port sort: {problem}")
+                    )
+            held.setdefault(port.id, port)
     for rule in proc.firing_rules:
-        for port_id, label in rule.needs:
-            if label != WHOLE or port_id not in proc.inputs:
-                _check_rule_ref(model, pid, port_id, label, proc.inputs, "needs", out)
-        for port_id, label in rule.produces:
-            if label != WHOLE or port_id not in proc.outputs:
-                _check_rule_ref(model, pid, port_id, label, proc.outputs, "produces", out)
-
-
-def _check_rule_ref(
-    model: Model,
-    pid: ProcessId,
-    port_id: PortId,
-    label: str,
-    allowed: tuple[PortId, ...],
-    side: str,
-    out: list[Violation],
-) -> None:
-    """A firing-rule reference other than ``whole`` on a listed port."""
-    if port_id not in allowed:
-        expected = "input" if side == "needs" else "output"
-        out.append(
-            Violation(
-                DANGLING_REF,
-                (pid, port_id),
-                f"firing rule {side} {port_id!r}, which is not an {expected} port of the process",
-            )
-        )
-        return
-    port = model.ports.get(port_id)
-    if port is None:
-        return
-    if not isinstance(port.sort, RecordSort) or port.sort.field_sort(label) is None:
-        out.append(
-            Violation(
-                DANGLING_REF,
-                (pid, port_id),
-                f"firing rule uses label {label!r} which is not a record field of the port sort",
-            )
-        )
+        for side, refs, allowed in (
+            ("needs", rule.needs, proc.inputs),
+            ("produces", rule.produces, proc.outputs),
+        ):
+            for port_id, label in refs:
+                if port_id not in allowed:
+                    kind = "input" if side == "needs" else "output"
+                    problem = f"{side} {port_id!r}, which is not an {kind} port of the process"
+                else:
+                    # a ``whole`` reference to a held port is always sound
+                    sort = held[port_id].sort
+                    if label == WHOLE or isinstance(sort, RecordSort) and sort.field_sort(label):
+                        continue
+                    problem = f"uses label {label!r} which is not a record field of the port sort"
+                out.append(Violation(DANGLING_REF, (pid, port_id), f"firing rule {problem}"))
 
 
 def _model_violations(model: Model, out: list[Violation]) -> None:
     """The checks that need the whole model: the sort table, the containment
-    tree, ports listed by several processes, and ports their owner does not
-    list (whose sorts no per-process check reaches)."""
+    tree, and ports held more than once."""
     table = model.sort_table
     for name in sorted([name for name, sort in table.items() if _sort_problems_cached(sort)]):
         for problem in _sort_problems_cached(table[name]):
             out.append(Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}"))
     _check_hierarchy(model, out)
-    processes, ports = model.processes, model.ports
-    first_lister: dict[PortId, ProcessId] = {}
-    relisted: set[PortId] = set()
-    for pid, proc in processes.items():
-        for port_ids in (proc.inputs, proc.outputs):
-            for port_id in port_ids:
-                if port_id in first_lister:
-                    relisted.add(port_id)
-                else:
-                    first_lister[port_id] = pid
-    if relisted:
+    processes, repeated = model.processes, model._interfaces[2]
+    if repeated:
         by_id = sorted(processes)
-        for port_id in sorted(relisted):
+        for port_id in sorted(repeated):
             listers = tuple(
                 pid for pid in by_id for listed in processes[pid].ports() if listed == port_id
             )
@@ -679,20 +672,6 @@ def _model_violations(model: Model, out: list[Violation]) -> None:
                     "port listed by more than one process interface entry",
                 )
             )
-    unlisted: dict[PortId, str] = {}
-    for port_id, port in ports.items():
-        owner = processes.get(port.owner)
-        if owner is None:
-            unlisted[port_id] = f"port owner {port.owner!r} is undefined"
-        elif (
-            first_lister.get(port_id) != port.owner
-            and port_id not in owner.inputs
-            and port_id not in owner.outputs
-        ):
-            unlisted[port_id] = "port is not listed by its owner's interface"
-    for port_id in sorted(unlisted):
-        out.append(Violation(DANGLING_REF, (port_id,), unlisted[port_id]))
-        _port_sort_violations(port_id, ports[port_id].sort, out)
 
 
 def _check_hierarchy(model: Model, out: list[Violation]) -> None:
@@ -756,7 +735,7 @@ def _net_violations(model: Model, owner: ProcessId, out: list[Violation]) -> Non
 
 
 def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Violation]) -> None:
-    processes, ports = model.processes, model.ports
+    processes, ports, owners = model.processes, model.ports, model.port_owners
     # the process digraph; its keys are the defined members, in sorted order
     graph: dict[ProcessId, set[ProcessId]] = {}
     names_seen: dict[str, ProcessId] = {}
@@ -791,6 +770,7 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Viola
                 out.append(Violation(DANGLING_REF, (at, ch.dest), "channel dest is undefined"))
             continue
         ok = True
+        src_owner, dst_owner = owners[ch.source], owners[ch.dest]
         if src.direction != OUTPUT:
             out.append(
                 Violation(DANGLING_REF, (at, ch.source), "channel source is not an output port")
@@ -801,32 +781,32 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Viola
                 Violation(DANGLING_REF, (at, ch.dest), "channel dest is not an input port")
             )
             ok = False
-        if src.owner not in graph:
+        if src_owner not in graph:
             out.append(
                 Violation(
                     DANGLING_REF, (at, ch.source), "channel source is not on a member process"
                 )
             )
             ok = False
-        if dst.owner not in graph:
+        if dst_owner not in graph:
             out.append(
                 Violation(DANGLING_REF, (at, ch.dest), "channel dest is not on a member process")
             )
             ok = False
         if not ok:
             continue
-        if src.owner == dst.owner:
+        if src_owner == dst_owner:
             out.append(
                 Violation(
                     SELF_LOOP,
-                    (src.owner, ch.source, ch.dest),
+                    (src_owner, ch.source, ch.dest),
                     "channel connects a process to itself",
                 )
             )
-            graph[src.owner].add(src.owner)
+            graph[src_owner].add(src_owner)
             continue
         driven[ch.dest] = driven.get(ch.dest, 0) + 1
-        graph[src.owner].add(dst.owner)
+        graph[src_owner].add(dst_owner)
         if not sorts_compatible(src.sort, dst.sort):
             out.append(
                 Violation(
@@ -842,7 +822,7 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Viola
             port = ports.get(port_id)
             if port is None:
                 out.append(Violation(DANGLING_REF, (at, port_id), "boundary port is undefined"))
-            elif port.direction != direction or port.owner not in graph:
+            elif port.direction != direction or owners[port_id] not in graph:
                 out.append(
                     Violation(
                         DANGLING_REF,
@@ -901,7 +881,7 @@ def _binding_violations(
     proc = model.processes.get(owner)
     if proc is None:
         return
-    ports = model.ports
+    ports, owners = model.ports, model.port_owners
     env_in, env_out = net.env_inputs, net.env_outputs
     seen_parent: set[PortId] = set()
     seen_inner: set[PortId] = set()
@@ -917,7 +897,7 @@ def _binding_violations(
         seen_parent.add(parent_port)
         seen_inner.add(inner_port)
         pp, ip = ports.get(parent_port), ports.get(inner_port)
-        if pp is None or pp.owner != owner:
+        if owners.get(parent_port) != owner:
             out.append(
                 Violation(
                     BINDING_INCOMPLETE,
@@ -998,10 +978,11 @@ def validate_scope(
     """
     findings: list[Violation] = []
     for pid in sorted(set(processes)):
-        if pid in model.processes:
-            _process_violations(model, pid, findings)
-        else:
+        proc = model.processes.get(pid)
+        if proc is None:
             findings.append(Violation(DANGLING_REF, (pid,), "process is undefined"))
+        else:
+            findings += proc.violations
     for owner in sorted(set(owners)):
         if owner in model.nets:
             _net_violations(model, owner, findings)
@@ -1015,23 +996,28 @@ def _replaced(old: Mapping, new: Mapping) -> list:
 
 def validate_change(before: Model, after: Model) -> list[Violation]:
     """``validate_scope`` on the entries whose checks read what ``after``
-    added, replaced or removed relative to ``before``, compared by identity.
+    added, replaced or removed relative to ``before``, with the process and
+    net tables compared by identity.
 
-    The scope is each changed process and the owner of each changed or
-    removed port, if it still exists; the net the containment map places
-    each of those and each removed process in, and the net each owns; and
-    each changed net.  Sufficient when ``before`` was well-formed, because
-    a process's checks read only it and its ports, and a net's only the
-    net, its owner, its members and their ports.
+    The scope is each changed process, and each other holder of a port a
+    changed process holds; the net the containment map places each of those
+    and each removed process in, and the net each owns; and each changed
+    net.  Sufficient when ``before`` was well-formed, because a process's
+    checks read only the process, and a net's only the net, its owner, its
+    members and the ports they hold.  A port's entry in the model's index
+    changes only with a changed process that holds it or held it; a port
+    that a changed process now shares with an unchanged one may pass to
+    either, so both are in scope.
     """
-    ports = _replaced(before.ports, after.ports)
-    ports += before.ports.keys() - after.ports.keys()
     procs = set(_replaced(before.processes, after.processes))
-    for port_id in ports:
-        for model in (before, after):
-            port = model.ports.get(port_id)
-            if port is not None and port.owner in after.processes:
-                procs.add(port.owner)
+    repeated = after._interfaces[2]
+    if repeated:
+        shared = {p.id for pid in procs for p in after.processes[pid].interface} & repeated
+        procs.update(
+            pid
+            for pid, proc in after.processes.items()
+            if any(p.id in shared for p in proc.interface)
+        )
     reading = procs | (before.processes.keys() - after.processes.keys())
     located = after._containers
     owners = {located[p] for p in reading if p in located}
@@ -1134,14 +1120,14 @@ def port_closure(model: Model, start: PortId) -> set[PortId]:
     """
     seen = {start}
     work = [start]
-    located = model._containers
+    located, owners = model._containers, model.port_owners
     while work:
         pid = work.pop()
-        port = model.ports.get(pid)
-        if port is None:
+        owner = owners.get(pid)
+        if owner is None:
             continue
         neighbors: list[PortId] = []
-        owner_container = located.get(port.owner)
+        owner_container = located.get(owner)
         if owner_container is not None and owner_container in model.nets:
             net, binding = model.nets[owner_container]
             for ch in net.channels:
@@ -1152,8 +1138,8 @@ def port_closure(model: Model, start: PortId) -> set[PortId]:
             upward = binding.to_parent().get(pid)
             if upward is not None:
                 neighbors.append(upward)
-        if port.owner in model.nets:
-            downward = model.nets[port.owner][1].to_subnet().get(pid)
+        if owner in model.nets:
+            downward = model.nets[owner][1].to_subnet().get(pid)
             if downward is not None:
                 neighbors.append(downward)
         for n in neighbors:

@@ -207,6 +207,19 @@ def _rewire(
     )
 
 
+def _splice(
+    processes: dict[ProcessId, Process],
+    holders: Mapping[PortId, ProcessId],
+    parts: Mapping[PortId, Sequence[Port]],
+) -> None:
+    """Replace each port of ``parts`` by its parts, where it stood in the
+    interface of its holder in ``processes``."""
+    for pid in {holders[p] for p in parts}:
+        proc = processes[pid]
+        interface = tuple(q for p in proc.interface for q in parts.get(p.id, (p,)))
+        processes[pid] = replace(proc, interface=interface)
+
+
 def _require_port(model: Model, port: PortId) -> Port:
     p = model.ports.get(port)
     if p is None:
@@ -227,24 +240,23 @@ def decompose_process(
     model: Model,
     pid: ProcessId,
     new_processes: Sequence[Process],
-    new_ports: Sequence[Port],
     subnet: ProcessNet,
     binding: InterfaceBinding,
 ) -> Model:
-    """Attach a fresh subnet to an undecomposed process.
+    """Attach a fresh subnet of fresh processes, holding fresh ports, to an
+    undecomposed process.
 
     The binding must be a direction-preserving bijection between the ports
     of ``pid`` and the subnet boundary.  Sorts propagate across the new
     binding where exactly one side specifies them.
     """
-    return _decompose(model, pid, new_processes, new_ports, subnet, binding)[0]
+    return _decompose(model, pid, new_processes, subnet, binding)[0]
 
 
 def _decompose(
     model: Model,
     pid: ProcessId,
     new_processes: Sequence[Process],
-    new_ports: Sequence[Port],
     subnet: ProcessNet,
     binding: InterfaceBinding,
 ) -> tuple[Model, _Subst]:
@@ -253,10 +265,12 @@ def _decompose(
         raise AlreadyDecomposedError(f"process {pid!r} is already decomposed")
 
     new_proc_ids = [p.id for p in new_processes]
-    new_port_ids = [p.id for p in new_ports]
-    if len(set(new_proc_ids)) != len(new_proc_ids) or len(set(new_port_ids)) != len(new_port_ids):
+    new_ports = {port.id: port for p in new_processes for port in p.interface}
+    holders = {port.id: p.id for p in new_processes for port in p.interface}
+    duplicated = len(new_ports) != sum(len(p.interface) for p in new_processes)
+    if duplicated or len(set(new_proc_ids)) != len(new_proc_ids):
         raise FreshnessViolationError("subnet declares duplicate ids")
-    clashes = (set(new_proc_ids) & set(model.processes)) | (set(new_port_ids) & set(model.ports))
+    clashes = (set(new_proc_ids) & set(model.processes)) | (new_ports.keys() & model.ports.keys())
     if clashes:
         raise FreshnessViolationError(
             f"subnet reuses ids already present in the model: {sorted(clashes)[:3]}"
@@ -276,12 +290,10 @@ def _decompose(
     ):
         raise InterfaceMismatchError("binding must map onto the subnet boundary")
 
-    port_table = dict(model.ports)
-    for port in new_ports:
-        port_table[port.id] = port
+    sorted_now: dict[PortId, tuple[Port]] = {}
     for parent_port, inner_port in binding.pairs:
-        pp = port_table[parent_port]
-        ip = port_table.get(inner_port)
+        pp = model.ports[parent_port]
+        ip = new_ports.get(inner_port)
         if ip is None:
             raise InterfaceMismatchError(f"binding names undeclared port {inner_port!r}")
         inner_boundary = subnet.env_inputs if pp.direction == INPUT else subnet.env_outputs
@@ -295,19 +307,19 @@ def _decompose(
             )
         # one-sided sorts propagate across the fresh binding
         if pp.sort is not None and ip.sort is None:
-            port_table[inner_port] = replace(ip, sort=pp.sort)
+            sorted_now[inner_port] = (replace(ip, sort=pp.sort),)
         elif ip.sort is not None and pp.sort is None:
-            port_table[parent_port] = replace(pp, sort=ip.sort)
+            sorted_now[parent_port] = (replace(pp, sort=ip.sort),)
+            holders[parent_port] = pid
 
     processes = dict(model.processes)
     for p in new_processes:
         processes[p.id] = p
+    _splice(processes, holders, sorted_now)
     nets = dict(model.nets)
     nets[pid] = (subnet, binding)
     result = _validated(
-        model,
-        replace(model, processes=processes, ports=port_table, nets=nets),
-        f"decomposing {pid!r}",
+        model, replace(model, processes=processes, nets=nets), f"decomposing {pid!r}"
     )
     subst = _Subst(
         ports={p: (_Repl(to_subnet[p]),) for p in proc.ports()},
@@ -357,14 +369,10 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
 
     def add_port(pid: ProcessId, name: str, direction: str) -> PortId:
         proc = processes[pid]
-        taken_names = {ports[p].name for p in proc.ports() if p in ports}
-        final_name = core.fresh_name(name, taken_names)
+        final_name = core.fresh_name(name, {p.name for p in proc.interface})
         port_id = core.fresh_id(f"{pid}:{final_name}", ports)
-        ports[port_id] = Port(port_id, final_name, direction, pid)
-        if direction == INPUT:
-            processes[pid] = replace(proc, inputs=proc.inputs + (port_id,))
-        else:
-            processes[pid] = replace(proc, outputs=proc.outputs + (port_id,))
+        ports[port_id] = port = Port(port_id, final_name, direction)
+        processes[pid] = replace(proc, interface=proc.interface + (port,))
         return port_id
 
     def bind(owner: ProcessId, parent_port: PortId, inner: PortId, direction: str) -> None:
@@ -432,7 +440,7 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
     new_net = replace(net, channels=net.channels | {Channel(top_src, top_dst)})
     nets[common] = (new_net, binding)
 
-    candidate = replace(model, processes=processes, ports=ports, nets=nets)
+    candidate = replace(model, processes=processes, nets=nets)
     cycle = core.find_cycle(core.process_digraph(candidate, new_net))
     if cycle is not None:
         raise WouldCreateCycleError(
@@ -441,15 +449,17 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
 
     # keep constraint 3 an invariant: propagate a one-sided sort over the closure
     closure = core.port_closure(candidate, src_port)
-    specified = {ports[p].sort for p in closure if p in ports and ports[p].sort is not None}
+    specified = {ports[p].sort for p in closure if ports[p].sort is not None}
     if len(specified) > 1:
         raise SortMismatchError("channel would connect ports with conflicting sorts")
     if len(specified) == 1:
         the_sort = next(iter(specified))
-        for p in closure:
-            if ports[p].sort is None:
-                ports[p] = replace(ports[p], sort=the_sort)
-        candidate = replace(candidate, ports=ports)
+        sorted_now = {
+            p: (replace(ports[p], sort=the_sort),) for p in closure if ports[p].sort is None
+        }
+        processes = dict(processes)
+        _splice(processes, candidate.port_owners, sorted_now)
+        candidate = replace(candidate, processes=processes)
 
     return _validated(model, candidate, "adding the channel"), _Subst()
 
@@ -476,13 +486,14 @@ def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]
             raise SortConflictError(
                 f"port {member!r} already carries sort {core.render_sort(existing)}"
             )
-    unsorted = [m for m in closure if model.ports[m].sort is None]
-    if not unsorted:
+    sorted_now = {
+        m: (replace(model.ports[m], sort=sort),) for m in closure if model.ports[m].sort is None
+    }
+    if not sorted_now:
         return model, _Subst()
-    ports = dict(model.ports)
-    for member in unsorted:
-        ports[member] = replace(ports[member], sort=sort)
-    return _validated(model, replace(model, ports=ports), "assigning the sort"), _Subst()
+    processes = dict(model.processes)
+    _splice(processes, model.port_owners, sorted_now)
+    return _validated(model, replace(model, processes=processes), "assigning the sort"), _Subst()
 
 
 # --- channel decomposition --------------------------------------------------------
@@ -614,35 +625,23 @@ def _split_port(
                 f"closure member {member!r} carries a different sort; cannot split"
             )
 
+    holders = model.port_owners
     ports = dict(model.ports)
-    processes = dict(model.processes)
-    part_ids: dict[PortId, tuple[PortId, ...]] = {}
-
+    split: dict[PortId, tuple[Port, ...]] = {}
     for member in closure:
-        old = ports[member]
-        owner = processes[old.owner]
-        other_names = {
-            ports[p].name for p in owner.ports() if p != member and p in ports
-        }
-        ids = []
+        old, owner = ports[member], holders[member]
+        other_names = {p.name for p in model.processes[owner].interface if p.id != member}
+        new = []
         for name, psort, _ in parts:
             if name in other_names:
                 raise FreshnessViolationError(
-                    f"part name {name!r} clashes with an existing port on {old.owner!r}"
+                    f"part name {name!r} clashes with an existing port on {owner!r}"
                 )
-            new_id = core.fresh_id(f"{old.owner}:{name}", ports)
-            ports[new_id] = Port(new_id, name, old.direction, old.owner, psort)
-            ids.append(new_id)
-        part_ids[member] = tuple(ids)
-
-    def splice(seq: tuple[PortId, ...], member: PortId) -> tuple[PortId, ...]:
-        out: list[PortId] = []
-        for p in seq:
-            if p == member:
-                out.extend(part_ids[member])
-            else:
-                out.append(p)
-        return tuple(out)
+            new_id = core.fresh_id(f"{owner}:{name}", ports)
+            ports[new_id] = part = Port(new_id, name, old.direction, psort)
+            new.append(part)
+        split[member] = tuple(new)
+    part_ids = {member: tuple(p.id for p in new) for member, new in split.items()}
 
     repls = {
         member: tuple(_Repl(p, *label) for p, label in zip(part_ids[member], labels))
@@ -661,28 +660,25 @@ def _split_port(
                 out.append((ref_port, label))
         return tuple(dict.fromkeys(out))
 
-    for member in closure:
-        owner_id = model.ports[member].owner
-        proc = processes[owner_id]
-        proc = replace(
+    processes = dict(model.processes)
+    _splice(processes, holders, split)
+    owners = {holders[m] for m in closure}
+    for owner in owners:
+        proc = processes[owner]
+        processes[owner] = replace(
             proc,
-            inputs=splice(proc.inputs, member),
-            outputs=splice(proc.outputs, member),
             firing_rules=tuple(
                 replace(r, needs=rewrite_refs(r.needs), produces=rewrite_refs(r.produces))
                 for r in proc.firing_rules
             ),
         )
-        processes[owner_id] = proc
-        del ports[member]
 
     # the nets that list an owner of the closure, or that one owns
-    owners = {model.ports[m].owner for m in closure}
     located = core.container_index(model)
     nets = dict(model.nets)
     for owner in {located[o] for o in owners if o in located} | (owners & nets.keys()):
         nets[owner] = _rewire(nets[owner], part_ids)
-    result = replace(model, processes=processes, ports=ports, nets=nets)
+    result = replace(model, processes=processes, nets=nets)
     return _validated(model, result, f"splitting {port!r}"), _Subst(ports=repls)
 
 
@@ -718,11 +714,10 @@ def _unfold(model: Model, parent: ProcessId, child: ProcessId) -> tuple[Model, _
     )
 
     processes = {p: proc for p, proc in model.processes.items() if p != child}
-    ports = {p: port for p, port in model.ports.items() if p not in inner}
     nets = {o: e for o, e in model.nets.items() if o != child}
     nets[parent] = (merged, binding)
     result = _validated(
-        model, replace(model, processes=processes, ports=ports, nets=nets), f"unfolding {child!r}"
+        model, replace(model, processes=processes, nets=nets), f"unfolding {child!r}"
     )
     subst = _Subst(
         ports={p: (_Repl(q),) for p, (q,) in inner.items()},
@@ -792,7 +787,7 @@ def _fold(
     boundary_out = sorted(({ch.source for ch in external} | net.env_outputs) & inside)
 
     ports = dict(model.ports)
-    q_ports: dict[str, list[PortId]] = {INPUT: [], OUTPUT: []}
+    q_ports: list[Port] = []
     q_port_names: set[str] = set()
     fresh: dict[PortId, tuple[PortId]] = {}
     for direction, boundary in ((INPUT, boundary_in), (OUTPUT, boundary_out)):
@@ -801,8 +796,8 @@ def _fold(
             name = core.fresh_name(inner_port.name, q_port_names)
             q_port_names.add(name)
             port_id = core.fresh_id(f"{qid}:{name}", ports)
-            ports[port_id] = Port(port_id, name, direction, qid, inner_port.sort)
-            q_ports[direction].append(port_id)
+            ports[port_id] = Port(port_id, name, direction, inner_port.sort)
+            q_ports.append(ports[port_id])
             fresh[inner] = (port_id,)
 
     remaining = ProcessNet(
@@ -819,13 +814,11 @@ def _fold(
     )
 
     processes = dict(model.processes)
-    processes[qid] = Process(
-        qid, new_name, inputs=tuple(q_ports[INPUT]), outputs=tuple(q_ports[OUTPUT])
-    )
+    processes[qid] = Process(qid, new_name, tuple(q_ports))
     nets = dict(model.nets)
     nets[owner] = _rewire((remaining, owner_binding), fresh)
     nets[qid] = (extracted, q_binding)
-    result = replace(model, processes=processes, ports=ports, nets=nets)
+    result = replace(model, processes=processes, nets=nets)
     return _validated(model, result, f"folding into {new_name!r}"), _Subst()
 
 
@@ -872,8 +865,9 @@ class NetSpec:
 
 def build_subnet(
     model: Model, pid: ProcessId, spec: NetSpec
-) -> tuple[list[Process], list[Port], ProcessNet, InterfaceBinding]:
-    """Materialize a NetSpec as fresh processes and ports under ``pid``.
+) -> tuple[list[Process], ProcessNet, InterfaceBinding]:
+    """Materialize a NetSpec as fresh processes, holding fresh ports, under
+    ``pid``.
 
     An empty ``pid`` builds top-level processes, each with its bare name as
     its id.  The model's tables are read, never copied, so building a model
@@ -883,8 +877,8 @@ def build_subnet(
     prefix = f"{pid}." if pid else ""
     member_ids: dict[str, ProcessId] = {}
     port_ids: dict[tuple[str, str], PortId] = {}
-    # each member's spec, inputs and outputs, then its firing rules, by its new id
-    made: dict[ProcessId, tuple[ProcessSpec, tuple[PortId, ...], tuple[PortId, ...]]] = {}
+    # each member's spec and ports, then its firing rules, by its new id
+    made: dict[ProcessId, tuple[ProcessSpec, tuple[Port, ...]]] = {}
     rules: dict[ProcessId, list[FiringRule]] = {}
     new_ports: dict[PortId, Port] = {}
 
@@ -895,17 +889,17 @@ def build_subnet(
         if mid in made or mid in model.processes:
             mid = core.fresh_id(mid, ChainMap(made, model.processes))
         member_ids[mspec.name] = mid
-        ins, outs = [], []
-        for direction, decls, target in ((INPUT, mspec.inputs, ins), (OUTPUT, mspec.outputs, outs)):
+        interface = []
+        for direction, decls in ((INPUT, mspec.inputs), (OUTPUT, mspec.outputs)):
             for pname, sexpr in decls:
                 port_id = f"{mid}:{pname}"
                 if port_id in new_ports or port_id in model.ports:
                     port_id = core.fresh_id(port_id, ChainMap(new_ports, model.ports))
                 sort = resolve_sort_expr(sexpr, table) if sexpr is not None else None
-                new_ports[port_id] = Port(port_id, pname, direction, mid, sort)
+                new_ports[port_id] = port = Port(port_id, pname, direction, sort)
                 port_ids[(mspec.name, pname)] = port_id
-                target.append(port_id)
-        made[mid] = (mspec, tuple(ins), tuple(outs))
+                interface.append(port)
+        made[mid] = (mspec, tuple(interface))
         rules[mid] = []
 
     def member_port(member: str, port: str) -> PortId:
@@ -924,8 +918,8 @@ def build_subnet(
         )
         rules[mid].append(FiringRule(needs, produces, rspec.compute))
     members = [
-        Process(mid, mspec.name, ins, outs, mspec.note, tuple(rules[mid]))
-        for mid, (mspec, ins, outs) in made.items()
+        Process(mid, mspec.name, interface, mspec.note, tuple(rules[mid]))
+        for mid, (mspec, interface) in made.items()
     ]
 
     channels = frozenset(
@@ -953,12 +947,7 @@ def build_subnet(
         env_inputs=frozenset(env_in),
         env_outputs=frozenset(env_out),
     )
-    return (
-        members,
-        list(new_ports.values()),
-        net,
-        InterfaceBinding(tuple(sorted(pairs))),
-    )
+    return members, net, InterfaceBinding(tuple(sorted(pairs)))
 
 
 def net_spec(model: Model, owner: ProcessId, names: Mapping[Sort, str]) -> NetSpec:
@@ -1019,8 +1008,7 @@ def net_spec(model: Model, owner: ProcessId, names: Mapping[Sort, str]) -> NetSp
         return NetSpec(tuple(members), rules=tuple(rules))
 
     def ref(port_id: PortId) -> tuple[str, str]:
-        port = ports[port_id]
-        return processes[port.owner].name, port.name
+        return processes[model.port_owners[port_id]].name, ports[port_id].name
 
     to_parent = binding.to_parent()
 
@@ -1059,8 +1047,7 @@ class DecomposeStep:
         pid = core.resolve_path(model, self.path)
         if pid in model.nets:
             raise AlreadyDecomposedError(f"process {pid!r} is already decomposed")
-        procs, ports, net, binding = build_subnet(model, pid, self.subnet)
-        return _decompose(model, pid, procs, ports, net, binding)
+        return _decompose(model, pid, *build_subnet(model, pid, self.subnet))
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ from .core import (
     CollectionSort,
     InterfaceBinding,
     Model,
-    Port,
-    PortId,
     Process,
     ProcessId,
     ProcessNet,
@@ -444,22 +442,29 @@ def _build_model(
     sorts, however many declarations it is built through."""
     # each resolved sort and the record and collection sorts it nests
     resolved: dict[str, tuple[Sort, int]] = {}
-    resolving: list[str] = []
+    resolving: set[str] = set()
 
     def resolve_name(name: str, at: int, depth: int) -> tuple[Sort, int]:
         """``name`` resolved, referred to from inside ``depth`` record and
-        collection sorts of the declaration at token ``at``."""
-        if name not in resolved:
+        collection sorts of the declaration at token ``at``.  A chain of
+        aliases is followed in a loop, so it may be of any length."""
+        aliases = []
+        while name not in resolved:
             if name not in sort_decls:
                 raise UnknownSortNameError(f"unknown sort name {name!r}", cur.span(at))
             if name in resolving:
                 raise ParseError(f"recursive sort definition through {name!r}", cur.span(at))
-            resolving.append(name)
+            resolving.add(name)
             expr, name_at = sort_decls[name]
+            if isinstance(expr, SortNameRef):
+                aliases.append(name)
+                name, at = expr.name, name_at
+                continue
             resolved[name] = (
                 (AtomicSort(name), 0) if expr is None else resolve_expr(expr, name_at, depth)
             )
-            resolving.pop()
+        for alias in aliases:
+            resolved[alias] = resolved[name]
         if depth + resolved[name][1] > MAX_SORT_NESTING:
             raise ParseError(_TOO_DEEP, cur.span(outer))
         return resolved[name]
@@ -483,38 +488,39 @@ def _build_model(
     table = {name: sort for name, (sort, _) in resolved.items()}
 
     processes: dict[ProcessId, Process] = {}
-    ports: dict[PortId, Port] = {}
     nets: dict[ProcessId, tuple[ProcessNet, InterfaceBinding]] = {}
     ids: dict[tuple[str, ...], ProcessId] = {}
 
-    def build(owner: ProcessId, path: tuple[str, ...], spec: NetSpec, block: str) -> None:
-        # the model built so far: build_subnet reads its tables, not its root
-        so_far = Model(table, processes, ports, root="", nets=nets)
+    def build(so_far: Model, owner: ProcessId, path: tuple[str, ...], spec: NetSpec) -> None:
+        block = f"net for {'.'.join(path)}" if path else "top level"
         try:
-            members, new_ports, net, binding = build_subnet(so_far, owner, spec)
+            members, net, binding = build_subnet(so_far, owner, spec)
         except (UnknownPortError, InterfaceMismatchError) as exc:
             raise ParseError(f"{block}: {exc}") from exc
         processes.update((p.id, p) for p in members)
-        ports.update((p.id, p) for p in new_ports)
         ids.update((path + (p.name,), p.id) for p in members)
         if path:
             nets[owner] = (net, binding)
 
     # the top level is a block with no owner, its processes' ids bare names
-    build("", (), top, "top level")
-    # a net's owner is a member of its parent's net, so parents go first
-    for path in sorted(net_blocks, key=len):
-        where = f"net for {'.'.join(path)}"
-        if path not in ids:
-            raise ParseError(f"{where}: no such process is declared")
-        build(ids[path], path, net_blocks[path], where)
+    build(Model(table, {}, "", nets), "", (), top)
+    # A net's owner is a member of its parent's net, so parents go first.
+    # build_subnet reads the model's tables, not its root.  A member's id is
+    # its owner's and its name, so the blocks of one depth cannot make the
+    # same id, and each depth is built against the model the ones above made.
+    for _, paths in itertools.groupby(sorted(net_blocks, key=len), key=len):
+        so_far = Model(table, dict(processes), "", nets)
+        for path in paths:
+            if path not in ids:
+                raise ParseError(f"net for {'.'.join(path)}: no such process is declared")
+            build(so_far, ids[path], path, net_blocks[path])
 
+    model = Model(table, processes, ids[(top.members[0].name,)], nets)
     # a port's inline record sort is resolved by build_subnet, which does not
     # look for a field declared twice
-    if any(core.sort_problems(p.sort) for p in ports.values() if p.sort is not None):
+    if any(core.sort_problems(p.sort) for p in model.ports.values() if p.sort is not None):
         raise DuplicateDefinitionError("record field declared twice")
-    root = ids[(top.members[0].name,)]
-    return Model(sort_table=table, processes=processes, ports=ports, root=root, nets=nets)
+    return model
 
 
 # --- script parsing ----------------------------------------------------------------
@@ -716,10 +722,12 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
             level_net.processes,
             key=lambda m: (model.processes[m].name if m in model.processes else m, m),
         ):
-            name = (
-                model.processes[member].name if member in model.processes else member
-            )
-            if remaining > 1 and member in model.nets:
+            proc = model.processes.get(member)
+            name = proc.name if proc is not None else member
+            # expanded only if its binding takes each of its ports inside, so
+            # that every edge at it ends at a drawn node
+            expand = remaining > 1 and member in model.nets and proc is not None
+            if expand and set(proc.ports()) <= model.nets[member][1].to_subnet().keys():
                 expanded.add(member)
                 cluster = f"cluster{counters['cluster']}"
                 counters["cluster"] += 1
@@ -732,14 +740,12 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
 
     render(owner, net, depth, "  ")
 
+    owners = model.port_owners
+
     def resolve(port_id: str) -> str:
-        # descend through bindings while the owning process is expanded and
-        # its binding has an image for the port
-        while port_id in model.ports and model.ports[port_id].owner in expanded:
-            inner = model.nets[model.ports[port_id].owner][1].to_subnet().get(port_id)
-            if inner is None:
-                break
-            port_id = inner
+        # descend through bindings while the owning process is expanded
+        while owners.get(port_id) in expanded:
+            port_id = model.nets[owners[port_id]][1].to_subnet()[port_id]
         return port_id
 
     def label(sort: Sort | None) -> str:
@@ -754,11 +760,10 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
             if port is not None and port.sort is not None:
                 sort = port.sort
                 break
-        src = model.ports.get(resolve(src_port))
-        dst = model.ports.get(resolve(dst_port))
+        src, dst = owners.get(resolve(src_port)), owners.get(resolve(dst_port))
         if src is None or dst is None:
             return
-        lines.append(f"  {node_of(src.owner)} -> {node_of(dst.owner)}{label(sort)};")
+        lines.append(f"  {node_of(src)} -> {node_of(dst)}{label(sort)};")
 
     for ch in sorted(net.channels, key=lambda c: (c.source, c.dest)):
         edge(ch.source, ch.dest)
@@ -766,13 +771,15 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
     env_count = 0
     for boundary, inward in ((net.env_inputs, True), (net.env_outputs, False)):
         for port_id in sorted(boundary):
-            port = model.ports.get(resolve(port_id))
+            port_id = resolve(port_id)
+            port = model.ports.get(port_id)
             if port is None:
                 continue
             env = f"e{env_count}"
             env_count += 1
             lines.append(f"  {env} [shape=point, label=\"\"];")
-            ends = (env, node_of(port.owner)) if inward else (node_of(port.owner), env)
+            node = node_of(owners[port_id])
+            ends = (env, node) if inward else (node, env)
             lines.append(f"  {ends[0]} -> {ends[1]}{label(port.sort)};")
 
     lines.append("}")

@@ -31,7 +31,8 @@ def tokenize_dot(text: str) -> list[str]:
 
 
 def check_dot(text: str) -> int:
-    """Assert the text is a well-formed digraph; returns the node count."""
+    """Assert the text is a well-formed digraph whose edges join declared
+    nodes; returns the node count."""
     toks = tokenize_dot(text)
     assert toks and toks[0] == "digraph", "must start with 'digraph'"
     i = 1
@@ -40,6 +41,8 @@ def check_dot(text: str) -> int:
     assert toks[i] == "{", "missing opening brace"
     i += 1
     nodes = 0
+    declared: set[str] = set()
+    endpoints: set[str] = set()
     depth = 1
 
     def parse_attrs(start: int) -> int:
@@ -76,11 +79,13 @@ def check_dot(text: str) -> int:
             i += 3  # graph-level attribute like rankdir=LR
         elif i + 1 < len(toks) and toks[i + 1] == "->":
             assert _NAME.match(toks[i + 2]), "edge needs a target"
+            endpoints.update((tok, toks[i + 2]))
             i += 3
             if i < len(toks) and toks[i] == "[":
                 i = parse_attrs(i)
         else:
             nodes += 1
+            declared.add(tok)
             i += 1
             if i < len(toks) and toks[i] == "[":
                 i = parse_attrs(i)
@@ -88,4 +93,6 @@ def check_dot(text: str) -> int:
             i += 1
     assert depth == 0, "unbalanced braces"
     assert i == len(toks), "trailing tokens after closing brace"
+    undeclared = sorted(endpoints - declared)
+    assert not undeclared, f"edges end at undeclared nodes {undeclared}"
     return nodes

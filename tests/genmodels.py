@@ -9,6 +9,7 @@ which keeps them inside the brute-force oracle's search universe.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from bpnet import refine
@@ -130,34 +131,31 @@ def gen_model(
     table = gen_sort_table(rng)
     from bpnet.core import Port, Process
 
-    ports = {}
+    ports = []
     ins, outs = [], []
     for i in range(rng.randint(1, 2)):
         sname = _pick_sort_name(rng, table)
         pid = f"system:in_{i}"
-        ports[pid] = Port(pid, f"in_{i}", INPUT, "system", table[sname] if sname else None)
+        ports.append(Port(pid, f"in_{i}", INPUT, table[sname] if sname else None))
         ins.append(pid)
     for i in range(rng.randint(1, 2)):
         sname = _pick_sort_name(rng, table)
         pid = f"system:out_{i}"
-        ports[pid] = Port(pid, f"out_{i}", OUTPUT, "system", table[sname] if sname else None)
+        ports.append(Port(pid, f"out_{i}", OUTPUT, table[sname] if sname else None))
         outs.append(pid)
     from bpnet.core import FiringRule
 
     root = Process(
         "system",
         "system",
-        tuple(ins),
-        tuple(outs),
+        tuple(ports),
         firing_rules=(
             FiringRule(
                 tuple((p, WHOLE) for p in ins), tuple((p, WHOLE) for p in outs)
             ),
         ),
     )
-    model = Model(
-        sort_table=table, processes={"system": root}, ports=ports, root="system", nets={}
-    )
+    model = Model(sort_table=table, processes={"system": root}, root="system", nets={})
 
     queue: list[tuple[tuple[str, ...], int]] = [(("system",), 0)]
     while queue:
@@ -437,17 +435,12 @@ def rename_ids(model: Model) -> Model:
     """The same model under a fresh, unrelated id scheme."""
     pmap = {pid: f"P{i}" for i, pid in enumerate(sorted(model.processes))}
     qmap = {pid: f"q{i}" for i, pid in enumerate(sorted(model.ports))}
-    ports = {
-        qmap[p]: Port(qmap[p], port.name, port.direction, pmap[port.owner], port.sort)
-        for p, port in model.ports.items()
-    }
     procs = {}
     for pid, proc in model.processes.items():
         procs[pmap[pid]] = Process(
             pmap[pid],
             proc.name,
-            tuple(qmap[p] for p in proc.inputs),
-            tuple(qmap[p] for p in proc.outputs),
+            tuple(dataclasses.replace(port, id=qmap[port.id]) for port in proc.interface),
             proc.behavior_note,
             tuple(
                 FiringRule(
@@ -471,7 +464,7 @@ def rename_ids(model: Model) -> Model:
                 tuple(sorted((qmap[a], qmap[b]) for a, b in binding.pairs))
             ),
         )
-    return Model(model.sort_table, procs, ports, pmap[model.root], nets)
+    return Model(model.sort_table, procs, pmap[model.root], nets)
 
 
 def chain_text(length: int, back_edge: bool = False) -> str:

@@ -143,9 +143,9 @@ def print_model(model: Model) -> str:
                     lines.append(f"  {_rule_text(model, proc, rule)}")
 
         def port_ref(port_id: str) -> tuple[str, str]:
-            port = model.ports[port_id]
-            proc = model.processes.get(port.owner)
-            return (proc.name if proc else port.owner, port.name)
+            owner = model.port_owners[port_id]
+            proc = model.processes.get(owner)
+            return (proc.name if proc else owner, model.ports[port_id].name)
 
         for ch in sorted(
             net.channels,
@@ -228,8 +228,7 @@ def net_spec_of(model: Model, owner: ProcessId, table) -> NetSpec | None:
             )
 
     def ref(port_id: PortId) -> tuple[str, str]:
-        port = model.ports[port_id]
-        return model.processes[port.owner].name, port.name
+        return model.processes[model.port_owners[port_id]].name, model.ports[port_id].name
 
     channels = tuple(
         sorted(ref(ch.source) + ref(ch.dest) for ch in net.channels)

@@ -465,19 +465,14 @@ def _build_model(
     rules_by_pid: dict[str, list[FiringRule]] = {}
 
     def declare_process(spec: ProcessSpec, pid: str) -> None:
-        ins, outs = [], []
-        for direction, decls, target in (
-            (INPUT, spec.inputs, ins),
-            (OUTPUT, spec.outputs, outs),
-        ):
+        held = []
+        for direction, decls in ((INPUT, spec.inputs), (OUTPUT, spec.outputs)):
             for pname, sexpr in decls:
                 port_id = f"{pid}:{pname}"
                 sort = resolve_expr(sexpr, None) if sexpr is not None else None
-                ports[port_id] = Port(port_id, pname, direction, pid, sort)
-                target.append(port_id)
-        processes[pid] = Process(
-            pid, spec.name, tuple(ins), tuple(outs), behavior_note=spec.note
-        )
+                ports[port_id] = Port(port_id, pname, direction, sort)
+                held.append(ports[port_id])
+        processes[pid] = Process(pid, spec.name, tuple(held), behavior_note=spec.note)
 
     for spec in top_procs:
         declare_process(spec, spec.name)
@@ -580,18 +575,11 @@ def _build_model(
     for pid, rule_list in rules_by_pid.items():
         proc = processes[pid]
         processes[pid] = Process(
-            proc.id,
-            proc.name,
-            proc.inputs,
-            proc.outputs,
-            proc.behavior_note,
-            tuple(rule_list),
+            proc.id, proc.name, proc.interface, proc.behavior_note, tuple(rule_list)
         )
 
     contained = {m for _, (net, _) in nets.items() for m in net.processes}
     root = next((p.name for p in top_procs if p.name not in contained), None)
     if root is None:
         raise ParseError("every declared process is contained in a net; no root")
-    return Model(
-        sort_table=table, processes=processes, ports=ports, root=root, nets=nets
-    )
+    return Model(sort_table=table, processes=processes, root=root, nets=nets)

@@ -5,6 +5,10 @@ copies in ``validate_scope``, and reported an undefined net member twice:
 once from the containment check and once from the net's own checks.  Its
 cycle search, ``find_cycle``, is the recursive one ``core.find_cycle``
 replaced; it fails on chains deeper than the recursion limit.
+
+Ports live in the process holding them, so the checks comparing a port
+table with the processes' lists went with that table; the rest read a
+port's owner from ``Model.port_owners``.
 """
 
 from __future__ import annotations
@@ -88,24 +92,7 @@ def _check_port_tables(model: Model) -> Iterator[Violation]:
         for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
             for port_id in port_ids:
                 listed_by.setdefault(port_id, []).append((pid, direction))
-                port = model.ports.get(port_id)
-                if port is None:
-                    yield Violation(
-                        DANGLING_REF, (pid, port_id), "process lists an undefined port"
-                    )
-                    continue
-                if port.owner != pid:
-                    yield Violation(
-                        PORT_CLASH,
-                        (pid, port_id),
-                        f"port is owned by {port.owner!r} but listed by {pid!r}",
-                    )
-                elif port.direction != direction:
-                    yield Violation(
-                        PORT_CLASH,
-                        (pid, port_id),
-                        f"port direction {port.direction!r} listed under {direction!r}",
-                    )
+                port = model.ports[port_id]
                 if port.name in seen_names and seen_names[port.name] != port_id:
                     yield Violation(
                         PORT_CLASH,
@@ -120,17 +107,6 @@ def _check_port_tables(model: Model) -> Iterator[Violation]:
                 PORT_CLASH,
                 (port_id,) + tuple(p for p, _ in listers),
                 "port listed by more than one process interface entry",
-            )
-    for port_id in sorted(model.ports):
-        port = model.ports[port_id]
-        owner = model.processes.get(port.owner)
-        if owner is None:
-            yield Violation(
-                DANGLING_REF, (port_id,), f"port owner {port.owner!r} is undefined"
-            )
-        elif port_id not in owner.ports():
-            yield Violation(
-                DANGLING_REF, (port_id,), "port is not listed by its owner's interface"
             )
 
 
@@ -251,6 +227,7 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str) -> Iterator[Vio
         if member not in model.processes:
             yield Violation(DANGLING_REF, (at, member), "net member is undefined")
     member_set = set(defined)
+    owner = model.port_owners
 
     def resolvable(port_id: PortId) -> Port | None:
         return model.ports.get(port_id)
@@ -278,23 +255,23 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str) -> Iterator[Vio
                 DANGLING_REF, (at, ch.dest), "channel dest is not an input port"
             )
             ok = False
-        if src.owner not in member_set:
+        if owner[ch.source] not in member_set:
             yield Violation(
                 DANGLING_REF, (at, ch.source), "channel source is not on a member process"
             )
             ok = False
-        if dst.owner not in member_set:
+        if owner[ch.dest] not in member_set:
             yield Violation(
                 DANGLING_REF, (at, ch.dest), "channel dest is not on a member process"
             )
             ok = False
-        if ok and src.owner == dst.owner:
+        if ok and owner[ch.source] == owner[ch.dest]:
             yield Violation(
                 SELF_LOOP,
-                (src.owner, ch.source, ch.dest),
+                (owner[ch.source], ch.source, ch.dest),
                 "channel connects a process to itself",
             )
-            self_loopers.append(src.owner)
+            self_loopers.append(owner[ch.source])
             ok = False
         if ok:
             usable_channels.append(ch)
@@ -310,7 +287,7 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str) -> Iterator[Vio
             port = resolvable(port_id)
             if port is None:
                 yield Violation(DANGLING_REF, (at, port_id), "boundary port is undefined")
-            elif port.direction != direction or port.owner not in member_set:
+            elif port.direction != direction or owner[port_id] not in member_set:
                 yield Violation(
                     DANGLING_REF,
                     (at, port_id),
@@ -344,7 +321,7 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str) -> Iterator[Vio
 
     graph: dict[ProcessId, set[ProcessId]] = {p: set() for p in defined}
     for ch in usable_channels:
-        s, d = model.ports[ch.source].owner, model.ports[ch.dest].owner
+        s, d = owner[ch.source], owner[ch.dest]
         if s != d:
             graph[s].add(d)
     for p in self_loopers:
@@ -380,7 +357,7 @@ def _binding_violations(
         seen_parent.add(parent_port)
         seen_inner.add(inner_port)
         pp, ip = model.ports.get(parent_port), model.ports.get(inner_port)
-        if pp is None or pp.owner != owner:
+        if pp is None or model.port_owners[parent_port] != owner:
             yield Violation(
                 BINDING_INCOMPLETE,
                 (owner, parent_port),

@@ -200,26 +200,22 @@ def test_criterion_1_constraint_suite():
 def _random_port_graph(rng: random.Random) -> tuple[Model, list[tuple[int, int]], int]:
     n = rng.randint(1, 6)
     members = [f"n{i}" for i in range(n)]
-    ports: dict[str, Port] = {}
+    ports: dict[str, list[Port]] = {m: [] for m in members}
     processes: dict[str, Process] = {}
     edges = [
         (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))
     ]
-    inputs: dict[str, list[str]] = {m: [] for m in members}
     channels = []
     for k, (a, b) in enumerate(edges):
         dest = f"{members[b]}:i{k}"
-        ports[dest] = Port(dest, f"i{k}", core.INPUT, members[b])
-        inputs[members[b]].append(dest)
+        ports[members[b]].append(Port(dest, f"i{k}", core.INPUT))
         channels.append(Channel(f"{members[a]}:o", dest))
     for m in members:
-        out = f"{m}:o"
-        ports[out] = Port(out, "o", core.OUTPUT, m)
-        processes[m] = Process(m, m, tuple(inputs[m]), (out,))
+        processes[m] = Process(m, m, tuple(ports[m]) + (Port(f"{m}:o", "o", core.OUTPUT),))
     root = Process("root", "root")
     processes["root"] = root
     net = ProcessNet(frozenset(members), frozenset(channels))
-    return Model({}, processes, ports, "root", {"root": (net, InterfaceBinding())}), edges, n
+    return Model({}, processes, "root", {"root": (net, InterfaceBinding())}), edges, n
 
 
 def test_criterion_2_cycle_oracle():

@@ -35,7 +35,6 @@ class TestModelIsomorphic:
         broken = core.Model(
             library_model.sort_table,
             library_model.processes,
-            library_model.ports,
             library_model.root,
             {"system": (smaller, binding)},
         )
@@ -72,7 +71,6 @@ class TestModelIsomorphic:
         smaller = core.Model(
             {k: v for k, v in bp_model.sort_table.items() if k != "Description"},
             bp_model.processes,
-            bp_model.ports,
             bp_model.root,
             bp_model.nets,
         )

@@ -308,9 +308,29 @@ def sort_chain(links: int, reverse: bool = False) -> str:
     return "sort T\n" + "\n".join(decls) + f"\nprocess p {{ in a : S{links - 1}; out b }}\n"
 
 
+def alias_chain(links: int, reverse: bool = False) -> str:
+    """``links`` declarations, each an alias of the one before."""
+    decls = ["sort S0 = T"] + [f"sort S{i} = S{i - 1}" for i in range(1, links)]
+    if reverse:
+        decls.reverse()
+    return "sort T\n" + "\n".join(decls) + f"\nprocess p {{ in a : S{links - 1}; out b }}\n"
+
+
 class TestSortChains:
     """The nesting bound holds for a sort built through a chain of
     declarations, each of which nests only one level."""
+
+    def test_reversed_alias_chain_runs(self, tmp_path, capsys):
+        # an alias nests nothing, so a chain of any length in any order resolves
+        printed = []
+        for reverse in (False, True):
+            model = tmp_path / "aliases.bpn"
+            model.write_text(alias_chain(1200, reverse))
+            assert run("validate", model) == EXIT_OK
+            assert run("fmt", model) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("sort S0 = T\nsort S1 = T\n")
 
     def test_longest_chain_runs(self, tmp_path, capsys):
         model = tmp_path / "chain.bpn"
@@ -362,7 +382,7 @@ class TestExportDotAndFmt:
         assert "subgraph cluster" in capsys.readouterr().out
 
     def test_dot_stops_at_a_port_the_binding_leaves_unbound(self, tmp_path):
-        # b is expanded, but its binding maps neither of its ports
+        # b has a net, but its binding maps neither of its ports
         model = tmp_path / "unbound.bpn"
         model.write_text(
             """
@@ -381,10 +401,12 @@ class TestExportDotAndFmt:
         )
         assert done.returncode == EXIT_OK, done.stderr
         check_dot(done.stdout)
-        # a is p0 and b's member x p1: the channel ends at b's own node, p2
+        # b is drawn whole, as the node p1 beside a's p0, not as a cluster:
+        # the channel ends at a declared node
         assert '  p0 [label="a"];' in done.stdout
-        assert '    p1 [label="x"];' in done.stdout
-        assert "  p0 -> p2;" in done.stdout.splitlines()
+        assert '  p1 [label="b"];' in done.stdout
+        assert "subgraph" not in done.stdout
+        assert "  p0 -> p1;" in done.stdout.splitlines()
 
     def test_dot_without_net_exits_one(self, capsys):
         assert run("export-dot", FIXTURES / "bp.bpn") == EXIT_INVALID

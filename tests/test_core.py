@@ -14,8 +14,10 @@ from bpnet.core import (
     AtomicSort,
     Channel,
     CollectionSort,
+    FiringRule,
     InterfaceBinding,
     Model,
+    Port,
     Process,
     ProcessNet,
     RecordSort,
@@ -234,7 +236,7 @@ class TestValidateModel:
         net2 = ProcessNet(processes=frozenset({q}), env_inputs=frozenset({f"{q}:i"}))
         nets = dict(m.nets)
         nets["stray"] = (net2, InterfaceBinding())
-        bad = Model(m.sort_table, {**m.processes, "stray": stray}, m.ports, m.root, nets)
+        bad = Model(m.sort_table, {**m.processes, "stray": stray}, m.root, nets)
         assert core.HIERARCHY_NOT_TREE in codes(validate_model(bad))
 
     def test_library_refined_model(self, library_refined):
@@ -248,20 +250,32 @@ class TestValidateModel:
         m = parse(TWO_CYCLE)
         net, binding = m.nets["system"]
         nets = {"system": (ProcessNet(net.processes | {"system"}, net.channels), binding)}
-        bad = Model(m.sort_table, m.processes, m.ports, m.root, nets)
+        bad = Model(m.sort_table, m.processes, m.root, nets)
         assert core.HIERARCHY_NOT_TREE in codes(validate_model(bad))
 
     def test_port_owned_elsewhere_is_a_clash(self):
+        # a second process holding the root's port
         m = parse("process root { in a }")
-        root = m.processes["root"]
-        other = Process("other", "other", inputs=("root:a",))
-        bad = Model(m.sort_table, {**m.processes, "other": other}, m.ports, "root", m.nets)
+        other = Process("other", "other", m.processes["root"].interface)
+        bad = Model(m.sort_table, {**m.processes, "other": other}, "root", m.nets)
         assert core.PORT_CLASH in codes(validate_model(bad))
 
+    def test_a_port_held_twice_belongs_to_the_least_holder(self):
+        m = parse("process root { in a }")
+        other = Process("other", "other", m.processes["root"].interface)
+        for processes in ({**m.processes, "other": other}, {"other": other, **m.processes}):
+            bad = Model(m.sort_table, processes, "root", m.nets)
+            assert bad.port_owners["root:a"] == "other"
+            assert [str(v) for v in validate_model(bad) if v.code == core.PORT_CLASH] == [
+                "PortClash root:a,other,root: port listed by more than one process interface entry"
+            ]
+
     def test_dangling_port_reference(self):
+        # a firing rule needing a port the process does not hold
         m = parse("process root { }")
-        root = Process("root", "root", inputs=("root:ghost",))
-        bad = Model(m.sort_table, {"root": root}, {}, "root", {})
+        rule = FiringRule((("root:ghost", core.WHOLE),), ())
+        root = Process("root", "root", firing_rules=(rule,))
+        bad = Model(m.sort_table, {"root": root}, "root", {})
         assert core.DANGLING_REF in codes(validate_model(bad))
 
     def test_idempotent_and_pure(self, library_refined):
@@ -353,7 +367,7 @@ class TestSerializeOrder:
         net, _ = m.nets["system"]
         members = sorted(net.processes)
         edges = {
-            (m.ports[c.source].owner, m.ports[c.dest].owner) for c in net.channels
+            (m.port_owners[c.source], m.port_owners[c.dest]) for c in net.channels
         }
         valid = [
             dict(zip(members, ranks))
@@ -454,6 +468,10 @@ class TestRecordSortValue:
         other = _rebuilt(s)
         assert other == s and other is not s
         assert hash(other) == hash(s)
+        # records and collections cache the hash the dataclass would generate
+        fields = tuple(getattr(s, f.name) for f in dataclasses.fields(s))
+        assert hash(s) == hash(fields)
+        assert ("_hash" in vars(s)) == (not isinstance(s, AtomicSort))
 
     def test_cached_hash_changes_no_dataclass_view(self):
         record = RecordSort((("f0", AtomicSort("A")), ("f1", AtomicSort("B"))))
@@ -491,18 +509,58 @@ class TestCachedOrderings:
         frozenset({"b:y"}),
     )
     BINDING = InterfaceBinding((("p:2", "b:y"), ("p:1", "a:x")))
+    PROCESS = Process(
+        "p",
+        "p",
+        (
+            Port("p:o", "o", core.OUTPUT),
+            Port("p:i", "i", core.INPUT),
+            Port("p:j", "j", core.INPUT),
+        ),
+        firing_rules=(FiringRule((("p:i", "f"),), (("p:o", core.WHOLE),)),),
+    )
+    SEQ = CollectionSort("seq", RecordSort((("f", AtomicSort("A")),)))
 
     def test_filling_the_caches_changes_no_dataclass_view(self):
         net, binding = dataclasses.replace(self.NET), dataclasses.replace(self.BINDING)
-        before = _views(net), _views(binding)
+        proc, seq = dataclasses.replace(self.PROCESS), dataclasses.replace(self.SEQ)
+        # hashing fills a sort's cache, so the sort's views are taken after it
+        before = _views(net), _views(binding), _views(proc), repr(seq)
+        assert "_hash" not in vars(seq)
+        assert hash(seq) == hash(("seq", seq.element)) and "_hash" in vars(seq)
         assert net.sorted_members == ("a", "b")
         assert net.sorted_channels == (Channel("a:o", "b:i"), Channel("b:o", "a:i"))
         assert net.sorted_boundary == (("a:x", "b:x"), ("b:y",))
         assert binding.sorted_pairs == (("p:1", "a:x"), ("p:2", "b:y"))
-        assert (_views(net), _views(binding)) == before
-        assert net == self.NET and binding == self.BINDING
+        assert proc.inputs == ("p:i", "p:j") and proc.outputs == ("p:o",)
+        assert proc.ports() == ("p:i", "p:j", "p:o")
+        assert [v.message for v in proc.violations] == [
+            "firing rule uses label 'f' which is not a record field of the port sort"
+        ]
+        assert {"inputs", "outputs", "violations"} <= vars(proc).keys()
+        assert (_views(net), _views(binding), _views(proc), repr(seq)) == before
+        assert _views(seq) == _views(dataclasses.replace(self.SEQ))
+        assert net == self.NET and binding == self.BINDING and proc == self.PROCESS
         with pytest.raises(dataclasses.FrozenInstanceError):
             net.processes = frozenset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            proc.interface = ()
+
+    def test_filling_the_port_index_changes_no_dataclass_view(self):
+        model = Model({}, {"p": dataclasses.replace(self.PROCESS)}, "p", {})
+
+        def views(m):
+            copy = dataclasses.replace(m)
+            return [f.name for f in dataclasses.fields(m)], repr(m), copy == m, repr(copy)
+
+        before = views(model)
+        assert list(model.ports) == ["p:o", "p:i", "p:j"]
+        assert dict(model.port_owners) == dict.fromkeys(model.ports, "p")
+        assert views(model) == before
+        with pytest.raises(TypeError):
+            model.ports["p:x"] = Port("p:x", "x", core.INPUT)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.ports = {}
 
     def test_a_replaced_value_orders_afresh(self):
         net = dataclasses.replace(self.NET)
@@ -522,6 +580,29 @@ class TestCachedOrderings:
         assert dataclasses.replace(binding, pairs=(("p:0", "0:x"),)).sorted_pairs == (
             ("p:0", "0:x"),
         )
+        seq = dataclasses.replace(self.SEQ)
+        hash(seq)
+        assert hash(dataclasses.replace(seq, kind="set")) == hash(
+            CollectionSort("set", seq.element)
+        )
+
+    def test_a_replaced_process_derives_its_views_and_findings_afresh(self):
+        proc = dataclasses.replace(self.PROCESS)
+        assert proc.ports() == ("p:i", "p:j", "p:o") and proc.violations
+        record = RecordSort((("f", AtomicSort("A")),))
+        grown = dataclasses.replace(
+            proc,
+            interface=(Port("p:i", "i", core.INPUT, record), Port("p:x", "x", core.OUTPUT)),
+        )
+        assert grown.inputs == ("p:i",) and grown.outputs == ("p:x",)
+        assert grown.ports() == ("p:i", "p:x")
+        assert [v.message.split(",")[0] for v in grown.violations] == [
+            "firing rule produces 'p:o'"
+        ]
+        model = Model({}, {"p": proc}, "p", {})
+        assert set(model.ports) == {"p:i", "p:j", "p:o"}
+        moved = dataclasses.replace(model, processes={"p": grown})
+        assert set(moved.ports) == {"p:i", "p:x"} and moved.ports["p:i"].sort == record
 
 
 class TestSortsCompatible:

@@ -5,18 +5,21 @@ Invariants in the package must hold under ``python -O``, which strips
 reports the same under ``-O`` as without it.  The model and the
 simulator must not import the rule engine, the parser builds no model
 value and the search no net spec itself, the search matches no record
-fields itself, the rules name no validation scope, and only ``core``
-writes sort text."""
+fields itself, the rules name no validation scope, no value stores a
+port fact twice, and only ``core`` writes sort text."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from bpnet.core import Model, Port
 
 from genmodels import chain_text
 
@@ -103,6 +106,23 @@ def test_search_reads_no_record_fields():
         and node.attr in {"fields", "field_sort", "field_names"}
     ]
     assert lines == [], f"check.py reads record fields on lines {lines}"
+
+
+def test_each_port_fact_is_stored_once():
+    """A port lives in the process holding it: the model derives its port
+    index, and the holder is the owner, so no value stores either again."""
+    assert "ports" not in {f.name for f in dataclasses.fields(Model)}
+    assert "owner" not in {f.name for f in dataclasses.fields(Port)}
+    passed = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in {"Model", "replace"}
+        and any(kw.arg == "ports" for kw in node.keywords)
+    ]
+    assert passed == [], f"ports= passed to Model or replace: {passed}"
 
 
 def test_rules_name_no_validation_scope():

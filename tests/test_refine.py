@@ -54,9 +54,9 @@ class TestDecompose:
             input_binds=(("bp1", "in_1", "in_1"),),
             output_binds=(("bp1", "out_1", "out_1"),),
         )
-        procs, ports, net, binding = build_subnet(bp_model, "bp", spec)
+        procs, net, binding = build_subnet(bp_model, "bp", spec)
         with pytest.raises(InterfaceMismatchError):
-            refine.decompose_process(bp_model, "bp", procs, ports, net, binding)
+            refine.decompose_process(bp_model, "bp", procs, net, binding)
 
     def test_reserve_book_decomposition(self, library_model, library_script):
         result, _ = library_script.steps[0].apply(library_model)

@@ -306,8 +306,7 @@ class TestConfluence:
         corrupted = Process(
             proc.id,
             proc.name,
-            proc.inputs,
-            proc.outputs,
+            proc.interface,
             firing_rules=(
                 FiringRule(((in_port, "whole"),), ((out_port, "whole"),)),
                 FiringRule(((proc.inputs[1], "whole"),), ((out_port, "whole"),)),
@@ -316,7 +315,6 @@ class TestConfluence:
         bad = core.Model(
             bp_model.sort_table,
             {**bp_model.processes, proc.id: corrupted},
-            bp_model.ports,
             bp_model.root,
             bp_model.nets,
         )

@@ -41,9 +41,12 @@ BAD_RECORD = RecordSort((("a", AtomicSort("A")), ("a", AtomicSort("A"))))
 
 
 def _with_port(model: Model, port_id, **changes) -> Model:
-    ports = dict(model.ports)
-    ports[port_id] = dataclasses.replace(ports[port_id], **changes)
-    return dataclasses.replace(model, ports=ports)
+    """``model`` with the port changed where its holder holds it."""
+    holder = model.processes[model.port_owners[port_id]]
+    interface = tuple(
+        dataclasses.replace(p, **changes) if p.id == port_id else p for p in holder.interface
+    )
+    return _with_process(model, holder.id, interface=interface)
 
 
 def _with_process(model: Model, pid, **changes) -> Model:
@@ -68,15 +71,15 @@ def corruptions(model: Model, rng: random.Random):
     pick = rng.choice
 
     port = model.ports[pick(ports)]
-    yield "dropped-port", dataclasses.replace(
-        model, ports={p: q for p, q in model.ports.items() if p != port.id}
+    holder = model.processes[model.port_owners[port.id]]
+    yield "dropped-port", _with_process(
+        model, holder.id, interface=tuple(p for p in holder.interface if p.id != port.id)
     )
-    others = [p for p in procs if p != port.owner]
+    others = [p for p in procs if p != holder.id]
     if others:
         lister = pick(others)
-        side = "inputs" if port.direction == INPUT else "outputs"
         yield "listed-twice", _with_process(
-            model, lister, **{side: getattr(model.processes[lister], side) + (port.id,)}
+            model, lister, interface=model.processes[lister].interface + (port,)
         )
     flipped = OUTPUT if port.direction == INPUT else INPUT
     yield "wrong-direction", _with_port(model, port.id, direction=flipped)
@@ -126,7 +129,8 @@ def corruptions(model: Model, rng: random.Random):
             p
             for m in members
             for p in model.processes[m].outputs
-            if p != driven.source and model.ports[p].owner != model.ports[driven.dest].owner
+            if p != driven.source
+            and model.port_owners[p] != model.port_owners[driven.dest]
         ]
         if sources:
             extra = Channel(pick(sources), driven.dest)
@@ -320,7 +324,8 @@ def test_a_port_listed_twice_by_one_process_names_it_twice():
     model = load_model("library.bpn")
     pid = "system.retrieve_book"
     proc = model.processes[pid]
-    bad = _with_process(model, pid, inputs=proc.inputs + proc.inputs[:1])
+    first = next(p for p in proc.interface if p.id == proc.inputs[0])
+    bad = _with_process(model, pid, interface=proc.interface + (first,))
     assert lines(validate_model(bad)) == reference_lines(bad)
     clash = f"PortClash {proc.inputs[0]},{pid},{pid}: "
     assert clash + "port listed by more than one process interface entry" in lines(
@@ -333,11 +338,12 @@ def test_validate_model_orders_whole_model_then_processes_then_nets():
     net, _ = model.nets["system"]
     member = sorted(net.processes)[0]
     proc = model.processes[member]
-    bad = _with_process(model, member, inputs=proc.inputs + ("nowhere",))
+    rule = FiringRule(needs=(("nowhere", WHOLE),), produces=())
+    bad = _with_process(model, member, firing_rules=proc.firing_rules + (rule,))
     bad = _with_net(bad, "system", processes=net.processes | {"ghost"})
-    orphan = dataclasses.replace(proc, id="orphan", inputs=(), outputs=(), firing_rules=())
+    orphan = dataclasses.replace(proc, id="orphan", interface=(), firing_rules=())
     bad = dataclasses.replace(bad, processes={**bad.processes, "orphan": orphan})
     messages = [v.message for v in validate_model(bad)]
     assert messages.index("process is not contained in any net") < messages.index(
-        "process lists an undefined port"
+        "firing rule needs 'nowhere', which is not an input port of the process"
     ) < messages.index("net member is undefined")
