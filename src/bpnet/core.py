@@ -31,6 +31,30 @@ SET = "set"
 COLLECTION_KINDS = (SEQUENCE, SET)
 
 
+class _cached:
+    """A view of an immutable value, computed on its first read and stored
+    in the instance ``__dict__``, where later reads find it first.
+
+    ``functools.cached_property`` does the same but, on Python 3.11, takes
+    a lock on every first read.  Without it, two threads reading a view
+    first at once may both compute it, and get equal values: the instance
+    does not change.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 # --- sorts -----------------------------------------------------------------
 
 
@@ -46,7 +70,7 @@ class RecordSort:
     fields: tuple[tuple[str, "Sort"], ...]
 
     # the generated hash, computed once: records key the sort-check cache
-    @functools.cached_property
+    @_cached
     def _hash(self) -> int:
         return hash((self.fields,))
 
@@ -69,7 +93,7 @@ class CollectionSort:
     element: "Sort"
 
     # the generated hash, computed once, as for records
-    @functools.cached_property
+    @_cached
     def _hash(self) -> int:
         return hash((self.kind, self.element))
 
@@ -157,12 +181,12 @@ class Process:
     # views of the interface, and the process's own checks, computed once:
     # models share their processes
 
-    @functools.cached_property
+    @_cached
     def inputs(self) -> tuple[PortId, ...]:
         """The ids of the input ports, in declared order."""
         return tuple([port.id for port in self.interface if port.direction == INPUT])
 
-    @functools.cached_property
+    @_cached
     def outputs(self) -> tuple[PortId, ...]:
         """The ids of the output ports, in declared order."""
         return tuple([port.id for port in self.interface if port.direction == OUTPUT])
@@ -171,7 +195,7 @@ class Process:
         """The input ids, then the output ids."""
         return self.inputs + self.outputs
 
-    @functools.cached_property
+    @_cached
     def violations(self) -> tuple["Violation", ...]:
         """What ``_process_violations`` finds on this process."""
         found: list[Violation] = []
@@ -195,15 +219,15 @@ class ProcessNet:
     env_outputs: frozenset[PortId] = frozenset()
 
     # orderings the validator reads, computed once: models share their nets
-    @functools.cached_property
+    @_cached
     def sorted_members(self) -> tuple[ProcessId, ...]:
         return tuple(sorted(self.processes))
 
-    @functools.cached_property
+    @_cached
     def sorted_channels(self) -> tuple[Channel, ...]:
         return tuple(sorted(self.channels, key=lambda c: (c.source, c.dest)))
 
-    @functools.cached_property
+    @_cached
     def sorted_boundary(self) -> tuple[tuple[PortId, ...], tuple[PortId, ...]]:
         """The sorted env inputs and the sorted env outputs."""
         return tuple(sorted(self.env_inputs)), tuple(sorted(self.env_outputs))
@@ -215,7 +239,7 @@ class InterfaceBinding:
 
     pairs: tuple[tuple[PortId, PortId], ...] = ()
 
-    @functools.cached_property
+    @_cached
     def sorted_pairs(self) -> tuple[tuple[PortId, PortId], ...]:
         return tuple(sorted(self.pairs))
 
@@ -248,7 +272,7 @@ class Model:
         except KeyError:
             raise NoNetError(f"process {owner!r} has no net") from None
 
-    @functools.cached_property
+    @_cached
     def _interfaces(self) -> tuple[dict[PortId, Port], dict[PortId, ProcessId], set[PortId]]:
         """Each port id mapped to its port and to the process holding it,
         found in one pass over the processes, and the ids held more than
@@ -268,24 +292,24 @@ class Model:
                 owners[port.id] = pid
         return ports, owners, repeated
 
-    @functools.cached_property
+    @_cached
     def ports(self) -> Mapping[PortId, Port]:
         """Each port of the model by id (read-only)."""
         return MappingProxyType(self._interfaces[0])
 
-    @functools.cached_property
+    @_cached
     def port_owners(self) -> Mapping[PortId, ProcessId]:
         """The process holding each port, by port id (read-only)."""
         return MappingProxyType(self._interfaces[1])
 
-    @functools.cached_property
+    @_cached
     def _sort_names(self) -> dict[Sort, str]:
         """Each sort the table declares, mapped to its least name."""
         table = self.sort_table
         # names in falling order, so that the least is written last
         return {table[name]: name for name in sorted(table, reverse=True)}
 
-    @functools.cached_property
+    @_cached
     def _containers(self) -> dict[ProcessId, ProcessId]:
         """Each net member mapped to the least owner of a net listing it.
 
@@ -301,7 +325,7 @@ class Model:
                     index[member] = owner
         return index
 
-    @functools.cached_property
+    @_cached
     def _flat(self) -> tuple[ProcessNet, dict[PortId, PortId]]:
         """The leaf-level net plus the composed binding from root ports to
         its boundary, computed once.
@@ -977,10 +1001,18 @@ def validate_scope(
     ``validate_model`` remains the complete check.
     """
     findings: list[Violation] = []
+    _, owners_of, repeated = model._interfaces
     for pid in sorted(set(processes)):
         proc = model.processes.get(pid)
         if proc is None:
             findings.append(Violation(DANGLING_REF, (pid,), "process is undefined"))
+        elif repeated:
+            # the sort of a port held more than once is reported by its owner
+            findings += [
+                v
+                for v in proc.violations
+                if v.code != SORT_MISMATCH or owners_of.get(v.location[0], pid) == pid
+            ]
         else:
             findings += proc.violations
     for owner in sorted(set(owners)):

@@ -903,29 +903,40 @@ def build_subnet(
         rules[mid] = []
 
     def member_port(member: str, port: str) -> PortId:
-        key = (member, port)
-        if key not in port_ids:
+        port_id = port_ids.get((member, port))
+        if port_id is None:
             raise UnknownPortError(f"no port {port!r} on subnet member {member!r}")
-        return port_ids[key]
+        return port_id
 
+    # each reference is one lookup; a miss is found again, in order, for
+    # member_port's error
     for rspec in spec.rules:
-        mid = member_ids.get(rspec.process)
+        member = rspec.process
+        mid = member_ids.get(member)
         if mid is None:
-            raise UnknownPortError(f"rule names unknown subnet member {rspec.process!r}")
-        needs, produces = (
-            tuple((member_port(rspec.process, p), lab) for p, lab in refs)
-            for refs in (rspec.needs, rspec.produces)
-        )
+            raise UnknownPortError(f"rule names unknown subnet member {member!r}")
+        try:
+            needs = tuple([(port_ids[member, p], lab) for p, lab in rspec.needs])
+            produces = tuple([(port_ids[member, p], lab) for p, lab in rspec.produces])
+        except KeyError:
+            for p, _ in rspec.needs + rspec.produces:
+                member_port(member, p)
+            raise
         rules[mid].append(FiringRule(needs, produces, rspec.compute))
     members = [
         Process(mid, mspec.name, interface, mspec.note, tuple(rules[mid]))
         for mid, (mspec, interface) in made.items()
     ]
 
-    channels = frozenset(
-        Channel(member_port(sa, pa), member_port(sb, pb))
-        for sa, pa, sb, pb in spec.channels
-    )
+    try:
+        channels = frozenset(
+            [Channel(port_ids[sa, pa], port_ids[sb, pb]) for sa, pa, sb, pb in spec.channels]
+        )
+    except KeyError:
+        for sa, pa, sb, pb in spec.channels:
+            member_port(sa, pa)
+            member_port(sb, pb)
+        raise
 
     pairs: list[tuple[PortId, PortId]] = []
     env_in: set[PortId] = set()

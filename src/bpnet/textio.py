@@ -7,6 +7,12 @@ feed counting as one.  ``#`` starts a comment that runs to the end of its
 line; files are UTF-8.  The whole text is split into tokens at once, and a
 token's line and column are computed only for an error.
 
+Statements are read by index.  Each reader takes the index of its first
+token and returns what it read with the index after it; it tests each token
+inline, against the set of the text's names or the punctuation it expects,
+so reading a statement calls no function per token.  The cursor makes each
+error that names a token, from the token's index.
+
 Model files (``.bpn``) declare sorts, a root process, and one ``net for
 <path>`` block per decomposed process; member processes are declared inside
 the block of the net containing them.  Each block is read as a decomposition
@@ -104,35 +110,41 @@ def _shown(tok: str) -> str:
 
 
 class _Cursor:
-    """The tokens of a text, read one at a time.
+    """The tokens of a text, which the readers below read by index.
 
     A token is its source text, a string keeping its quotes, so its first
     character gives its kind: a letter or ``_`` an identifier, ``"`` a
-    string, anything else punctuation.  Positions are computed only for
-    errors, from a token's index.
+    string, anything else punctuation.  The list ends in ``None``, which is
+    none of the tokens a reader looks for, so a reader stops there without
+    a test for the end.  Positions are computed only for errors, from a
+    token's index.
     """
 
     def __init__(self, text: str, filename: str):
         tokens = _TOKEN.findall(text)
         if "#" in text:
             tokens = [tok for tok in tokens if tok[0] != "#"]
-        self.tokens = tokens
-        self.pos = 0
+        distinct = set(tokens)
+        tokens.append(None)
+        self.tokens: list[str | None] = tokens
         self.text = text
         self.filename = filename
-        bad = [tok for tok in set(tokens) if len(tok) == 1 and tok not in _GOOD_CHARS]
+        bad = [tok for tok in distinct if len(tok) == 1 and tok not in _GOOD_CHARS]
         if bad:
             first = min(map(tokens.index, bad))
             tok = tokens[first]
             what = "unterminated string" if tok == '"' else f"unexpected character {tok!r}"
-            raise ParseError(what, self.span(first))
+            raise self.error(what, first)
+        # the text's identifiers, and those of them that may name something
+        self.words = {tok for tok in distinct if tok[0] in _IDENT_START}
+        self.names = self.words - RESERVED
+        # one reference per sort name, shared by the ports that name it
+        self.sort_refs: dict[str, SortNameRef] = {}
 
-    def span(self, index: int | None = None) -> SourceSpan:
-        """Where token ``index`` (by default the last one taken) starts;
-        past the last token, the position just past the last line."""
-        if index is None:
-            index = self.last
-        if index >= len(self.tokens):
+    def span(self, index: int) -> SourceSpan:
+        """Where token ``index`` starts; at the end, the position just past
+        the last line."""
+        if index >= len(self.tokens) - 1:
             lines = self.text.splitlines() or [""]
             return SourceSpan(self.filename, len(lines), len(lines[-1]) + 1)
         starts = (m.start(1) for m in _TOKEN.finditer(self.text) if m[1][0] != "#")
@@ -141,169 +153,215 @@ class _Cursor:
         lines = self.text[: offset + 1].splitlines()
         return SourceSpan(self.filename, len(lines), len(lines[-1]))
 
-    @property
-    def last(self) -> int:
-        """The index of the token ``take`` returned last."""
-        return self.pos - 1
+    def error(self, message: str, index: int, kind: type[ParseError] = ParseError) -> ParseError:
+        """The error ``kind`` with ``message`` at token ``index``; every
+        error a reader raises is made here."""
+        return kind(message, self.span(index))
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def expected(
+        self, index: int, what: str, name: bool = False, otherwise: str = ""
+    ) -> ParseError:
+        """The error for token ``index``, which is not the ``what`` expected.
 
-    def take(self) -> str | None:
-        """The next token, or None at the end of input; ``last`` is then
-        its index either way."""
-        index = self.pos
-        self.pos = index + 1
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def at(self, text: str) -> bool:
-        return self.peek() == text
-
-    def skip(self, text: str) -> bool:
-        """Take the next token if it is ``text``; whether it was."""
-        if self.peek() != text:
-            return False
-        self.pos += 1
-        return True
-
-    def take_punct(self, text: str) -> str:
-        tok = self.take()
-        if tok != text:
-            got = f", got {_shown(tok)!r}" if tok else ""
-            raise ParseError(f"expected {text!r}{got}", self.span())
-        return tok
-
-    def take_ident(self, what: str = "identifier", allow_reserved: bool = False) -> str:
-        tok = self.take()
-        if tok is None or tok[0] not in _IDENT_START:
-            got = f", got {_shown(tok)!r}" if tok else ""
-            raise ParseError(f"expected {what}{got}", self.span())
-        if not allow_reserved and tok in RESERVED:
-            raise ParseError(f"{tok!r} is a reserved word and cannot name a {what}", self.span())
-        return tok
-
-    def skip_separators(self) -> None:
-        while self.skip(";"):
-            pass
+        With ``name``, a name was expected, and a reserved word there gets
+        its own message; with ``otherwise``, a keyword was, and another
+        identifier there gets that message."""
+        tok = self.tokens[index]
+        if tok in self.words and name:
+            return self.error(f"{tok!r} is a reserved word and cannot name a {what}", index)
+        if tok in self.words and otherwise:
+            return self.error(otherwise, index)
+        got = f", got {_shown(tok)!r}" if tok else ""
+        return self.error(f"expected {what}{got}", index)
 
 
-# --- shared statement parsers ---------------------------------------------------
+# --- shared statement readers ---------------------------------------------------
 
 
-def _parse_sort_expr(cur: _Cursor, depth: int = 0) -> SortExpr:
+def _parse_sort_expr(cur: _Cursor, i: int, depth: int = 0) -> tuple[SortExpr, int]:
     """A sort expression inside ``depth`` record and collection sorts."""
-    tok = cur.take()
-    if tok is None or tok[0] not in _IDENT_START:
-        raise ParseError("expected a sort expression", cur.span())
+    toks = cur.tokens
+    tok = toks[i]
+    if tok not in cur.words:
+        raise cur.error("expected a sort expression", i)
     if tok in ("record", core.SEQUENCE, core.SET) and depth == MAX_SORT_NESTING:
-        raise ParseError(_TOO_DEEP, cur.span())
+        raise cur.error(_TOO_DEEP, i)
     if tok == "record":
-        at = cur.last
-        cur.take_punct("{")
+        at = i
+        if toks[i + 1] != "{":
+            raise cur.expected(i + 1, "'{'")
+        i += 2
         fields: list[tuple[str, SortExpr]] = []
-        while not cur.at("}"):
-            fname = cur.take_ident("field name", allow_reserved=True)
-            cur.take_punct(":")
-            fields.append((fname, _parse_sort_expr(cur, depth + 1)))
-            cur.skip(",")
-        cur.take_punct("}")
+        while toks[i] != "}":
+            fname = toks[i]
+            if fname not in cur.words:
+                raise cur.expected(i, "field name")
+            if toks[i + 1] != ":":
+                raise cur.expected(i + 1, "':'")
+            fexpr, i = _parse_sort_expr(cur, i + 2, depth + 1)
+            fields.append((fname, fexpr))
+            if toks[i] == ",":
+                i += 1
         if not fields:
-            raise ParseError("a record sort needs at least one field", cur.span(at))
-        return RecordExpr(tuple(fields))
+            raise cur.error("a record sort needs at least one field", at)
+        return RecordExpr(tuple(fields)), i + 1
     if tok in (core.SEQUENCE, core.SET):
-        return CollectionExpr(tok, _parse_sort_expr(cur, depth + 1))
+        element, i = _parse_sort_expr(cur, i + 1, depth + 1)
+        return CollectionExpr(tok, element), i
     if tok in RESERVED:
-        raise ParseError(f"{tok!r} cannot name a sort", cur.span())
-    return SortNameRef(tok)
+        raise cur.error(f"{tok!r} cannot name a sort", i)
+    return SortNameRef(tok), i + 1
 
 
-def _parse_port_decls(cur: _Cursor) -> list[tuple[str, SortExpr | None, int]]:
-    """Port declarations, each with its name's token index."""
-    decls = []
+def _parse_words(
+    cur: _Cursor, i: int, sep: str, what: str, name: bool = True
+) -> tuple[tuple[str, ...], int]:
+    """Identifiers joined by ``sep``, and the index after them: names, or
+    with ``name`` false any identifiers, reserved words too."""
+    toks = cur.tokens
+    allowed = cur.names if name else cur.words
+    words = []
     while True:
-        name, at = cur.peek(), cur.pos
-        if name is None or name[0] not in _IDENT_START or name in RESERVED:
-            break
-        cur.take()
-        sexpr = None
-        if cur.skip(":"):
-            sexpr = _parse_sort_expr(cur)
-        decls.append((name, sexpr, at))
-    return decls
+        tok = toks[i]
+        if tok not in allowed:
+            raise cur.expected(i, what, name)
+        words.append(tok)
+        if toks[i + 1] != sep:
+            return tuple(words), i + 1
+        i += 2
 
 
-def _parse_process_block(cur: _Cursor) -> tuple[ProcessSpec, int]:
-    """A process block and its name's token index."""
-    name = cur.take_ident("process name")
-    name_at = cur.last
-    cur.take_punct("{")
+def _parse_process_block(cur: _Cursor, i: int) -> tuple[ProcessSpec, int, int]:
+    """A process block, its name's token index and the index after it.
+
+    A port's sort that is a plain name is read here; any other goes to
+    ``_parse_sort_expr``."""
+    toks, names = cur.tokens, cur.names
+    name = toks[i]
+    if name not in names:
+        raise cur.expected(i, "process name", name=True)
+    name_at = i
+    if toks[i + 1] != "{":
+        raise cur.expected(i + 1, "'{'")
+    i += 2
     inputs: list[tuple[str, SortExpr | None]] = []
     outputs: list[tuple[str, SortExpr | None]] = []
     note = ""
     seen: set[str] = set()
+    refs = cur.sort_refs
     while True:
-        cur.skip_separators()
-        if cur.skip("}"):
+        tok = toks[i]
+        while tok == ";":
+            i += 1
+            tok = toks[i]
+        if tok == "}":
             break
-        tok = cur.take()
         if tok is None:
-            raise ParseError(f"unterminated process block {name!r}", cur.span())
+            raise cur.error(f"unterminated process block {name!r}", i)
+        at = i
+        i += 1
         if tok in (INPUT, OUTPUT):
-            for pname, sexpr, at in _parse_port_decls(cur):
-                if pname in seen:
-                    raise DuplicateDefinitionError(
-                        f"port {pname!r} declared twice on process {name!r}", cur.span(at)
-                    )
+            decls = inputs if tok == INPUT else outputs
+            # a port declared twice is reported once the section is read
+            twice = None
+            pname = toks[i]
+            while pname in names:
+                if pname in seen and twice is None:
+                    twice = i
                 seen.add(pname)
-                (inputs if tok == INPUT else outputs).append((pname, sexpr))
+                sexpr = None
+                if toks[i + 1] != ":":
+                    i += 1
+                elif toks[i + 2] in names:
+                    sexpr = refs.get(toks[i + 2])
+                    if sexpr is None:
+                        sexpr = refs[toks[i + 2]] = SortNameRef(toks[i + 2])
+                    i += 3
+                else:
+                    sexpr, i = _parse_sort_expr(cur, i + 2)
+                decls.append((pname, sexpr))
+                pname = toks[i]
+            if twice is not None:
+                raise cur.error(
+                    f"port {toks[twice]!r} declared twice on process {name!r}",
+                    twice,
+                    DuplicateDefinitionError,
+                )
         elif tok == "note":
-            text = cur.take()
+            text = toks[i]
             if text is None or text[0] != '"':
-                raise ParseError("note expects a quoted string", cur.span())
+                raise cur.error("note expects a quoted string", i)
             note = text[1:-1]
+            i += 1
         else:
-            raise ParseError(f"unexpected {_shown(tok)!r} in process block", cur.span())
-    return ProcessSpec(name, tuple(inputs), tuple(outputs), note), name_at
+            raise cur.error(f"unexpected {_shown(tok)!r} in process block", at)
+    return ProcessSpec(name, tuple(inputs), tuple(outputs), note), name_at, i + 1
 
 
-def _parse_labeled_ports(cur: _Cursor) -> tuple[tuple[str, str], ...]:
-    cur.take_punct("{")
+def _parse_labeled_ports(cur: _Cursor, i: int) -> tuple[tuple[tuple[str, str], ...], int]:
+    toks, names = cur.tokens, cur.names
+    if toks[i] != "{":
+        raise cur.expected(i, "'{'")
+    i += 1
     refs: list[tuple[str, str]] = []
-    while not cur.at("}"):
-        pname = cur.take_ident("port name")
-        label = WHOLE
-        if cur.skip("."):
-            label = cur.take_ident("fragment label", allow_reserved=True)
+    pname = toks[i]
+    while pname != "}":
+        if pname not in names:
+            raise cur.expected(i, "port name", name=True)
+        if toks[i + 1] == ".":
+            label = toks[i + 2]
+            if label not in cur.words:
+                raise cur.expected(i + 2, "fragment label")
+            i += 3
+        else:
+            label = WHOLE
+            i += 1
         refs.append((pname, label))
-        cur.skip(",")
-    cur.take_punct("}")
-    return tuple(refs)
+        if toks[i] == ",":
+            i += 1
+        pname = toks[i]
+    return tuple(refs), i + 1
 
 
-def _parse_rule_stmt(cur: _Cursor) -> RuleSpec:
-    proc = cur.take_ident("process name")
-    cur.take_punct(":")
-    if cur.take_ident("'needs'", allow_reserved=True) != "needs":
-        raise ParseError("firing rule must start with 'needs'", cur.span())
-    needs = _parse_labeled_ports(cur)
-    if cur.take_ident("'produces'", allow_reserved=True) != "produces":
-        raise ParseError("firing rule needs a 'produces' list", cur.span())
-    produces = _parse_labeled_ports(cur)
+def _parse_rule_stmt(cur: _Cursor, i: int) -> tuple[RuleSpec, int]:
+    toks, names = cur.tokens, cur.names
+    proc = toks[i]
+    if proc not in names:
+        raise cur.expected(i, "process name", name=True)
+    if toks[i + 1] != ":":
+        raise cur.expected(i + 1, "':'")
+    if toks[i + 2] != "needs":
+        raise cur.expected(i + 2, "'needs'", otherwise="firing rule must start with 'needs'")
+    needs, i = _parse_labeled_ports(cur, i + 3)
+    if toks[i] != "produces":
+        raise cur.expected(i, "'produces'", otherwise="firing rule needs a 'produces' list")
+    produces, i = _parse_labeled_ports(cur, i + 1)
     compute = "tag"
-    if cur.skip("using"):
-        compute = cur.take_ident("compute name")
-    return RuleSpec(proc, needs, produces, compute)
+    if toks[i] == "using":
+        compute = toks[i + 1]
+        if compute not in names:
+            raise cur.expected(i + 1, "compute name", name=True)
+        i += 2
+    return RuleSpec(proc, needs, produces, compute), i
 
 
-def _parse_qualified(cur: _Cursor) -> tuple[str, str, int]:
-    """``process.port`` and the process name's token index."""
-    proc = cur.take_ident("process name")
-    at = cur.last
-    cur.take_punct(".")
-    return proc, cur.take_ident("port name"), at
+def _parse_qualified(cur: _Cursor, i: int) -> tuple[str, str, int]:
+    """``process.port`` and the index after it."""
+    toks, names = cur.tokens, cur.names
+    if toks[i] not in names:
+        raise cur.expected(i, "process name", name=True)
+    if toks[i + 1] != ".":
+        raise cur.expected(i + 1, "'.'")
+    if toks[i + 2] not in names:
+        raise cur.expected(i + 2, "port name", name=True)
+    return toks[i], toks[i + 2], i + 3
 
 
-def _parse_net_statements(cur: _Cursor, owner_name: str, context: str) -> NetSpec:
+def _parse_net_statements(
+    cur: _Cursor, i: int, owner_name: str, context: str
+) -> tuple[NetSpec, int]:
+    """The statements of a block up to its ``}``, and the index after it."""
+    toks = cur.tokens
     # dicts keep declaration order and find a repeat in constant time
     members: dict[str, ProcessSpec] = {}
     channels: dict[tuple[str, str, str, str], None] = {}
@@ -311,118 +369,129 @@ def _parse_net_statements(cur: _Cursor, owner_name: str, context: str) -> NetSpe
     output_binds: dict[tuple[str, str, str], None] = {}
     rules: list[RuleSpec] = []
     while True:
-        cur.skip_separators()
-        if cur.skip("}"):
+        tok = toks[i]
+        while tok == ";":
+            i += 1
+            tok = toks[i]
+        at = i
+        i += 1
+        if tok == "}":
             break
-        tok = cur.take()
-        at = cur.last
-        if tok is None:
-            raise ParseError(f"unterminated block for {context}", cur.span())
-        if tok == "process":
-            spec, name_at = _parse_process_block(cur)
+        if tok == "rule":
+            rule, i = _parse_rule_stmt(cur, i)
+            rules.append(rule)
+        elif tok == "process":
+            spec, name_at, i = _parse_process_block(cur, i)
             if spec.name in members:
-                raise DuplicateDefinitionError(
+                raise cur.error(
                     f"process {spec.name!r} declared twice in {context}",
-                    cur.span(name_at),
+                    name_at,
+                    DuplicateDefinitionError,
                 )
             members[spec.name] = spec
         elif tok == "channel":
-            sa, pa, _ = _parse_qualified(cur)
-            cur.take_punct("->")
-            sb, pb, _ = _parse_qualified(cur)
+            sa, pa, i = _parse_qualified(cur, i)
+            if toks[i] != "->":
+                raise cur.expected(i, "'->'")
+            sb, pb, i = _parse_qualified(cur, i + 1)
             entry = (sa, pa, sb, pb)
             if entry in channels:
-                raise DuplicateDefinitionError(
-                    f"channel {sa}.{pa} -> {sb}.{pb} declared twice", cur.span(at)
+                raise cur.error(
+                    f"channel {sa}.{pa} -> {sb}.{pb} declared twice", at, DuplicateDefinitionError
                 )
             channels[entry] = None
         elif tok in ("input", "output"):
-            member, mport, _ = _parse_qualified(cur)
-            if cur.take_ident("'binds'", allow_reserved=True) != "binds":
-                raise ParseError("boundary statement needs 'binds'", cur.span())
-            pproc, pport, pat = _parse_qualified(cur)
+            member, mport, i = _parse_qualified(cur, i)
+            if toks[i] != "binds":
+                raise cur.expected(i, "'binds'", otherwise="boundary statement needs 'binds'")
+            pproc, pport, after = _parse_qualified(cur, i + 1)
             if pproc != owner_name:
-                raise ParseError(
-                    f"boundary binds must name the owner {owner_name!r}, got {pproc!r}",
-                    cur.span(pat),
+                raise cur.error(
+                    f"boundary binds must name the owner {owner_name!r}, got {pproc!r}", i + 1
                 )
+            i = after
             entry = (member, mport, pport)
             target = input_binds if tok == "input" else output_binds
             if entry in target:
-                raise DuplicateDefinitionError(
-                    f"{tok} bind for {member}.{mport} declared twice", cur.span(at)
+                raise cur.error(
+                    f"{tok} bind for {member}.{mport} declared twice", at, DuplicateDefinitionError
                 )
             target[entry] = None
-        elif tok == "rule":
-            rules.append(_parse_rule_stmt(cur))
+        elif tok is None:
+            raise cur.error(f"unterminated block for {context}", at)
         else:
-            raise ParseError(f"unexpected {_shown(tok)!r} in net block", cur.span(at))
-    return NetSpec(
+            raise cur.error(f"unexpected {_shown(tok)!r} in net block", at)
+    spec = NetSpec(
         tuple(members.values()), tuple(channels), tuple(input_binds), tuple(output_binds),
         tuple(rules),
     )
+    return spec, i
 
 
 # --- model parsing ---------------------------------------------------------------
 
 
-def _parse_path(cur: _Cursor) -> tuple[str, ...]:
-    parts = [cur.take_ident("process name")]
-    while cur.skip("."):
-        parts.append(cur.take_ident("process name"))
-    return tuple(parts)
-
-
 def parse_model(text: str, filename: str = "<model>") -> Model:
     """Parse model text; structure mirrors the text, well-formedness aside."""
     cur = _Cursor(text, filename)
+    toks, names = cur.tokens, cur.names
     # each sort's expression and its name's token index
     sort_decls: dict[str, tuple[SortExpr | None, int]] = {}
     top_procs: dict[str, ProcessSpec] = {}
     top_rules: list[RuleSpec] = []
     net_blocks: dict[tuple[str, ...], NetSpec] = {}
 
+    i = 0
     while True:
-        cur.skip_separators()
-        if cur.peek() is None:
+        tok = toks[i]
+        while tok == ";":
+            i += 1
+            tok = toks[i]
+        if tok is None:
             break
-        tok = cur.take()
-        at = cur.last
+        at = i
+        i += 1
         if tok == "sort":
-            name = cur.take_ident("sort name")
-            name_at = cur.last
+            name = toks[i]
+            if name not in names:
+                raise cur.expected(i, "sort name", name=True)
             if name in sort_decls:
-                raise DuplicateDefinitionError(f"sort {name!r} declared twice", cur.span())
+                raise cur.error(f"sort {name!r} declared twice", i, DuplicateDefinitionError)
+            name_at = i
             expr: SortExpr | None = None
-            if cur.skip("="):
-                expr = _parse_sort_expr(cur)
+            i += 1
+            if toks[i] == "=":
+                expr, i = _parse_sort_expr(cur, i + 1)
             sort_decls[name] = (expr, name_at)
         elif tok == "process":
-            spec, name_at = _parse_process_block(cur)
+            spec, name_at, i = _parse_process_block(cur, i)
             if spec.name in top_procs:
-                raise DuplicateDefinitionError(
+                raise cur.error(
                     f"process {spec.name!r} declared twice at top level",
-                    cur.span(name_at),
+                    name_at,
+                    DuplicateDefinitionError,
                 )
             top_procs[spec.name] = spec
         elif tok == "net":
-            if cur.take_ident("'for'", allow_reserved=True) != "for":
-                raise ParseError("expected 'net for <path>'", cur.span())
-            path = _parse_path(cur)
+            if toks[i] != "for":
+                raise cur.expected(i, "'for'", otherwise="expected 'net for <path>'")
+            path, i = _parse_words(cur, i + 1, ".", "process name")
             where = f"net for {'.'.join(path)}"
             if path in net_blocks:
-                raise DuplicateDefinitionError(f"{where} declared twice", cur.span(at))
-            cur.take_punct("{")
-            net_blocks[path] = _parse_net_statements(cur, path[-1], where)
+                raise cur.error(f"{where} declared twice", at, DuplicateDefinitionError)
+            if toks[i] != "{":
+                raise cur.expected(i, "'{'")
+            net_blocks[path], i = _parse_net_statements(cur, i + 1, path[-1], where)
         elif tok == "rule":
-            top_rules.append(_parse_rule_stmt(cur))
-        elif tok[0] in _IDENT_START:
-            raise ParseError(f"unknown declaration {tok!r}", cur.span(at))
+            rule, i = _parse_rule_stmt(cur, i)
+            top_rules.append(rule)
+        elif tok in cur.words:
+            raise cur.error(f"unknown declaration {tok!r}", at)
         else:
-            raise ParseError(f"unexpected {_shown(tok)!r} at top level", cur.span(at))
+            raise cur.error(f"unexpected {_shown(tok)!r} at top level", at)
 
     if not top_procs:
-        raise ParseError("a model must declare a root process", cur.span(cur.pos))
+        raise cur.error("a model must declare a root process", i)
 
     top = NetSpec(tuple(top_procs.values()), rules=tuple(top_rules))
     return _build_model(sort_decls, top, net_blocks, cur)
@@ -451,9 +520,9 @@ def _build_model(
         aliases = []
         while name not in resolved:
             if name not in sort_decls:
-                raise UnknownSortNameError(f"unknown sort name {name!r}", cur.span(at))
+                raise cur.error(f"unknown sort name {name!r}", at, UnknownSortNameError)
             if name in resolving:
-                raise ParseError(f"recursive sort definition through {name!r}", cur.span(at))
+                raise cur.error(f"recursive sort definition through {name!r}", at)
             resolving.add(name)
             expr, name_at = sort_decls[name]
             if isinstance(expr, SortNameRef):
@@ -466,20 +535,20 @@ def _build_model(
         for alias in aliases:
             resolved[alias] = resolved[name]
         if depth + resolved[name][1] > MAX_SORT_NESTING:
-            raise ParseError(_TOO_DEEP, cur.span(outer))
+            raise cur.error(_TOO_DEEP, outer)
         return resolved[name]
 
     def resolve_expr(expr: SortExpr, at: int, depth: int) -> tuple[Sort, int]:
         if isinstance(expr, SortNameRef):
             return resolve_name(expr.name, at, depth)
         if depth == MAX_SORT_NESTING:
-            raise ParseError(_TOO_DEEP, cur.span(outer))
+            raise cur.error(_TOO_DEEP, outer)
         if isinstance(expr, CollectionExpr):
             element, nesting = resolve_expr(expr.element, at, depth + 1)
             return CollectionSort(expr.kind, element), nesting + 1
         fields = [(f, *resolve_expr(s, at, depth + 1)) for f, s in expr.fields]
         if len({f for f, _, _ in fields}) != len(fields):
-            raise DuplicateDefinitionError("record field declared twice", cur.span(at))
+            raise cur.error("record field declared twice", at, DuplicateDefinitionError)
         return RecordSort(tuple((f, s) for f, s, _ in fields)), 1 + max(n for _, _, n in fields)
 
     # a sort nested too deep is reported at the declaration resolved from the top
@@ -518,7 +587,11 @@ def _build_model(
     model = Model(table, processes, ids[(top.members[0].name,)], nets)
     # a port's inline record sort is resolved by build_subnet, which does not
     # look for a field declared twice
-    if any(core.sort_problems(p.sort) for p in model.ports.values() if p.sort is not None):
+    if any(
+        core.sort_problems(p.sort)
+        for p in model.ports.values()
+        if isinstance(p.sort, (RecordSort, CollectionSort))
+    ):
         raise DuplicateDefinitionError("record field declared twice")
     return model
 
@@ -526,80 +599,92 @@ def _build_model(
 # --- script parsing ----------------------------------------------------------------
 
 
-def _parse_port_path(cur: _Cursor) -> PortRef:
-    segments = _parse_path(cur)
+def _parse_port_path(cur: _Cursor, i: int) -> tuple[PortRef, int]:
+    segments, i = _parse_words(cur, i, ".", "process name")
     if len(segments) < 2:
-        raise ParseError("expected <process-path>.<port>", cur.span(cur.pos))
-    return PortRef(segments[:-1], segments[-1])
-
-
-def _take_head(cur: _Cursor) -> tuple[str, int]:
-    """A rule name, its words joined by ``-``, and its first token's index."""
-    head = cur.take_ident("rule name", allow_reserved=True)
-    at = cur.last
-    while cur.skip("-"):
-        head += "-" + cur.take_ident("rule name", allow_reserved=True)
-    return head, at
+        raise cur.error("expected <process-path>.<port>", i)
+    return PortRef(segments[:-1], segments[-1]), i
 
 
 def parse_script(text: str, filename: str = "<script>") -> RefinementScript:
     """Parse a refinement script into an ordered list of rule invocations."""
     cur = _Cursor(text, filename)
+    toks, names = cur.tokens, cur.names
     steps = []
+    i = 0
     while True:
-        cur.skip_separators()
-        if cur.peek() is None:
+        while toks[i] == ";":
+            i += 1
+        if toks[i] is None:
             break
-        head, at = _take_head(cur)
+        # a rule name is words joined by ``-``
+        at = i
+        words, i = _parse_words(cur, i, "-", "rule name", name=False)
+        head = "-".join(words)
         if head == "decompose":
-            path = _parse_path(cur)
-            cur.take_punct("{")
-            subnet = _parse_net_statements(cur, path[-1], f"decompose {'.'.join(path)}")
+            path, i = _parse_words(cur, i, ".", "process name")
+            if toks[i] != "{":
+                raise cur.expected(i, "'{'")
+            subnet, i = _parse_net_statements(cur, i + 1, path[-1], f"decompose {'.'.join(path)}")
             steps.append(DecomposeStep(path, subnet))
         elif head == "add-channel":
-            src = _parse_port_path(cur)
-            cur.take_punct("->")
-            dst = _parse_port_path(cur)
+            src, i = _parse_port_path(cur, i)
+            if toks[i] != "->":
+                raise cur.expected(i, "'->'")
+            dst, i = _parse_port_path(cur, i + 1)
             steps.append(AddChannelStep(src, dst))
         elif head == "assign-sort":
-            ref = _parse_port_path(cur)
-            cur.take_punct(":")
-            steps.append(AssignSortStep(ref, _parse_sort_expr(cur)))
+            ref, i = _parse_port_path(cur, i)
+            if toks[i] != ":":
+                raise cur.expected(i, "':'")
+            sexpr, i = _parse_sort_expr(cur, i + 1)
+            steps.append(AssignSortStep(ref, sexpr))
         elif head == "split-port":
-            ref = _parse_port_path(cur)
-            cur.take_punct("->")
+            ref, i = _parse_port_path(cur, i)
+            if toks[i] != "->":
+                raise cur.expected(i, "'->'")
+            i += 1
             parts = []
             while True:
-                pname = cur.take_ident("part name")
+                pname = toks[i]
+                if pname not in names:
+                    raise cur.expected(i, "part name", name=True)
                 spec = PartSpec(pname)
-                if cur.skip(":"):
-                    if cur.skip("{"):
-                        fields = [cur.take_ident("field name", allow_reserved=True)]
-                        while cur.skip(","):
-                            fields.append(cur.take_ident("field name", allow_reserved=True))
-                        cur.take_punct("}")
-                        spec = PartSpec(pname, fields=tuple(fields))
-                    else:
-                        spec = PartSpec(pname, ref=cur.take_ident("field or sort"))
+                i += 1
+                if toks[i] == ":" and toks[i + 1] == "{":
+                    fields, i = _parse_words(cur, i + 2, ",", "field name", name=False)
+                    if toks[i] != "}":
+                        raise cur.expected(i, "'}'")
+                    i += 1
+                    spec = PartSpec(pname, fields=fields)
+                elif toks[i] == ":":
+                    if toks[i + 1] not in names:
+                        raise cur.expected(i + 1, "field or sort", name=True)
+                    spec = PartSpec(pname, ref=toks[i + 1])
+                    i += 2
                 parts.append(spec)
-                if not cur.skip(","):
+                if toks[i] != ",":
                     break
+                i += 1
             steps.append(SplitPortStep(ref, tuple(parts)))
         elif head == "fold":
-            path = _parse_path(cur)
-            cur.take_punct("{")
-            group = [cur.take_ident("member name")]
-            while cur.skip(","):
-                group.append(cur.take_ident("member name"))
-            cur.take_punct("}")
-            if cur.take_ident("'as'", allow_reserved=True) != "as":
-                raise ParseError("fold needs 'as <name>'", cur.span())
-            new_name = cur.take_ident("process name")
-            steps.append(FoldStep(path, tuple(group), new_name))
+            path, i = _parse_words(cur, i, ".", "process name")
+            if toks[i] != "{":
+                raise cur.expected(i, "'{'")
+            group, i = _parse_words(cur, i + 1, ",", "member name")
+            if toks[i] != "}":
+                raise cur.expected(i, "'}'")
+            if toks[i + 1] != "as":
+                raise cur.expected(i + 1, "'as'", otherwise="fold needs 'as <name>'")
+            if toks[i + 2] not in names:
+                raise cur.expected(i + 2, "process name", name=True)
+            steps.append(FoldStep(path, group, toks[i + 2]))
+            i += 3
         elif head == "unfold":
-            steps.append(UnfoldStep(_parse_path(cur)))
+            path, i = _parse_words(cur, i, ".", "process name")
+            steps.append(UnfoldStep(path))
         else:
-            raise UnknownRuleNameError(f"unknown rule {head!r}", cur.span(at))
+            raise cur.error(f"unknown rule {head!r}", at, UnknownRuleNameError)
     return RefinementScript(tuple(steps), provenance=filename)
 
 
@@ -716,6 +801,7 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
         return node_name[pid]
 
     counters = {"cluster": 0}
+    owners = model.port_owners
 
     def render(owner_id: str, level_net: ProcessNet, remaining: int, indent: str) -> None:
         for member in sorted(
@@ -724,10 +810,15 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
         ):
             proc = model.processes.get(member)
             name = proc.name if proc is not None else member
-            # expanded only if its binding takes each of its ports inside, so
-            # that every edge at it ends at a drawn node
             expand = remaining > 1 and member in model.nets and proc is not None
-            if expand and set(proc.ports()) <= model.nets[member][1].to_subnet().keys():
+            if expand:
+                # only if its binding takes each of its ports to a port a
+                # member of its subnet holds: every edge at it then ends at a
+                # drawn node, and following bindings down ends
+                subnet, binding = model.nets[member]
+                inner = binding.to_subnet()
+                expand = all(owners.get(inner.get(p)) in subnet.processes for p in proc.ports())
+            if expand:
                 expanded.add(member)
                 cluster = f"cluster{counters['cluster']}"
                 counters["cluster"] += 1
@@ -740,11 +831,13 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
 
     render(owner, net, depth, "  ")
 
-    owners = model.port_owners
-
     def resolve(port_id: str) -> str:
-        # descend through bindings while the owning process is expanded
-        while owners.get(port_id) in expanded:
+        # descend through bindings while the owning process is expanded; in
+        # a tree that is at most depth - 1 levels, and a containment cycle
+        # must not make it more
+        for _ in range(depth - 1):
+            if owners.get(port_id) not in expanded:
+                break
             port_id = model.nets[owners[port_id]][1].to_subnet()[port_id]
         return port_id
 

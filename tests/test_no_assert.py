@@ -5,8 +5,9 @@ Invariants in the package must hold under ``python -O``, which strips
 reports the same under ``-O`` as without it.  The model and the
 simulator must not import the rule engine, the parser builds no model
 value and the search no net spec itself, the search matches no record
-fields itself, the rules name no validation scope, no value stores a
-port fact twice, and only ``core`` writes sort text."""
+fields itself, the statement readers call no per-token cursor method,
+the rules name no validation scope, no value stores a port fact twice,
+and only ``core`` writes sort text."""
 
 from __future__ import annotations
 
@@ -123,6 +124,23 @@ def test_each_port_fact_is_stored_once():
         and any(kw.arg == "ports" for kw in node.keywords)
     ]
     assert passed == [], f"ports= passed to Model or replace: {passed}"
+
+
+def test_statement_readers_read_tokens_by_index():
+    """The readers of net statements, and every reader they call, test the
+    token list by index: none calls a per-token cursor method."""
+    tree = _tree("textio.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    readers, todo = set(), ["_parse_net_statements"]
+    while todo:
+        name = todo.pop()
+        if name not in readers:
+            readers.add(name)
+            todo += [n for _, n in _calls(functions[name], set(functions))]
+    assert {"_parse_process_block", "_parse_rule_stmt", "_parse_labeled_ports"} <= readers
+    per_token = {"take", "peek", "skip", "at", "take_punct", "take_ident", "skip_separators"}
+    calls = [(name, c) for name in sorted(readers) for c in _calls(functions[name], per_token)]
+    assert calls == [], f"statement readers call cursor methods: {calls}"
 
 
 def test_rules_name_no_validation_scope():

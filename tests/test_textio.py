@@ -23,6 +23,7 @@ from bpnet.refine import (
     UnfoldStep,
 )
 
+from conftest import run_bounded
 from dotcheck import check_dot
 from genmodels import gen_model, rename_ids
 
@@ -128,6 +129,13 @@ class TestParseModel:
         )
 
 
+# a net block left open, for the statements the cases below add to it
+_NET = (
+    "process s { in i; out o }\nnet for s {\n"
+    "  process a { in i; out o }\n  process b { in i; out o }\n"
+)
+
+
 class TestErrorPositions:
     """The exact text of parse errors: line ends are those of
     ``str.splitlines``, and a position is the token's line and column."""
@@ -154,6 +162,57 @@ class TestErrorPositions:
         with pytest.raises(ParseError) as exc:
             getattr(textio, f"parse_{parse}")(text)
         assert str(exc.value) == expected
+
+    @pytest.mark.parametrize(
+        "text, error, expected",
+        [
+            (_NET + "  channel a.o b.i\n}", ParseError, "5:15: expected '->', got 'b'"),
+            (_NET + "  input a.i s.i\n}", ParseError, "5:13: boundary statement needs 'binds'"),
+            (_NET + "  input a.i binds t.i\n}", ParseError,
+             "5:19: boundary binds must name the owner 's', got 't'"),
+            (_NET + "  rule a : { i } produces { o }\n}", ParseError,
+             "5:12: expected 'needs', got '{'"),
+            (_NET + "  rule a :", ParseError, "5:11: expected 'needs'"),
+            (_NET + "  rule a : wants { i } produces { o }\n}", ParseError,
+             "5:12: firing rule must start with 'needs'"),
+            (_NET + "  rule a : needs { i } { o }\n}", ParseError,
+             "5:24: expected 'produces', got '{'"),
+            (_NET + "  rule a : needs { i } makes { o }\n}", ParseError,
+             "5:24: firing rule needs a 'produces' list"),
+            (_NET + "  rule a : needs { i } produces { o } using channel\n}", ParseError,
+             "5:45: 'channel' is a reserved word and cannot name a compute name"),
+            ("process s { in i out o; in i }", DuplicateDefinitionError,
+             "1:28: port 'i' declared twice on process 's'"),
+            (_NET + "  process a { }\n}", DuplicateDefinitionError,
+             "5:11: process 'a' declared twice in net for s"),
+            (_NET + "  channel a.o -> b.i\n  channel a.o -> b.i\n}", DuplicateDefinitionError,
+             "6:3: channel a.o -> b.i declared twice"),
+            (_NET + "  input a.i binds s.i; input a.i binds s.i\n}", DuplicateDefinitionError,
+             "5:24: input bind for a.i declared twice"),
+            (_NET + "  output b.o binds s.o\n  output b.o binds s.o\n}", DuplicateDefinitionError,
+             "6:3: output bind for b.o declared twice"),
+            ("process s { note s }", ParseError, "1:18: note expects a quoted string"),
+            ("process s { in i;\n  out o\n", ParseError, "2:8: unterminated process block 's'"),
+            (_NET, ParseError, "4:28: unterminated block for net for s"),
+            (_NET + "  rule a : needs { in } produces { o }\n}", ParseError,
+             "5:20: 'in' is a reserved word and cannot name a port name"),
+            (_NET + "  rule a : needs { i,, i } produces { o }\n}", ParseError,
+             "5:22: expected port name, got ','"),
+            (_NET + "  a.i -> b.o\n}", ParseError, "5:3: unexpected 'a' in net block"),
+            ("process s { in i; x }", ParseError, "1:19: unexpected 'x' in process block"),
+        ],
+        ids=["missing-arrow", "missing-binds", "wrong-owner", "no-needs", "no-needs-at-end",
+             "other-than-needs", "no-produces", "other-than-produces", "reserved-compute",
+             "duplicate-port", "duplicate-member", "duplicate-channel", "duplicate-input",
+             "duplicate-output", "note-without-string", "unterminated-process",
+             "unterminated-net", "reserved-port", "double-comma", "unexpected-in-net",
+             "unexpected-in-process"],
+    )
+    def test_statement_errors(self, text, error, expected):
+        """One case for each error the statement readers raise."""
+        with pytest.raises(error) as exc:
+            textio.parse_model(text)
+        assert str(exc.value) == f"<model>:{expected}"
 
     def test_trailing_blanks_and_comment(self):
         model = textio.parse_model("process p { in a }  \t\r\n# done")
@@ -276,6 +335,51 @@ class TestExportDot:
     def test_generated_models_export_valid_dot(self, depth):
         m = gen_model(3)
         check_dot(textio.export_dot(m, m.root, depth=depth))
+
+    def test_a_binding_onto_its_own_port_ends(self):
+        # in a child process: following that binding down used never to end
+        done = run_bounded(
+            """
+from dataclasses import replace
+from bpnet import core, textio
+m = textio.parse_model(
+    "process system { in i; out o }; net for system { process a { in i; out o } "
+    "input a.i binds system.i; output a.o binds system.o }; "
+    "net for system.a { process x { in i; out o } input x.i binds a.i; output x.o binds a.o }"
+)
+net, _ = m.nets["system.a"]
+pairs = (("system.a:i", "system.a:i"), ("system.a:o", "system.a.x:o"))
+nets = {**m.nets, "system.a": (net, core.InterfaceBinding(pairs))}
+print(textio.export_dot(replace(m, nets=nets), "system", 3), end="")
+""",
+            seconds=10,
+        )
+        assert done.returncode == 0, done.stderr
+        # a binds its input to a port it holds itself, so it is not expanded
+        assert "subgraph" not in done.stdout
+        assert '  p0 [label="a"];' in done.stdout.splitlines()
+        assert check_dot(done.stdout) == 3
+
+    def test_a_net_listing_its_own_owner_ends(self):
+        # a binding onto its own port is followed down at most depth - 1
+        # levels, however the nets contain each other
+        done = run_bounded(
+            """
+from dataclasses import replace
+from bpnet import core, textio
+m = textio.parse_model(
+    "process system { in i }; net for system { process a { in i } input a.i binds system.i }; "
+    "net for system.a { process x { in i } input x.i binds a.i }"
+)
+net, _ = m.nets["system.a"]
+net = replace(net, processes=net.processes | {"system.a"})
+nets = {**m.nets, "system.a": (net, core.InterfaceBinding((("system.a:i", "system.a:i"),)))}
+print(textio.export_dot(replace(m, nets=nets), "system", 3), end="")
+""",
+            seconds=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("}\n")
 
     def test_edges_carry_sort_labels(self, library_model):
         dot = textio.export_dot(library_model, "system")

@@ -347,3 +347,23 @@ def test_validate_model_orders_whole_model_then_processes_then_nets():
     assert messages.index("process is not contained in any net") < messages.index(
         "firing rule needs 'nowhere', which is not an input port of the process"
     ) < messages.index("net member is undefined")
+
+
+def test_a_malformed_sort_held_twice_is_reported_once():
+    """A port id two processes hold has its malformed sort reported once,
+    by its owner, as the reference reports it: once per id."""
+    model = textio.parse_model(
+        """
+        sort T
+        process system { }
+        net for system { process a { out x } process b { in y } }
+        """
+    )
+    twice = RecordSort((("f", AtomicSort("T")), ("f", AtomicSort("T"))))
+    bad = _with_port(model, "system.a:x", sort=twice)
+    port = bad.ports["system.a:x"]
+    held = bad.processes["system.b"].interface + (port,)
+    bad = _with_process(bad, "system.b", interface=held)
+    found = lines(validate_model(bad))
+    assert found["SortMismatch system.a:x: malformed port sort: record field 'f' duplicated"] == 1
+    assert found == reference_lines(bad)
