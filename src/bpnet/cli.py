@@ -7,6 +7,7 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import check, core, sim, textio
 from .core import Model, format_port
@@ -92,14 +93,19 @@ def _arrow_lines(trace: Trace, final: Model) -> list[str]:
     return lines
 
 
-def _depth(text: str) -> int:
-    try:
-        depth = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if depth < 1:
-        raise argparse.ArgumentTypeError(f"depth must be at least 1, got {depth}")
-    return depth
+def _at_least_one(what: str) -> Callable[[str], int]:
+    """An argparse type: an int of at least 1, named ``what`` in its error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+        return value
+
+    return parse
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -204,14 +210,14 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("simulate", help="run the greedy dataflow semantics")
     p.add_argument("model")
     p.add_argument("env")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_at_least_one("trials"), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("export-dot", help="render a net as a DOT digraph")
     p.add_argument("model")
     p.add_argument("--net", default=None, help="dotted process path (default: root)")
-    p.add_argument("--depth", type=_depth, default=1)
+    p.add_argument("--depth", type=_at_least_one("depth"), default=1)
     p.set_defaults(fn=cmd_export_dot)
 
     p = sub.add_parser("fmt", help="reprint a model in canonical form")

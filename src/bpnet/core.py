@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -622,12 +623,16 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 # Each check is implemented once.  ``_process_violations`` and
 # ``_net_violations`` hold every check local to one process or one net; a
 # process's checks read only the process, so ``Process.violations`` runs them
-# once per process however many models share it.  ``validate_scope`` runs the
-# checks on a scope, ``validate_change`` on the scope a change reaches, and
-# ``validate_model`` on every process and net after the checks that need the
-# whole model.  Every check appends to the findings list its caller passes
-# in.  Where a check reports in sorted order, it finds the offenders in one
-# unsorted pass and sorts only those: a well-formed model has none.
+# once per process however many models share it.  A net's checks read the
+# net, its binding, its owner and its members, and the ports those hold; a
+# net remembers the last such context it checked clean in, so it too is
+# checked once per context however many models share it.  ``validate_scope``
+# runs the checks on a scope, ``validate_change`` on the scope a change
+# reaches, and ``validate_model`` on every process and net after the checks
+# that need the whole model.  Every check appends to the findings list its
+# caller passes in.  Where a check reports in sorted order, it finds the
+# offenders in one unsorted pass and sorts only those: a well-formed model
+# has none.
 
 
 def _process_violations(proc: Process, out: list[Violation]) -> None:
@@ -752,10 +757,31 @@ def _check_hierarchy(model: Model, out: list[Violation]) -> None:
 
 def _net_violations(model: Model, owner: ProcessId, out: list[Violation]) -> None:
     """Member names, reference integrity, constraints 1-4, input totality and
-    the interface binding of the net owned by ``owner``."""
+    the interface binding of the net owned by ``owner``.
+
+    The net remembers the last context it checked clean in: the owner id,
+    the binding, the owner's process and each member's process (``None``
+    for an undefined member), and skips its checks in that same context,
+    the same objects, when the model holds no port id twice.  A clean net's
+    channel ends, boundary ports and binding ports are all held by its
+    owner or its members; with no id held twice, the model's port index and
+    ``port_owners`` map each of those ids to the same port and holder.  So
+    the checks would read the same values and find nothing again.  The memo
+    is replaced whole, so threads sharing a net at worst check it again.
+    """
     net, binding = model.nets[owner]
+    processes = model.processes
+    context = (owner, binding, processes.get(owner), *map(processes.get, net.sorted_members))
+    unique = not model._interfaces[2]
+    if unique:
+        memo = net.__dict__.get("_clean_in")
+        if memo is not None and all(map(operator.is_, memo, context)):
+            return
+    found = len(out)
     _net_body_violations(model, net, owner, out)
     _binding_violations(model, owner, net, binding, out)
+    if unique and len(out) == found:
+        net.__dict__["_clean_in"] = context
 
 
 def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Violation]) -> None:

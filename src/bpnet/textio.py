@@ -140,6 +140,9 @@ class _Cursor:
         self.names = self.words - RESERVED
         # one reference per sort name, shared by the ports that name it
         self.sort_refs: dict[str, SortNameRef] = {}
+        # the name token of the first port whose inline sort declares a
+        # record field twice; the model reader reports it after the build
+        self.field_twice: int | None = None
 
     def span(self, index: int) -> SourceSpan:
         """Where token ``index`` starts; at the end, the position just past
@@ -213,6 +216,16 @@ def _parse_sort_expr(cur: _Cursor, i: int, depth: int = 0) -> tuple[SortExpr, in
     return SortNameRef(tok), i + 1
 
 
+def _field_twice(expr: SortExpr) -> bool:
+    """Whether a record sort in ``expr`` declares a field twice."""
+    while isinstance(expr, CollectionExpr):
+        expr = expr.element
+    if not isinstance(expr, RecordExpr):
+        return False
+    names = {name for name, _ in expr.fields}
+    return len(names) != len(expr.fields) or any(_field_twice(s) for _, s in expr.fields)
+
+
 def _parse_words(
     cur: _Cursor, i: int, sep: str, what: str, name: bool = True
 ) -> tuple[tuple[str, ...], int]:
@@ -278,7 +291,10 @@ def _parse_process_block(cur: _Cursor, i: int) -> tuple[ProcessSpec, int, int]:
                         sexpr = refs[toks[i + 2]] = SortNameRef(toks[i + 2])
                     i += 3
                 else:
-                    sexpr, i = _parse_sort_expr(cur, i + 2)
+                    sexpr, after = _parse_sort_expr(cur, i + 2)
+                    if cur.field_twice is None and _field_twice(sexpr):
+                        cur.field_twice = i
+                    i = after
                 decls.append((pname, sexpr))
                 pname = toks[i]
             if twice is not None:
@@ -584,16 +600,11 @@ def _build_model(
                 raise ParseError(f"net for {'.'.join(path)}: no such process is declared")
             build(so_far, ids[path], path, net_blocks[path])
 
-    model = Model(table, processes, ids[(top.members[0].name,)], nets)
     # a port's inline record sort is resolved by build_subnet, which does not
     # look for a field declared twice
-    if any(
-        core.sort_problems(p.sort)
-        for p in model.ports.values()
-        if isinstance(p.sort, (RecordSort, CollectionSort))
-    ):
-        raise DuplicateDefinitionError("record field declared twice")
-    return model
+    if cur.field_twice is not None:
+        raise cur.error("record field declared twice", cur.field_twice, DuplicateDefinitionError)
+    return Model(table, processes, ids[(top.members[0].name,)], nets)
 
 
 # --- script parsing ----------------------------------------------------------------

@@ -218,6 +218,16 @@ class TestSimulate:
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "PASS"
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_usage_error(self, trials, capsys):
+        argv = ("simulate", FIXTURES / "bp.bpn", FIXTURES / "bp.env", "--trials", trials)
+        assert run(*argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --trials: trials must be at least 1, got {trials}\n"
+        )
+
     @pytest.mark.parametrize("trials", ["1", "3"])
     def test_one_tree_walk_per_command(self, monkeypatch, trials, capsys):
         # the flat view is a cached property of the model; count its walks

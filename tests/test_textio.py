@@ -200,13 +200,18 @@ class TestErrorPositions:
              "5:22: expected port name, got ','"),
             (_NET + "  a.i -> b.o\n}", ParseError, "5:3: unexpected 'a' in net block"),
             ("process s { in i; x }", ParseError, "1:19: unexpected 'x' in process block"),
+            # an inline record is resolved by the builder and reported after it
+            ("sort T\nprocess p {\n  in i : record { f: T, f: T }\n}", DuplicateDefinitionError,
+             "3:6: record field declared twice"),
+            ("sort T\nprocess p {\n  in i : seq record { f: T, f: T }\n}",
+             DuplicateDefinitionError, "3:6: record field declared twice"),
         ],
         ids=["missing-arrow", "missing-binds", "wrong-owner", "no-needs", "no-needs-at-end",
              "other-than-needs", "no-produces", "other-than-produces", "reserved-compute",
              "duplicate-port", "duplicate-member", "duplicate-channel", "duplicate-input",
              "duplicate-output", "note-without-string", "unterminated-process",
              "unterminated-net", "reserved-port", "double-comma", "unexpected-in-net",
-             "unexpected-in-process"],
+             "unexpected-in-process", "inline-field-twice", "inline-seq-field-twice"],
     )
     def test_statement_errors(self, text, error, expected):
         """One case for each error the statement readers raise."""

@@ -1,16 +1,21 @@
 """``validate_model`` and ``validate_scope`` against the validator they
 replaced, and ``validate_change`` against a full-scope check, on a corpus
-of models with one corruption each and on the results rules build."""
+of models with one corruption each and on the results rules build.  A net
+remembers the last context it checked clean in, so each model is also
+checked warm, after a model sharing its nets, against the same model with
+every net rebuilt."""
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
-from bpnet import refine, textio
+from bpnet import check, core, refine, textio
 from bpnet.core import (
     INPUT,
     OUTPUT,
@@ -20,6 +25,7 @@ from bpnet.core import (
     FiringRule,
     InterfaceBinding,
     Model,
+    Port,
     ProcessNet,
     RecordSort,
     validate_change,
@@ -27,8 +33,10 @@ from bpnet.core import (
     validate_scope,
 )
 
-from conftest import load_model
-from genmodels import gen_model, propose_step, rename_ids
+from bpnet.errors import BpnError
+
+from conftest import load_model, load_script
+from genmodels import gen_model, one_step_pairs, propose_step, rename_ids
 from reference_validate import reference_validate_model
 
 FIXTURES = ["bp.bpn", "bp_fig6.bpn", "bp_refined.bpn", "library.bpn", "library_refined.bpn"]
@@ -207,6 +215,22 @@ def walks():
     return built, visited
 
 
+def cold(model: Model) -> Model:
+    """``model`` with every net rebuilt, so that no net remembers a context."""
+    nets = {
+        owner: (dataclasses.replace(net), binding) for owner, (net, binding) in model.nets.items()
+    }
+    return dataclasses.replace(model, nets=nets)
+
+
+def assert_warm_is_cold(model: Model, label) -> None:
+    """``model``'s report, twice, equals the reference's lines and, as an
+    ordered list, the report on ``cold(model)``."""
+    warm = validate_model(model)
+    assert lines(warm) == reference_lines(model), label
+    assert validate_model(model) == warm == validate_model(cold(model)), label
+
+
 class TestAgainstReferenceValidator:
     def test_corpus_covers_every_corruption(self, cases):
         kinds = Counter(kind for _, kind, _, _ in cases)
@@ -239,6 +263,167 @@ class TestAgainstReferenceValidator:
             assert validate_change(base, bad) == validate_scope(
                 bad, bad.nets, bad.processes
             ), label
+
+
+def test_warm_nets_report_what_cold_nets_report(cases, walks):
+    """Each corrupted model is validated after the model it corrupts, whose
+    nets it shares and whose checks filled their memos."""
+    for label, _, base, bad in cases:
+        assert not validate_model(base), label
+        assert_warm_is_cold(bad, label)
+    _, visited = walks
+    for k, model in enumerate(visited):
+        assert not validate_model(model)
+        rng = random.Random(k)
+        kind, bad = rng.choice(list(corruptions(model, rng)))
+        assert_warm_is_cold(bad, (k, kind))
+
+
+class TestWarmNetInAChangedContext:
+    """A net checked clean in one model is shared, unchanged, by a model
+    that changes what its checks read; its checks must run again."""
+
+    OWNER = "system"
+
+    @pytest.fixture
+    def model(self):
+        model = load_model("library_refined.bpn")
+        net, _ = model.nets[self.OWNER]
+        views = repr(net), hash(net), dataclasses.replace(net) == net
+        assert not validate_model(model)
+        assert (repr(net), hash(net), dataclasses.replace(net) == net) == views
+        assert "_clean_in" in vars(net) and "_clean_in" not in vars(dataclasses.replace(net))
+        return model
+
+    def assert_checked_again(self, model: Model, bad: Model, message: str) -> None:
+        assert bad.nets[self.OWNER][0] is model.nets[self.OWNER][0]
+        scoped = validate_scope(bad, owners=[self.OWNER])
+        assert message in [v.message for v in scoped]
+        assert validate_scope(bad, owners=[self.OWNER]) == scoped
+        assert scoped == validate_scope(cold(bad), owners=[self.OWNER])
+        assert_warm_is_cold(bad, message)
+
+    def test_a_member_loses_a_channel_port(self, model):
+        pid = "system.notify_user"
+        proc = model.processes[pid]
+        bad = _with_process(model, pid, interface=tuple(
+            p for p in proc.interface if p.id != proc.inputs[0]
+        ), firing_rules=())
+        self.assert_checked_again(model, bad, "channel dest is undefined")
+
+    def test_a_second_process_holds_a_port_the_net_reads(self, model):
+        # a holder in another net, whose id is less than the member's, so
+        # that it owns the port
+        port = model.ports[model.processes["system.retrieve_book"].outputs[0]]
+        pid = "system.reserve_book.check_availability"
+        bad = _with_process(model, pid, interface=model.processes[pid].interface + (port,))
+        self.assert_checked_again(model, bad, "channel source is not on a member process")
+
+    def with_unbound_owner_port(self, model: Model) -> Model:
+        extra = Port(f"{self.OWNER}:extra", "extra", OUTPUT)
+        interface = model.processes[self.OWNER].interface + (extra,)
+        return _with_process(model, self.OWNER, interface=interface)
+
+    def test_the_owner_gains_an_unbound_port(self, model):
+        self.assert_checked_again(
+            model,
+            self.with_unbound_owner_port(model),
+            "parent port is not bound to any subnet boundary port",
+        )
+
+    def test_the_binding_is_replaced(self, model):
+        net, binding = model.nets[self.OWNER]
+        kept = InterfaceBinding(binding.pairs[1:])
+        bad = dataclasses.replace(model, nets={**model.nets, self.OWNER: (net, kept)})
+        self.assert_checked_again(
+            model, bad, "parent port is not bound to any subnet boundary port"
+        )
+
+    def test_a_member_leaves_the_process_table(self, model):
+        processes = {p: q for p, q in model.processes.items() if p != "system.notify_user"}
+        bad = dataclasses.replace(model, processes=processes)
+        self.assert_checked_again(model, bad, "net member is undefined")
+
+    def test_threads_sharing_the_net_get_the_cold_reports(self, model):
+        """Threads validating two models that share the net, clean in one
+        and not in the other, each get the reports of the cold models."""
+        bad = self.with_unbound_owner_port(model)
+        expected = [validate_model(cold(model)), validate_model(cold(bad))]
+        assert not expected[0] and expected[1]
+        wrong: list = []
+
+        def work() -> None:
+            for k in range(300):
+                if validate_model((model, bad)[k % 2]) != expected[k % 2]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+
+def _context(model: Model, owner) -> tuple:
+    net, binding = model.nets[owner]
+    members = [model.processes.get(m) for m in sorted(net.processes)]
+    return (net, binding, model.processes.get(owner), *members)
+
+
+def _changed_contexts(before: Model, after: Model) -> list:
+    """The owners of ``after``'s nets whose net, binding, owner or members
+    are not the objects ``before`` has."""
+    return sorted(
+        owner
+        for owner in after.nets
+        if owner not in before.nets
+        or any(a is not b for a, b in zip(_context(before, owner), _context(after, owner)))
+    )
+
+
+def test_a_step_and_full_validation_check_only_the_nets_it_changed(monkeypatch):
+    """After a well-formed model is validated, a rule application and a
+    full validation of its result run a net's checks once for each net
+    whose context the rule changed, and for no other net."""
+    checked = []
+    body = core._net_body_violations
+
+    def counted(model, net, at, out):
+        checked.append(at)
+        return body(model, net, at, out)
+
+    monkeypatch.setattr(core, "_net_body_violations", counted)
+    kinds: Counter = Counter()
+
+    def step_checks_what_it_changed(model: Model, step) -> Model | None:
+        assert not validate_model(model)
+        checked.clear()
+        try:
+            result, _ = step.apply(model)
+        except BpnError:
+            return None
+        assert not validate_model(result)
+        changed = _changed_contexts(model, result)
+        assert sorted(checked) == changed, step
+        kinds[type(step).__name__] += 1
+        kinds["unchanged nets"] += len(result.nets) - len(changed)
+        return result
+
+    for name, script in (("bp.bpn", "bp_refine.bps"), ("library.bpn", "library_decompose.bps")):
+        model = load_model(name)
+        for step in load_script(script).steps:
+            model = step_checks_what_it_changed(model, step)
+    for base, refined, _ in one_step_pairs(20):
+        for step in check._candidate_steps(base, refined):
+            step_checks_what_it_changed(base, step)
+    assert len(kinds) == 7 and kinds["unchanged nets"] > 1000, kinds
 
 
 def test_change_scope_on_rule_results(walks):
