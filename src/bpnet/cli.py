@@ -124,7 +124,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
     except StepFailedError as exc:
         print(f"step {exc.index} failed: {exc.cause}", file=sys.stderr)
         return EXIT_SCRIPT_FAILS
-    Path(args.output).write_text(textio.print_model(refined), encoding="utf-8")
+    try:
+        Path(args.output).write_text(textio.print_model(refined), encoding="utf-8")
+    except OSError as exc:
+        print(f"bpn: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     for line in _arrow_lines(trace, refined):
         print(line)
     return EXIT_OK
@@ -134,6 +138,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     base = _load_model(args.base)
     refined = _load_model(args.refined)
     script = _load_script(args.script)
+    # the replay, like apply's, assumes a well-formed base
+    if _report_violations(base, sys.stderr):
+        return EXIT_INVALID
     verdict = check.check_refinement(base, refined, script)
     print(f"{verdict.status}: {verdict.detail}")
     if verdict.status == check.REFINES:

@@ -278,7 +278,9 @@ class Model:
         """Each port id mapped to its port and to the process holding it,
         found in one pass over the processes, and the ids held more than
         once.  Of several holders the least, by process id, owns the id, so
-        the answer does not depend on the order of ``processes``."""
+        the answer does not depend on the order of ``processes``.  A rule's
+        result gets it carried from the model the rule ran on
+        (``_carry_tables``)."""
         ports: dict[PortId, Port] = {}
         owners: dict[PortId, ProcessId] = {}
         repeated: set[PortId] = set()
@@ -318,6 +320,7 @@ class Model:
         keeps the answer for one listed twice independent of the order of
         ``nets``.  Computed once, on first use: a model is immutable, and
         ``dataclasses.replace`` builds a new instance with an empty cache.
+        A rule's result gets it carried, as ``_interfaces``.
         """
         index: dict[ProcessId, ProcessId] = {}
         for owner, (net, _) in self.nets.items():
@@ -1052,6 +1055,82 @@ def _replaced(old: Mapping, new: Mapping) -> list:
     return [] if old is new else [k for k, v in new.items() if old.get(k) is not v]
 
 
+def _carry_tables(before: Model, after: Model) -> tuple[list, set, list]:
+    """The process keys ``after`` added or replaced relative to ``before``,
+    those it removed, and the net keys it added or replaced.
+
+    On the way, ``after``'s port index and containment map are made from
+    ``before``'s, where ``before`` has them: copies with the entries of each
+    replaced or removed process, and of each net whose members changed,
+    taken out and those of each added or replaced one put in; a map no
+    net's members changed in is shared.  Each is stored in
+    ``after.__dict__`` as its ``_cached`` view stores it, with the same
+    entries, maybe in another order.  A table is carried only while
+    neither model holds a port id twice, or lists a process in two nets;
+    there the least holder or the least owner needs every entry, and the
+    view builds the table in full on its first read.
+    """
+    old, new = before.processes, after.processes
+    procs, gone = _replaced(old, new), old.keys() - new.keys()
+    nets = _replaced(before.nets, after.nets)
+    known, cache = before.__dict__, after.__dict__
+    interfaces = known.get("_interfaces")
+    if interfaces is not None and not interfaces[2] and "_interfaces" not in cache:
+        ports, owners = interfaces[0].copy(), interfaces[1].copy()
+        for pid in procs:
+            proc = old.get(pid)
+            if proc is not None:
+                for port in proc.interface:
+                    del ports[port.id], owners[port.id]
+        for pid in gone:
+            for port in old[pid].interface:
+                del ports[port.id], owners[port.id]
+        held = len(owners)
+        for pid in procs:
+            interface = new[pid].interface
+            held += len(interface)
+            for port in interface:
+                ports[port.id] = port
+                owners[port.id] = pid
+        # an id written twice leaves fewer entries than ports written
+        if len(owners) == held:
+            cache["_interfaces"] = ports, owners, set()
+    containers = known.get("_containers")
+    if containers is not None and "_containers" not in cache:
+        listing, listed = before.nets, after.nets
+        # the owners of the nets whose members changed, were added or removed
+        moved, added = [], 0
+        for owner in nets:
+            was = listing.get(owner)
+            if was is None:
+                added += 1
+                moved.append(owner)
+            elif was[0].processes is not listed[owner][0].processes:
+                moved.append(owner)
+        # some net was removed only if fewer remain than were there or added
+        if len(listing) + added > len(listed):
+            moved += listing.keys() - listed.keys()
+        if not moved:
+            cache["_containers"] = containers
+        elif sum([len(net.processes) for net, _ in listing.values()]) == len(containers):
+            index = containers.copy()
+            for owner in moved:
+                was = listing.get(owner)
+                if was is not None:
+                    for member in was[0].processes:
+                        del index[member]
+            held = len(index)
+            for owner in moved:
+                entry = listed.get(owner)
+                if entry is not None:
+                    held += len(entry[0].processes)
+                    for member in entry[0].processes:
+                        index[member] = owner
+            if len(index) == held:
+                cache["_containers"] = index
+    return procs, gone, nets
+
+
 def validate_change(before: Model, after: Model) -> list[Violation]:
     """``validate_scope`` on the entries whose checks read what ``after``
     added, replaced or removed relative to ``before``, with the process and
@@ -1065,9 +1144,11 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     members and the ports they hold.  A port's entry in the model's index
     changes only with a changed process that holds it or held it; a port
     that a changed process now shares with an unchanged one may pass to
-    either, so both are in scope.
+    either, so both are in scope.  ``after``'s port index and containment
+    map are carried over from ``before``'s (``_carry_tables``).
     """
-    procs = set(_replaced(before.processes, after.processes))
+    changed, gone, nets = _carry_tables(before, after)
+    procs = set(changed)
     repeated = after._interfaces[2]
     if repeated:
         shared = {p.id for pid in procs for p in after.processes[pid].interface} & repeated
@@ -1076,11 +1157,11 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
             for pid, proc in after.processes.items()
             if any(p.id in shared for p in proc.interface)
         )
-    reading = procs | (before.processes.keys() - after.processes.keys())
+    reading = procs | gone
     located = after._containers
     owners = {located[p] for p in reading if p in located}
     owners |= reading & after.nets.keys()
-    owners.update(_replaced(before.nets, after.nets))
+    owners.update(nets)
     return validate_scope(after, owners, procs)
 
 

@@ -441,6 +441,8 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
     nets[common] = (new_net, binding)
 
     candidate = replace(model, processes=processes, nets=nets)
+    # the checks below read the candidate's port index and containment map
+    core._carry_tables(model, candidate)
     cycle = core.find_cycle(core.process_digraph(candidate, new_net))
     if cycle is not None:
         raise WouldCreateCycleError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 import time
 
 import pytest
@@ -153,6 +155,22 @@ class TestApply:
         assert (captured.out, captured.err) == ("", report)
         assert not out_file.exists()
 
+    @pytest.mark.parametrize(
+        "output, code",
+        [("missing/out.bpn", errno.ENOENT), (".", errno.EISDIR)],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, output, code):
+        """An output path that cannot be written is reported, without a
+        traceback or a ``~>`` line, as a usage error."""
+        out_file = tmp_path / output
+        assert run("apply", FIXTURES / "bp.bpn", FIXTURES / "bp_refine.bps", out_file) == (
+            EXIT_USAGE
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bpn: cannot write {out_file}: {os.strerror(code)}\n"
+
 
 class TestCheck:
     def test_identity(self, tmp_path):
@@ -190,6 +208,23 @@ class TestCheck:
             run("check", FIXTURES / "bp.bpn", out_file, FIXTURES / "bp_refine.bps")
             == EXIT_OK
         )
+
+    def test_ill_formed_base_is_reported_before_replay(self, tmp_path, capsys):
+        """A base ``bpn validate`` rejects is reported in its format, on
+        stderr, with no verdict: the replay assumes a well-formed base, and
+        here the script's result would match the equally ill-formed refined
+        model."""
+        closed = "  channel notify_user.out_1 -> retrieve_book.in_1\n  input retrieve_book.in_1"
+        base, refined = tmp_path / "library.bpn", tmp_path / "library_refined.bpn"
+        for path in (base, refined):
+            text = (FIXTURES / path.name).read_text(encoding="utf-8")
+            path.write_text(text.replace("  input retrieve_book.in_1", closed), encoding="utf-8")
+        assert run("validate", base) == EXIT_INVALID
+        report = capsys.readouterr().out
+        assert "CycleDetected" in report
+        assert run("check", base, refined, FIXTURES / "library_decompose.bps") == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", report)
 
 
 class TestSimulate:

@@ -7,7 +7,8 @@ simulator must not import the rule engine, the parser builds no model
 value and the search no net spec itself, the search matches no record
 fields itself, the statement readers call no per-token cursor method,
 the rules name no validation scope, no value stores a port fact twice,
-and only ``core`` writes sort text."""
+only ``core`` writes a model's cached tables, and only ``core`` writes
+sort text."""
 
 from __future__ import annotations
 
@@ -149,6 +150,68 @@ def test_rules_name_no_validation_scope():
     to check itself."""
     calls = _calls(_tree("refine.py"), {"validate_scope"})
     assert calls == [], f"refine.py calls validate_scope: {calls}"
+
+
+CACHED_TABLES = {"_interfaces", "_containers"}
+
+
+def _instance_dict(node: ast.AST) -> bool:
+    """Whether ``node`` is ``x.__dict__`` or ``vars(x)``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars"
+    )
+
+
+def _table_writes(tree: ast.AST) -> list[int]:
+    """Lines writing a cached model table into an instance ``__dict__``: a
+    subscript store whose key is a table's name, or into an instance dict
+    by a key that is not a constant; an ``update`` or ``setdefault`` of an
+    instance dict; or a ``setattr`` naming a table."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            key = node.slice
+            if not isinstance(key, ast.Constant):
+                if _instance_dict(node.value):
+                    found.append(node.lineno)
+            elif key.value in CACHED_TABLES:
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in {"update", "setdefault"} and _instance_dict(getattr(func, "value", None)):
+                found.append(node.lineno)
+            elif name in {"setattr", "__setattr__"} and any(
+                isinstance(arg, ast.Constant) and arg.value in CACHED_TABLES for arg in node.args
+            ):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "m.__dict__['_interfaces'] = t",
+        "vars(m)['_containers'] = t",
+        "m.__dict__[name] = t",
+        "cache = m.__dict__; cache['_interfaces'] = t",
+        "m.__dict__.update(_containers=t)",
+        "object.__setattr__(m, '_interfaces', t)",
+    ],
+)
+def test_table_write_is_found(snippet):
+    assert _table_writes(ast.parse(snippet)) == [1]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_carries_cached_tables(path):
+    """A model's port index and containment map are built, or carried from
+    the model a rule ran on, in ``core`` alone: no other module writes them
+    into a model's ``__dict__``."""
+    lines = _table_writes(_tree(path.name))
+    assert lines == [], f"{path.name}: writes a cached table on lines {lines}"
 
 
 @pytest.mark.parametrize(

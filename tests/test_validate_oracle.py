@@ -192,13 +192,47 @@ def reference_lines(model: Model) -> Counter:
     )
 
 
+class CarryChecker:
+    """Stands in for ``core._carry_tables``: after each call, each table the
+    call stored in the result is compared with a fresh build of it."""
+
+    def __init__(self) -> None:
+        self.carry = core._carry_tables
+        self.carried: Counter = Counter()
+        self.wrong: list[tuple[str, Model]] = []
+
+    def __call__(self, before: Model, after: Model):
+        absent = [name for name in TABLES if name not in after.__dict__]
+        changes = self.carry(before, after)
+        for name in absent:
+            if name in after.__dict__:
+                self.carried[name] += 1
+                if not same_table(after.__dict__[name], getattr(Model, name).func(after)):
+                    self.wrong.append((name, after))
+            else:
+                self.carried[name + " built"] += 1
+        return changes
+
+
+TABLES = ("_interfaces", "_containers")
+
+
+def same_table(carried, fresh) -> bool:
+    """Equal entries, of the same types, in whatever order."""
+    if isinstance(fresh, tuple):
+        return len(carried) == len(fresh) and all(map(same_table, carried, fresh))
+    return type(carried) is type(fresh) and carried == fresh
+
+
 @pytest.fixture(scope="module")
 def walks():
     """What 30 random walks of 30 steps build: each rule result, accepted or
-    rejected, with the model the rule ran on, and the models walked through."""
+    rejected, with the model the rule ran on, and the models walked through;
+    and the ``CarryChecker`` that saw each result's tables carried."""
     built: list[tuple[Model, Model, str]] = []
     visited: list[Model] = []
     original = refine._validated
+    checker = CarryChecker()
 
     def recorded(before, after, context):
         built.append((before, after, context))
@@ -206,13 +240,14 @@ def walks():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(refine, "_validated", recorded)
+        patch.setattr(core, "_carry_tables", checker)
         for seed in range(30):
             model = gen_model(seed, max_depth=3, max_members=6)
             rng = random.Random(seed)
             for _ in range(30):
                 model, _ = propose_step(model, rng)
                 visited.append(model)
-    return built, visited
+    return built, visited, checker
 
 
 def cold(model: Model) -> Model:
@@ -271,7 +306,7 @@ def test_warm_nets_report_what_cold_nets_report(cases, walks):
     for label, _, base, bad in cases:
         assert not validate_model(base), label
         assert_warm_is_cold(bad, label)
-    _, visited = walks
+    _, visited, _ = walks
     for k, model in enumerate(visited):
         assert not validate_model(model)
         rng = random.Random(k)
@@ -429,7 +464,7 @@ def test_a_step_and_full_validation_check_only_the_nets_it_changed(monkeypatch):
 def test_change_scope_on_rule_results(walks):
     """Every result a rule builds during random walks, accepted or not, gets
     the same report from ``validate_change`` as from a full-scope check."""
-    built, visited = walks
+    built, visited, _ = walks
     rejected = 0
     for before, after, context in built:
         change = validate_change(before, after)
@@ -442,7 +477,7 @@ def test_change_scope_on_rule_results(walks):
 def test_same_violations_as_the_reference_on_walk_models(walks):
     """The reference agrees on every rule result of the walks, accepted or
     rejected, and on each walked model with one corruption."""
-    built, visited = walks
+    built, visited, _ = walks
     for _, after, context in built:
         assert lines(validate_model(after)) == reference_lines(after), context
     kinds: Counter = Counter()
@@ -552,3 +587,166 @@ def test_a_malformed_sort_held_twice_is_reported_once():
     found = lines(validate_model(bad))
     assert found["SortMismatch system.a:x: malformed port sort: record field 'f' duplicated"] == 1
     assert found == reference_lines(bad)
+
+
+# --- tables carried from the model a rule ran on ----------------------------------
+
+
+def test_walk_results_carry_their_tables(walks):
+    """Each result of the walks, and each channel candidate, has its port
+    index and containment map carried from the model the rule ran on, equal
+    to a fresh build of each."""
+    built, _, checker = walks
+    assert checker.wrong == []
+    assert checker.carried["_interfaces"] >= len(built) > 1500, checker.carried
+    assert checker.carried["_interfaces built"] == 0, checker.carried
+    assert checker.carried["_containers"] >= len(built) - 30, checker.carried
+
+
+def test_criterion_3_walks_carry_their_tables(monkeypatch):
+    """Criterion 3's 200 walks of 100 steps: every carried table equals a
+    fresh build, and no result builds its port index afresh."""
+    checker = CarryChecker()
+    monkeypatch.setattr(core, "_carry_tables", checker)
+    for seed in range(200):
+        model = gen_model(seed, max_depth=3, max_members=6)
+        rng = random.Random(seed)
+        for _ in range(100):
+            model, _ = propose_step(model, rng)
+    assert checker.wrong == []
+    assert checker.carried["_interfaces"] > 20_000, checker.carried
+    assert checker.carried["_interfaces built"] == 0, checker.carried
+
+
+def test_scripts_and_search_candidates_carry_their_tables(monkeypatch):
+    """Both fixture scripts, and every candidate the search accepts on 20
+    criterion-8 pairs, carry tables equal to fresh builds."""
+    checker = CarryChecker()
+    monkeypatch.setattr(core, "_carry_tables", checker)
+    accepted = 0
+    for name, script in (("bp.bpn", "bp_refine.bps"), ("library.bpn", "library_decompose.bps")):
+        refine.apply_script(load_model(name), load_script(script))
+    for base, refined, _ in one_step_pairs(20):
+        for step in check._candidate_steps(base, refined):
+            try:
+                step.apply(base)
+            except BpnError:
+                continue
+            accepted += 1
+    assert checker.wrong == []
+    assert accepted > 100 and checker.carried["_interfaces"] > accepted, checker.carried
+
+
+def test_replaying_a_script_builds_no_table_afresh(monkeypatch):
+    """After its base is validated, replaying a fixture script builds no
+    result's port index or containment map from every process and net."""
+    builds: Counter = Counter()
+    for name in TABLES:
+        view = getattr(Model, name)
+
+        def counted(model, func=view.func, name=name):
+            builds[name] += 1
+            return func(model)
+
+        monkeypatch.setattr(view, "func", counted)
+    for name, script in (("bp.bpn", "bp_refine.bps"), ("library.bpn", "library_decompose.bps")):
+        base = load_model(name)
+        assert not validate_model(base)
+        builds.clear()
+        refined, _ = refine.apply_script(base, load_script(script))
+        assert not validate_model(refined)
+        assert builds == Counter(), (name, builds)
+
+
+def carried(before: Model, after: Model) -> set[str]:
+    """The tables ``core._carry_tables`` carries from a ``before`` whose
+    tables are built; each read of ``after``'s tables then equals a fresh
+    build."""
+    for name in TABLES:
+        getattr(before, name)
+    core._carry_tables(before, after)
+    names = {name for name in TABLES if name in after.__dict__}
+    for name in TABLES:
+        assert same_table(getattr(after, name), getattr(Model, name).func(after)), name
+    return names
+
+
+def test_corpus_corruptions_carry_or_build_their_tables(cases):
+    """Each corruption of the corpus, taken as a change of its base, gets
+    tables equal to fresh builds, whether carried or built in full."""
+    kinds: Counter = Counter()
+    for label, _, base, bad in cases:
+        for name in carried(base, dataclasses.replace(bad)):
+            kinds[name] += 1
+    assert len(cases) > 300 and 0 < kinds["_interfaces"] < len(cases), kinds
+    assert 0 < kinds["_containers"] < len(cases), kinds
+
+
+class TestCarryFallsBack:
+    """Where a port id is held twice, or a process listed by two nets, in
+    the model a change starts from or in its result, the least holder and
+    the least owner need every entry: that table is built in full."""
+
+    @pytest.fixture
+    def model(self) -> Model:
+        return load_model("library_refined.bpn")
+
+    def with_port_held_twice(self, model: Model, pid, other) -> Model:
+        port = model.ports[model.processes[other].inputs[0]]
+        return _with_process(model, pid, interface=model.processes[pid].interface + (port,))
+
+    def test_a_parent_holding_an_id_twice(self, model):
+        bad = self.with_port_held_twice(model, "system.retrieve_book", "system.notify_user")
+        after = _with_process(bad, "system.notify_user", behavior_note="changed")
+        assert carried(bad, after) == {"_containers"}
+        assert after._interfaces[2] == {"system.notify_user:in_1"}
+
+    def test_a_result_holding_an_id_twice(self, model):
+        after = self.with_port_held_twice(model, "system.retrieve_book", "system.notify_user")
+        assert carried(model, after) == {"_containers"}
+        assert after._interfaces[2] == {"system.notify_user:in_1"}
+
+    def test_a_process_holding_an_id_twice(self, model):
+        pid = "system.retrieve_book"
+        after = self.with_port_held_twice(model, pid, pid)
+        assert carried(model, after) == {"_containers"}
+        assert after._interfaces[2] == {model.processes[pid].inputs[0]}
+
+    def test_a_parent_listing_a_process_in_two_nets(self, model):
+        inner = "system.reserve_book"
+        members = model.nets[inner][0].processes
+        bad = _with_net(model, inner, processes=members | {"system.notify_user"})
+        after = _with_net(bad, inner, processes=members)
+        assert carried(bad, after) == {"_interfaces"}
+        assert after._containers["system.notify_user"] == "system"
+
+    def test_a_map_no_members_changed_in_is_shared(self, model):
+        """The same owners listing the same members give the same map, even
+        where a process is listed twice."""
+        inner = "system.reserve_book"
+        listed = model.nets[inner][0].processes | {"system.notify_user"}
+        bad = _with_net(model, inner, processes=listed)
+        after = _with_process(bad, "system.retrieve_book", behavior_note="changed")
+        assert carried(bad, after) == set(TABLES)
+        assert after._containers is bad._containers
+
+    def test_a_result_listing_a_process_in_two_nets(self, model):
+        inner = "system.reserve_book"
+        listed = model.nets[inner][0].processes | {"system.notify_user"}
+        after = _with_net(model, inner, processes=listed)
+        assert carried(model, after) == {"_interfaces"}
+        assert after._containers["system.notify_user"] == "system"
+
+    def test_a_parent_without_tables_carries_none(self, model):
+        after = _with_process(model, "system.retrieve_book", behavior_note="changed")
+        core._carry_tables(model, after)
+        assert not any(name in after.__dict__ for name in TABLES)
+
+    def test_unfold_removes_a_process_and_a_net(self, model):
+        # the result, its tables not yet read
+        after = dataclasses.replace(refine.unfold(model, "system", "system.reserve_book"))
+        assert "system.reserve_book" not in after.processes
+        assert "system.reserve_book" not in after.nets
+        assert carried(model, after) == set(TABLES)
+        assert "system.reserve_book" not in after._containers
+        assert not any(p.startswith("system.reserve_book:") for p in after.ports)
