@@ -1146,6 +1146,10 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     that a changed process now shares with an unchanged one may pass to
     either, so both are in scope.  ``after``'s port index and containment
     map are carried over from ``before``'s (``_carry_tables``).
+
+    When the scope is clean, ``validate_model`` found nothing on ``before``
+    and the sort table and root are ``before``'s, ``after`` is marked with
+    the change, so that its ``validate_model`` runs only ``_keeps_tree``.
     """
     changed, gone, nets = _carry_tables(before, after)
     procs = set(changed)
@@ -1162,16 +1166,69 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     owners = {located[p] for p in reading if p in located}
     owners |= reading & after.nets.keys()
     owners.update(nets)
-    return validate_scope(after, owners, procs)
+    found = validate_scope(after, owners, procs)
+    clean = not found and before.__dict__.get("_findings") == ()
+    if clean and after.sort_table is before.sort_table and after.root is before.root:
+        after.__dict__["_clean_change"] = gone, nets
+    return found
+
+
+def _keeps_tree(model: Model, gone: set, nets: list) -> bool:
+    """Whether the whole-model checks find nothing on ``model``, a result
+    ``validate_change`` found clean against a clean parent with the same
+    sort table and root, by adding or replacing the nets ``nets`` and
+    removing the processes ``gone``, among other changes.
+
+    No port id is held twice and no process listed twice; the root is
+    defined and unlisted; each changed net's owner exists and no removed
+    process owns a net.  Each listed member is defined, or a net check in
+    scope would have found it, so with one listing fewer than processes
+    every other process is listed.  A process's parent changes only where
+    a changed net lists it now, or listed it before and no net does now,
+    which the count rules out; so if the chain up from each member of a
+    changed net reaches the root, so does every chain.
+    """
+    processes, listed, root = model.processes, model.nets, model.root
+    parent = model._containers
+    return (
+        not model._interfaces[2]
+        and root in processes
+        and root not in parent
+        and len(parent) == len(processes) - 1
+        and len(parent) == sum([len(net.processes) for net, _ in listed.values()])
+        and all([owner in processes for owner in nets])
+        and not any([pid in listed for pid in gone])
+        and all(
+            containment_chain(model, pid)[-1] == root
+            for owner in nets
+            for pid in listed[owner][0].processes
+        )
+    )
 
 
 def validate_model(model: Model) -> list[Violation]:
     """Every violation: the whole-model checks, then the checks of each
-    process by id, then those of each net by owner."""
-    findings: list[Violation] = []
-    _model_violations(model, findings)
-    findings += validate_scope(model, model.nets, model.processes)
-    return findings
+    process by id, then those of each net by owner.
+
+    The findings are stored on the model; each call returns a new list.  A
+    rule's result that ``validate_change`` found clean against a parent
+    whose stored findings are empty runs only the whole-model checks its
+    scope cannot see (``_keeps_tree``) and, if they pass, reports nothing:
+    each entry outside the scope is checked as in the clean parent.
+    """
+    cache = model.__dict__
+    found = cache.get("_findings")
+    if found is None:
+        change = cache.get("_clean_change")
+        if change is not None and _keeps_tree(model, *change):
+            found = ()
+        else:
+            findings: list[Violation] = []
+            _model_violations(model, findings)
+            findings += validate_scope(model, model.nets, model.processes)
+            found = tuple(findings)
+        cache["_findings"] = found
+    return list(found)
 
 
 # --- sort expressions ---------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 import os
 import time
 
@@ -560,3 +561,67 @@ class TestOneParserPerProcess:
             fresh = run_bounded(f"import sys; from bpnet import cli; sys.exit(cli.main({args!r}))")
             assert (fresh.returncode, fresh.stdout) == (code, out), argv
         assert cli._build_parser() is cli._build_parser()
+
+
+# --- no traceback on bad input ----------------------------------------------------
+
+NO_TRACEBACK = """
+import contextlib, io, json, sys, traceback
+from pathlib import Path
+sys.path.insert(0, {tests!r})
+from bpnet import cli
+from test_parse_oracle import base_texts, corpus
+
+fixtures, work = Path({fixtures!r}), Path({work!r})
+scripts = {{"bp.bpn": "bp_refine.bps", "library.bpn": "library_decompose.bps"}}
+envs = {{"bp.bpn": "bp.env", "bp_refined.bpn": "bp.env", "library.bpn": "library.env",
+         "library_refined.bpn": "library.env"}}
+(work / "empty.bps").write_text("")
+(work / "empty.env").write_text("")
+bases = dict(base_texts())
+found, bad = [], []
+for n, (label, kind, text) in enumerate(corpus()[::{stride}]):
+    base = label.split(":")[0]
+    model = work / f"m{{n}}.bpn"
+    model.write_text(text, encoding="utf-8")
+    (work / "base.bpn").write_text(bases[base], encoding="utf-8")
+    script = fixtures / scripts[base] if base in scripts else work / "empty.bps"
+    env = fixtures / envs[base] if base in envs else work / "empty.env"
+    for argv in (
+        ["validate", model],
+        ["fmt", model],
+        ["export-dot", model, "--depth", "2"],
+        ["simulate", model, env],
+        ["apply", model, script, work / "out.bpn"],
+        ["check", work / "base.bpn", model, script],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([str(a) for a in argv])
+        except Exception:
+            code = None
+            err.write(traceback.format_exc())
+        found.append(code)
+        if code not in {codes} or "Traceback" in out.getvalue() + err.getvalue():
+            bad.append((label, argv[0], code, err.getvalue()[-300:]))
+print(json.dumps([len(found), sorted(set(found), key=repr), bad]))
+"""
+
+
+def test_parse_oracle_mutants_give_no_traceback(tmp_path):
+    """Every subcommand on a fixed sample of the parse oracle's texts, in
+    one child interpreter, each mutant checked against its base text: each
+    call ends in a documented exit code, and none prints a traceback."""
+    codes = {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH, EXIT_SCRIPT_FAILS, EXIT_USAGE}
+    tests = os.path.dirname(os.path.abspath(__file__))
+    done = run_bounded(
+        NO_TRACEBACK.format(
+            tests=tests, fixtures=str(FIXTURES), work=str(tmp_path), stride=8, codes=codes
+        ),
+        seconds=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    ran, seen, bad = json.loads(done.stdout.splitlines()[-1])
+    assert bad == []
+    assert ran == 6 * 254 and {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH} <= set(seen), seen

@@ -8,7 +8,8 @@ value and the search no net spec itself, the search matches no record
 fields itself, the statement readers call no per-token cursor method,
 the rules name no validation scope, no value stores a port fact twice,
 only ``core`` writes a model's cached tables, and only ``core`` writes
-sort text."""
+sort text, and only ``core`` reads a model's stored findings; a walk's
+carried findings equal a full validation's under ``-O``."""
 
 from __future__ import annotations
 
@@ -214,6 +215,59 @@ def test_only_core_carries_cached_tables(path):
     assert lines == [], f"{path.name}: writes a cached table on lines {lines}"
 
 
+# a model's stored findings, and the mark of a change found clean
+MODEL_FACTS = {"_findings", "_clean_change"}
+
+
+def _fact_uses(tree: ast.AST) -> list[int]:
+    """Lines naming a model's stored findings or its clean mark, as a
+    constant or an attribute, or reading an instance dict by a key that is
+    not a constant."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in MODEL_FACTS:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in MODEL_FACTS:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Subscript) and _instance_dict(node.value):
+            if not isinstance(node.slice, ast.Constant):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if _instance_dict(node.func.value) and not all(
+                isinstance(arg, ast.Constant) for arg in node.args[:1]
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "m.__dict__['_findings'] = ()",
+        "vars(m).get('_clean_change')",
+        "m.__dict__.pop('_findings', None)",
+        "cache = m.__dict__; cache['_clean_change'] = mark",
+        "getattr(m, '_findings')",
+        "m._clean_change",
+        "vars(m)[key]",
+        "m.__dict__.get(key)",
+    ],
+)
+def test_fact_use_is_found(snippet):
+    assert _fact_uses(ast.parse(snippet)) == [1]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_reads_stored_findings(path):
+    """Whether a model's findings are stored, or may be carried clean from
+    the model a rule ran on, is ``core``'s business alone: no other module
+    reads or writes either in a model's ``__dict__``."""
+    lines = _fact_uses(_tree(path.name))
+    assert lines == [], f"{path.name}: uses a model's stored findings on lines {lines}"
+
+
 @pytest.mark.parametrize(
     "path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name
 )
@@ -266,3 +320,43 @@ def test_validate_under_optimize(tmp_path, name, text, code):
     plain = _validate(path)
     assert plain[0] == code, plain
     assert _validate(path, "-O") == plain
+
+
+CARRIED_WALKS = """
+import dataclasses, random
+from bpnet import core
+from genmodels import gen_model, propose_step
+keeps, kept = core._keeps_tree, []
+core._keeps_tree = lambda *change: kept.append(keeps(*change)) or kept[-1]
+for seed in range(5):
+    model = gen_model(seed, max_depth=3, max_members=6)
+    rng = random.Random(seed)
+    for step in range(40):
+        model, _ = propose_step(model, rng)
+        found = core.validate_model(model)
+        if found or found != core.validate_model(dataclasses.replace(model)):
+            raise SystemExit(f"seed {seed} step {step}: {found}")
+print(__debug__, kept.count(True), kept.count(False))
+"""
+
+
+def _walk(*flags: str) -> tuple[int, str, str]:
+    path_entries = filter(
+        None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", CARRIED_WALKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_carried_findings_under_optimize():
+    """Walks that validate every step carry each result's findings, equal
+    to a full validation's, under ``python -O`` as without it."""
+    assert _walk() == (0, "True 195 0\n", "")
+    assert _walk("-O") == (0, "False 195 0\n", "")

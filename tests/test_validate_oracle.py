@@ -3,7 +3,9 @@ replaced, and ``validate_change`` against a full-scope check, on a corpus
 of models with one corruption each and on the results rules build.  A net
 remembers the last context it checked clean in, so each model is also
 checked warm, after a model sharing its nets, against the same model with
-every net rebuilt."""
+every net rebuilt.  A clean rule result of a clean parent carries its
+findings, so each such result is checked against a copy validated in
+full."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,7 @@ from conftest import load_model, load_script
 from genmodels import gen_model, one_step_pairs, propose_step, rename_ids
 from reference_validate import reference_validate_model
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FIXTURES = ["bp.bpn", "bp_fig6.bpn", "bp_refined.bpn", "library.bpn", "library_refined.bpn"]
 
 # The only line the old validator printed that the new one leaves out: it
@@ -259,9 +263,10 @@ def cold(model: Model) -> Model:
 
 
 def assert_warm_is_cold(model: Model, label) -> None:
-    """``model``'s report, twice, equals the reference's lines and, as an
-    ordered list, the report on ``cold(model)``."""
-    warm = validate_model(model)
+    """``model``'s report, on a copy that has stored no findings and on
+    ``model``, equals the reference's lines and, as an ordered list, the
+    report on ``cold(model)``."""
+    warm = validate_model(dataclasses.replace(model))
     assert lines(warm) == reference_lines(model), label
     assert validate_model(model) == warm == validate_model(cold(model)), label
 
@@ -389,7 +394,8 @@ class TestWarmNetInAChangedContext:
 
         def work() -> None:
             for k in range(300):
-                if validate_model((model, bad)[k % 2]) != expected[k % 2]:
+                # a copy shares the nets but has stored no findings
+                if validate_model(dataclasses.replace((model, bad)[k % 2])) != expected[k % 2]:
                     wrong.append(k)
 
         interval = sys.getswitchinterval()
@@ -603,19 +609,24 @@ def test_walk_results_carry_their_tables(walks):
     assert checker.carried["_containers"] >= len(built) - 30, checker.carried
 
 
-def test_criterion_3_walks_carry_their_tables(monkeypatch):
+def test_criterion_3_walks_carry_their_tables(monkeypatch, carries):
     """Criterion 3's 200 walks of 100 steps: every carried table equals a
-    fresh build, and no result builds its port index afresh."""
+    fresh build, and no result builds its port index afresh.  Each step is
+    validated, as criterion 3 validates it, so each result after the first
+    carries its findings: they equal a full validation's, and on every
+    25th step the reference's lines."""
     checker = CarryChecker()
     monkeypatch.setattr(core, "_carry_tables", checker)
     for seed in range(200):
         model = gen_model(seed, max_depth=3, max_members=6)
         rng = random.Random(seed)
-        for _ in range(100):
+        for step in range(100):
             model, _ = propose_step(model, rng)
+            assert_carried_is_full(model, (seed, step), reference=step % 25 == 0)
     assert checker.wrong == []
     assert checker.carried["_interfaces"] > 20_000, checker.carried
     assert checker.carried["_interfaces built"] == 0, checker.carried
+    assert carries == Counter({True: 200 * 99}), carries
 
 
 def test_scripts_and_search_candidates_carry_their_tables(monkeypatch):
@@ -750,3 +761,199 @@ class TestCarryFallsBack:
         assert carried(model, after) == set(TABLES)
         assert "system.reserve_book" not in after._containers
         assert not any(p.startswith("system.reserve_book:") for p in after.ports)
+
+
+# --- findings carried from the model a rule ran on --------------------------------
+
+
+@pytest.fixture
+def carries(monkeypatch) -> Counter:
+    """How often ``core._keeps_tree`` answered each way: ``True`` where a
+    result's findings were carried clean without a full validation."""
+    answers: Counter = Counter()
+    keeps = core._keeps_tree
+
+    def counted(*args) -> bool:
+        kept = keeps(*args)
+        answers[kept] += 1
+        return kept
+
+    monkeypatch.setattr(core, "_keeps_tree", counted)
+    return answers
+
+
+def assert_carried_is_full(model: Model, label, reference: bool = True) -> None:
+    """``model``'s report, carried or not, equals as an ordered list the
+    report on a copy, which carries nothing and is validated in full, and,
+    where ``reference`` is set, the reference's lines.  A second call
+    returns a new list of them."""
+    found = validate_model(model)
+    assert found == validate_model(dataclasses.replace(model)), label
+    again = validate_model(model)
+    assert again == found and again is not found, label
+    if reference:
+        assert lines(found) == reference_lines(model), label
+
+
+def test_corpus_corruptions_carry_no_findings(cases, carries):
+    """Each corruption, taken as a change of its validated base, reports
+    what a full validation reports.  Those whose defect the change's scope
+    cannot see, a port id held twice, fall back to the full check."""
+    for label, _, base, bad in cases:
+        assert not validate_model(base), label
+        # a copy: another test may have stored the corruption's findings
+        after = dataclasses.replace(bad)
+        validate_change(base, after)
+        assert_carried_is_full(after, label)
+    assert carries[True] == 0 and carries[False] > 0, carries
+
+
+def test_walk_results_carry_their_findings(walks, carries):
+    """Each result of the walks, accepted or rejected, as a change of the
+    validated model the rule ran on."""
+    built, _, _ = walks
+    accepted = 0
+    for before, after, context in built:
+        validate_model(before)
+        after = dataclasses.replace(after)
+        accepted += not validate_change(before, after)
+        assert_carried_is_full(after, context)
+    assert accepted > 800 and carries == Counter({True: accepted}), (accepted, carries)
+
+
+def test_benchmark_walks_carry_their_findings(carries):
+    """Walks on 100-process ``perfbench`` models, built as the rule-walk
+    operations build them: a proposal applied, then the result validated."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    accepted = 0
+    for seed in (1601, 1602):
+        for i in range(4):
+            rng = random.Random(f"{seed}:walk:0:{i}")
+            model = textio.parse_model(gen.model_text(gen.hier_model(rng, 100)))
+            for step in range(50):
+                kinds = list(workloads.PROPOSALS)
+                if len(model.processes) > 150:
+                    kinds.remove("decompose")
+                text = None
+                while text is None:
+                    text = workloads.propose(model, rng, rng.choice(kinds))
+                try:
+                    model, _ = textio.parse_script(text).steps[0].apply(model)
+                except BpnError:
+                    continue
+                accepted += 1
+                assert_carried_is_full(model, (seed, i, step), reference=step % 5 == 0)
+    assert accepted > 250 and carries == Counter({True: accepted - 8}), (accepted, carries)
+
+
+def test_search_candidates_carry_their_findings(carries):
+    """Every candidate the search accepts on 20 criterion-8 pairs, applied
+    to its validated base."""
+    accepted = 0
+    for base, refined, _ in one_step_pairs(20):
+        assert not validate_model(base)
+        for step in check._candidate_steps(base, refined):
+            try:
+                result, _ = step.apply(base)
+            except BpnError:
+                continue
+            accepted += 1
+            assert_carried_is_full(result, step)
+    assert accepted > 100 and carries == Counter({True: accepted}), (accepted, carries)
+
+
+class TestCarryNotClean:
+    """A rule result that the change's scope finds clean, but whose whole
+    model is not: its findings are not carried clean."""
+
+    TEXT = """
+        process system { }
+        net for system { process a { } process b { } }
+        net for system.b { process c { } }
+        """
+
+    @pytest.fixture
+    def model(self) -> Model:
+        model = textio.parse_model(self.TEXT)
+        assert not validate_model(model)
+        return model
+
+    def assert_full(self, model: Model, after: Model, message: str) -> None:
+        assert validate_change(model, after) == []
+        found = validate_model(after)
+        assert message in [v.message for v in found]
+        assert found == validate_model(dataclasses.replace(after))
+        assert lines(found) == reference_lines(after)
+
+    def test_a_member_listed_in_two_nets(self, model, carries):
+        after = _with_net(model, "system.b", processes=frozenset({"system.b.c", "system.a"}))
+        self.assert_full(model, after, "process contained in more than one net")
+        assert carries == Counter({False: 1}), carries
+
+    def test_a_process_dropped_from_its_net(self, model, carries):
+        after = _with_net(model, "system.b", processes=frozenset())
+        self.assert_full(model, after, "process is not contained in any net")
+        assert carries == Counter({False: 1}), carries
+
+    def test_a_containment_cycle(self, model, carries):
+        # b leaves the root's net for a net of its own member c
+        after = _with_net(model, "system", processes=frozenset({"system.a"}))
+        cycle = (ProcessNet(frozenset({"system.b"})), InterfaceBinding())
+        after = dataclasses.replace(after, nets={**after.nets, "system.b.c": cycle})
+        self.assert_full(model, after, "containment relation is cyclic")
+        assert carries == Counter({False: 1}), carries
+
+    def test_a_net_of_an_undefined_owner(self, model, carries):
+        empty = (ProcessNet(), InterfaceBinding())
+        after = dataclasses.replace(model, nets={**model.nets, "ghost": empty})
+        self.assert_full(model, after, "net owner is undefined")
+        assert carries == Counter({False: 1}), carries
+
+    def test_a_removed_process_owning_a_net(self, model, carries):
+        after = _with_net(model, "system", processes=frozenset({"system.a"}))
+        processes = {p: q for p, q in after.processes.items() if p != "system.b"}
+        after = dataclasses.replace(after, processes=processes)
+        self.assert_full(model, after, "net owner is undefined")
+        assert carries == Counter({False: 1}), carries
+
+    def test_the_root_removed_with_its_net(self, carries):
+        # a, the root's one member, is left as the only process no net lists
+        model = textio.parse_model(
+            "process system { } net for system { process a { } }"
+            " net for system.a { process b { } }"
+        )
+        assert not validate_model(model)
+        processes = {p: q for p, q in model.processes.items() if p != "system"}
+        nets = {o: entry for o, entry in model.nets.items() if o != "system"}
+        after = dataclasses.replace(model, processes=processes, nets=nets)
+        self.assert_full(model, after, "root process is undefined")
+        assert carries == Counter({False: 1}), carries
+
+    def test_the_root_listed_in_a_net(self, model, carries):
+        after = _with_net(model, "system.b", processes=frozenset({"system"}))
+        self.assert_full(model, after, "root process must not be contained in any net")
+        assert carries == Counter({False: 1}), carries
+
+    def test_a_parent_with_findings(self, carries):
+        """A defect the rule leaves alone stays: a rule on a parent that
+        reports one does not carry its result clean."""
+        model = textio.parse_model(
+            """
+            sort T
+            process system { }
+            net for system { process a { out o } process b { in i } channel a.o -> b.i }
+            """
+        )
+        bad = dataclasses.replace(model, sort_table={**model.sort_table, "Bad": BAD_RECORD})
+        assert validate_model(bad)
+        after = refine.assign_sort(bad, "system.a:o", AtomicSort("T"))
+        found = validate_model(after)
+        assert [v.code for v in found] == [v.code for v in validate_model(bad)]
+        assert found == validate_model(dataclasses.replace(after))
+        assert lines(found) == reference_lines(after)
+        assert carries == Counter(), carries
