@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import core
 from .core import Model, PortId, ProcessId, RecordSort, SortNameRef
@@ -203,19 +203,46 @@ def check_refinement(base: Model, refined: Model, script: RefinementScript) -> V
 # --- bounded derivability search -------------------------------------------------
 
 
-def _twin(refined: Model, path: tuple[str, ...]) -> ProcessId | None:
-    try:
-        return core.resolve_path(refined, path)
-    except BpnError:
-        return None
-
-
 def _ports_by_name(model: Model, pid: ProcessId) -> dict[str, PortId]:
     return {model.ports[p].name: p for p in model.processes[pid].ports()}
 
 
+class _Refined:
+    """What a search reads of its refined model at every state, found once
+    per search: the process names, and for each path the twin (the process
+    at that path) with its ports by name, or None where no process is."""
+
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        self.names = {p.name for p in model.processes.values()}
+        self._twins: dict[tuple[str, ...], tuple[ProcessId, dict[str, PortId]] | None] = {}
+
+    def twin(self, path: tuple[str, ...]) -> tuple[ProcessId, dict[str, PortId]] | None:
+        if path not in self._twins:
+            try:
+                pid = core.resolve_path(self.model, path)
+                self._twins[path] = pid, _ports_by_name(self.model, pid)
+            except BpnError:
+                self._twins[path] = None
+        return self._twins[path]
+
+
 def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
-    """Deterministic enumeration of plausible single rule applications.
+    """Deterministic enumeration of plausible single rule applications: the
+    candidates of ``_candidate_groups``, group after group."""
+    groups = _candidate_groups(current, _Refined(refined))
+    return itertools.chain.from_iterable(candidates for *_, candidates in groups)
+
+
+def _candidate_groups(
+    current: Model, refined: _Refined
+) -> Iterator[tuple[type, int, int, Iterable[Step]]]:
+    """The candidate steps at ``current`` in groups ``(kind, delta, count,
+    candidates)``: ``count`` steps of one rule kind, each changing the
+    process count by ``delta``, counted from the lists the iterator walks
+    and built only as it is walked.  Decompose gives one group per
+    candidate, its delta the refined twin's member count, so a candidate is
+    priced before its subnet spec is built; every other kind is one group.
 
     Parameters are drawn from the two models' names and sorts: fresh names
     come from the refined model's vocabulary at the corresponding position.
@@ -226,95 +253,100 @@ def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
         for pid in current.processes
         if pid == current.root or pid in located
     }
-    sort_names = sorted(current.sort_table)
+    pids = sorted(paths)
+
+    def group(kind: type, count: int, candidates: Iterable[Step]):
+        return kind, _PROCESS_DELTA[kind](None), count, candidates
 
     # assign-sort over unsorted ports
-    for pid in sorted(paths):
-        path = paths[pid]
-        proc = current.processes[pid]
-        for port_id in sorted(proc.ports()):
-            port = current.ports[port_id]
-            if port.sort is not None:
-                continue
-            for name in sort_names:
-                yield AssignSortStep(PortRef(path, port.name), SortNameRef(name))
-
-    # each process's twin at the same path in the refined model, the ports
-    # of both by name, and the names the twin has that the process lacks
-    pids = sorted(paths)
-    twins: dict[ProcessId, ProcessId] = {}
+    sort_names = sorted(current.sort_table)
+    unsorted = []
     for pid in pids:
-        twin = _twin(refined, paths[pid])
-        if twin is not None:
-            twins[pid] = twin
+        for port_id in sorted(current.processes[pid].ports()):
+            port = current.ports[port_id]
+            if port.sort is None:
+                unsorted.append((paths[pid], port.name))
+    yield group(AssignSortStep, len(unsorted) * len(sort_names), (
+        AssignSortStep(PortRef(path, port), SortNameRef(name))
+        for path, port in unsorted for name in sort_names
+    ))
+
+    # each process's twin at the same path in the refined model, its ports
+    # by name, and the names the twin has that the process lacks
+    twins = {pid: twin for pid in pids if (twin := refined.twin(paths[pid])) is not None}
     here = {pid: _ports_by_name(current, pid) for pid in twins}
-    there = {pid: _ports_by_name(refined, twin) for pid, twin in twins.items()}
     missing = {
-        pid: sorted(there[pid].keys() - here[pid].keys()) if pid in twins else []
+        pid: sorted(twins[pid][1].keys() - here[pid].keys()) if pid in twins else []
         for pid in pids
     }
 
     # add-channel between processes, fresh names from the refined twin
-    for src_pid in pids:
-        src_names = sorted(
-            {current.ports[p].name for p in current.processes[src_pid].outputs}
-            | set(missing[src_pid])
+    fresh = sum(map(len, missing.values()))
+    src_names = {
+        pid: sorted(
+            {current.ports[p].name for p in current.processes[pid].outputs} | set(missing[pid])
         )
-        for dst_pid in pids:
-            if dst_pid == src_pid:
-                continue
-            for src_name in src_names:
-                for dst_name in missing[dst_pid]:
-                    yield AddChannelStep(
-                        PortRef(paths[src_pid], src_name),
-                        PortRef(paths[dst_pid], dst_name),
-                    )
+        for pid in (pids if fresh else ())
+    }
+    count = sum(len(names) * (fresh - len(missing[pid])) for pid, names in src_names.items())
+    yield group(AddChannelStep, count, (
+        AddChannelStep(PortRef(paths[src], src_name), PortRef(paths[dst], dst_name))
+        for src in src_names for dst in pids if dst != src
+        for src_name in src_names[src] for dst_name in missing[dst]
+    ))
 
     # decompose a leaf using the refined model's subnet at the same path
     for pid in pids:
-        if pid in current.nets:
-            continue
-        twin = twins.get(pid)
-        if twin is not None and twin in refined.nets:
-            yield DecomposeStep(paths[pid], net_spec(refined, twin, current._sort_names))
+        twin = twins.get(pid, (None,))[0]
+        if pid not in current.nets and twin in refined.model.nets:
+            net, _ = refined.model.nets[twin]
+            members = sum(m in refined.model.processes for m in net.processes)
+            yield DecomposeStep, members, 1, (
+                DecomposeStep(path, net_spec(refined.model, owner, current._sort_names))
+                for path, owner in [(paths[pid], twin)]
+            )
 
     # split a port that disappears in the refined twin
-    for pid in twins:
-        here_ports, there_names = here[pid], there[pid]
-        gone = sorted(here_ports.keys() - there_names.keys())
-        fresh = missing[pid]
-        if len(fresh) < 2:
+    splits = []
+    for pid, (_, there_names) in twins.items():
+        here_ports, names = here[pid], missing[pid]
+        if len(names) < 2:
             continue
-        for old_name in gone:
+        for old_name in sorted(here_ports.keys() - there_names.keys()):
             old_port = current.ports[here_ports[old_name]]
-            for k in range(2, len(fresh) + 1):
-                for combo in itertools.permutations(fresh, k):
-                    parts = _infer_parts(current, refined, old_port, combo, there_names)
+            for k in range(2, len(names) + 1):
+                for combo in itertools.permutations(names, k):
+                    parts = _infer_parts(current, refined.model, old_port, combo, there_names)
                     if parts is not None:
-                        yield SplitPortStep(PortRef(paths[pid], old_name), parts)
+                        splits.append((PortRef(paths[pid], old_name), parts))
+    yield group(SplitPortStep, len(splits), itertools.starmap(SplitPortStep, splits))
 
     # fold convex groups, names from the refined model's vocabulary
-    refined_names = {p.name for p in refined.processes.values()}
-    current_names = {p.name for p in current.processes.values()}
-    fold_names = sorted(refined_names - current_names)
-    for owner in sorted(current.nets):
+    fold_names = sorted(refined.names - {p.name for p in current.processes.values()})
+    folds = []
+    for owner in sorted(current.nets) if fold_names else ():
         if owner not in paths:
             continue
         net, _ = current.nets[owner]
         members = sorted(
             current.processes[m].name for m in net.processes if m in current.processes
         )
-        if len(members) < 2:
-            continue
-        for size in range(1, len(members)):
-            for group in itertools.combinations(members, size):
-                for new_name in fold_names:
-                    yield FoldStep(paths[owner], group, new_name)
+        if len(members) >= 2:
+            folds.append((paths[owner], members))
+    count = sum((2 ** len(members) - 2) * len(fold_names) for _, members in folds)
+    yield group(FoldStep, count, (
+        FoldStep(path, chosen, new_name)
+        for path, members in folds for size in range(1, len(members))
+        for chosen in itertools.combinations(members, size) for new_name in fold_names
+    ))
 
     # unfold any decomposed non-root process
-    for pid in sorted(current.nets):
-        if pid != current.root and pid in paths and len(paths[pid]) >= 2:
-            yield UnfoldStep(paths[pid])
+    unfolds = [
+        paths[pid]
+        for pid in sorted(current.nets)
+        if pid != current.root and pid in paths and len(paths[pid]) >= 2
+    ]
+    yield group(UnfoldStep, len(unfolds), map(UnfoldStep, unfolds))
 
 
 def _infer_parts(
@@ -349,7 +381,8 @@ def _infer_parts(
     return tuple(parts)
 
 
-# each rule kind's change to the process count, known before it is applied
+# each rule kind's change to the process count, known before it is applied;
+# only decompose's reads the step
 _PROCESS_DELTA = {
     DecomposeStep: lambda step: len(step.subnet.members),
     FoldStep: lambda step: 1,
@@ -360,15 +393,16 @@ _PROCESS_DELTA = {
 }
 
 
-def _steps_needed(step: Step, current: Model, refined: Model) -> int:
-    """Fewest steps after ``step`` that can reach refined: only unfold lowers
-    the process count, by one, so a surplus of k processes needs k steps and
-    a deficit one; assign-sort keeps the port count, so if that differs from
-    refined's its result needs one step more."""
-    gap = len(refined.processes) - len(current.processes) - _PROCESS_DELTA[type(step)](step)
+def _steps_needed(kind: type, delta: int, current: Model, refined: Model) -> int:
+    """Fewest steps after a step of ``kind`` changing the process count by
+    ``delta`` that can reach refined: only unfold lowers the process count,
+    by one, so a surplus of k processes needs k steps and a deficit one;
+    assign-sort keeps the port count, so if that differs from refined's its
+    result needs one step more."""
+    gap = len(refined.processes) - len(current.processes) - delta
     if gap:
         return max(-gap, 1)
-    return int(isinstance(step, AssignSortStep) and len(current.ports) != len(refined.ports))
+    return int(kind is AssignSortStep and len(current.ports) != len(refined.ports))
 
 
 def brute_force_derivable(
@@ -380,37 +414,43 @@ def brute_force_derivable(
     """Exhaustively search for a script deriving refined from base.
 
     Depth-first over the candidate enumeration, deterministic first witness.
-    A candidate is not applied when ``_steps_needed`` exceeds the steps
-    left.  That bound never exceeds the true number of steps, so it skips
-    only subtrees without a witness, and the first witness is the one a
-    search applying every candidate returns.  Every enumerated candidate,
-    skipped or applied, counts toward ``node_limit``; past it the search
-    raises SearchBudgetExceededError.
+    At each state the bound ``_steps_needed`` is checked once per group of
+    ``_candidate_groups``, so once per rule kind and decompose candidate,
+    and a group whose bound exceeds the steps left is neither built nor
+    applied.  The bound never exceeds the true number of steps, so the first
+    witness is the one a search applying every candidate returns.  Every
+    candidate, skipped or applied, counts toward ``node_limit``, a skipped
+    group all at once; past it the search raises SearchBudgetExceededError.
     """
     nodes = 0
+    facts = _Refined(refined)
+
+    def spend(count: int) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > node_limit:
+            raise SearchBudgetExceededError(f"brute-force search exceeded {node_limit} nodes")
 
     def search(current: Model, depth: int, prefix: list[Step]) -> RefinementScript | None:
-        nonlocal nodes
         iso, _ = _match_models(current, refined)
         if iso is not None:
             return RefinementScript(tuple(prefix))
         if depth >= max_steps:
             return None
-        for step in _candidate_steps(current, refined):
-            nodes += 1
-            if nodes > node_limit:
-                raise SearchBudgetExceededError(
-                    f"brute-force search exceeded {node_limit} nodes"
-                )
-            if _steps_needed(step, current, refined) > max_steps - depth - 1:
+        left = max_steps - depth - 1
+        for kind, delta, count, candidates in _candidate_groups(current, facts):
+            if _steps_needed(kind, delta, current, refined) > left:
+                spend(count)
                 continue
-            try:
-                nxt, _ = step.apply(current)
-            except BpnError:
-                continue
-            found = search(nxt, depth + 1, prefix + [step])
-            if found is not None:
-                return found
+            for step in candidates:
+                spend(1)
+                try:
+                    nxt, _ = step.apply(current)
+                except BpnError:
+                    continue
+                found = search(nxt, depth + 1, prefix + [step])
+                if found is not None:
+                    return found
         return None
 
     return search(base, 0, [])

@@ -297,10 +297,8 @@ def prepare_env(model: Model, entries: Iterable[tuple[str, str, str]]) -> list[F
     fragments = []
     for name, label, payload in entries:
         root_port = port_by_name(model, model.root, name)
-        if root_port is None or root_port not in boundary:
-            raise InvalidEnvFragmentError(
-                f"{name!r} is not an interface port of the root process"
-            )
+        if root_port not in boundary or root_port not in model.processes[model.root].inputs:
+            raise InvalidEnvFragmentError(f"{name!r} is not an input port of the root process")
         fragments.append(Fragment(boundary[root_port], label, AtomicValue(payload)))
     return fragments
 

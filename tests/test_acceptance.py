@@ -12,6 +12,7 @@ import dataclasses
 import io
 import random
 import time
+from collections import Counter
 
 from bpnet import check, cli, core, refine, sim, textio
 from bpnet.core import (
@@ -28,6 +29,7 @@ from bpnet.errors import CycleDetectedError
 
 from conftest import FIXTURES
 from genmodels import gen_model, propose_step, random_convex_group, rename_ids
+from test_validate_oracle import CarryChecker, carries, lines, reference_lines  # noqa: F401
 
 
 @contextlib.contextmanager
@@ -252,7 +254,16 @@ def test_criterion_2_cycle_oracle():
 # --- 3 and 4. rule preservation and fold/unfold round trip --------------------------
 
 
-def test_criterion_3_rule_preservation():
+def test_criterion_3_rule_preservation(monkeypatch, carries):
+    """Every result validates clean, as it carries its findings and in full
+    on a copy that carries none.  The walk runs once, with ``CarryChecker``
+    in place of ``core._carry_tables``: every carried table equals a fresh
+    build, and no result builds its port index afresh.  Each result after a
+    walk's first carries its findings clean without a full validation; a
+    second call returns a new list of them, and on every 25th step they
+    equal the reference validator's lines."""
+    checker = CarryChecker()
+    monkeypatch.setattr(core, "_carry_tables", checker)
     with criterion(3, "100 random rule applications on 200 models preserve validity", 60.0):
         violations = 0
         for seed in range(200):
@@ -266,10 +277,19 @@ def test_criterion_3_rule_preservation():
                 applied += 1
                 # a copy carries no findings: it is validated in full
                 found = validate_model(dataclasses.replace(model))
-                assert validate_model(model) == found, (seed, applied)
+                carried = validate_model(model)
+                assert carried == found, (seed, applied)
+                again = validate_model(model)
+                assert again == carried and again is not carried, (seed, applied)
+                if applied % 25 == 1:
+                    assert lines(found) == reference_lines(model), (seed, applied)
                 if found:
                     violations += 1
         assert violations == 0
+        assert checker.wrong == []
+        assert checker.carried["_interfaces"] > 20_000, checker.carried
+        assert checker.carried["_interfaces built"] == 0, checker.carried
+        assert carries == Counter({True: 200 * 99}), carries
 
 
 def test_criterion_4_fold_unfold_round_trip():

@@ -285,6 +285,16 @@ class TestSimulate:
         env.write_text("ghost whole = 1\n")
         assert run("simulate", FIXTURES / "library.bpn", env) == EXIT_INVALID
 
+    @pytest.mark.parametrize("name", ["ack", "ghost"])
+    def test_env_line_on_no_root_input_is_named_as_written(self, tmp_path, capsys, name):
+        # ack is a root output: its flat leaf id must not reach the message
+        env = tmp_path / "bad.env"
+        env.write_text(f"req whole = b42\n{name} whole = x\n")
+        assert run("simulate", FIXTURES / "library.bpn", env) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name!r} is not an input port of the root process\n"
+
 
 def nested_sort(depth: int) -> str:
     return "record { f : seq " * (depth // 2) + "seq " * (depth % 2) + "T" + " }" * (depth // 2)

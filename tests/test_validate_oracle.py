@@ -609,26 +609,6 @@ def test_walk_results_carry_their_tables(walks):
     assert checker.carried["_containers"] >= len(built) - 30, checker.carried
 
 
-def test_criterion_3_walks_carry_their_tables(monkeypatch, carries):
-    """Criterion 3's 200 walks of 100 steps: every carried table equals a
-    fresh build, and no result builds its port index afresh.  Each step is
-    validated, as criterion 3 validates it, so each result after the first
-    carries its findings: they equal a full validation's, and on every
-    25th step the reference's lines."""
-    checker = CarryChecker()
-    monkeypatch.setattr(core, "_carry_tables", checker)
-    for seed in range(200):
-        model = gen_model(seed, max_depth=3, max_members=6)
-        rng = random.Random(seed)
-        for step in range(100):
-            model, _ = propose_step(model, rng)
-            assert_carried_is_full(model, (seed, step), reference=step % 25 == 0)
-    assert checker.wrong == []
-    assert checker.carried["_interfaces"] > 20_000, checker.carried
-    assert checker.carried["_interfaces built"] == 0, checker.carried
-    assert carries == Counter({True: 200 * 99}), carries
-
-
 def test_scripts_and_search_candidates_carry_their_tables(monkeypatch):
     """Both fixture scripts, and every candidate the search accepts on 20
     criterion-8 pairs, carry tables equal to fresh builds."""
