@@ -91,3 +91,12 @@ def bp_script():
 @pytest.fixture(scope="session")
 def bp_fig6():
     return load_model("bp_fig6.bpn")
+
+
+@pytest.fixture(scope="session")
+def criterion_3_walks():
+    """Criterion 3's random walks, walked once for the acceptance test and
+    the carried-tables test that both check them."""
+    from test_validate_oracle import walk_criterion_3
+
+    return walk_criterion_3()

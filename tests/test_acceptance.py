@@ -8,11 +8,9 @@ assertion or budget is a failure of the corresponding criterion.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import random
 import time
-from collections import Counter
 
 from bpnet import check, cli, core, refine, sim, textio
 from bpnet.core import (
@@ -29,12 +27,13 @@ from bpnet.errors import CycleDetectedError
 
 from conftest import FIXTURES
 from genmodels import gen_model, propose_step, random_convex_group, rename_ids
-from test_validate_oracle import CarryChecker, carries, lines, reference_lines  # noqa: F401
 
 
 @contextlib.contextmanager
-def criterion(number: int, label: str, budget: float):
-    t0 = time.perf_counter()
+def criterion(number: int, label: str, budget: float, spent: float = 0.0):
+    """Time the block against ``budget``, counting ``spent`` seconds the
+    criterion's work took before it, in a fixture."""
+    t0 = time.perf_counter() - spent
     try:
         yield
     except BaseException:
@@ -254,42 +253,16 @@ def test_criterion_2_cycle_oracle():
 # --- 3 and 4. rule preservation and fold/unfold round trip --------------------------
 
 
-def test_criterion_3_rule_preservation(monkeypatch, carries):
+def test_criterion_3_rule_preservation(criterion_3_walks):
     """Every result validates clean, as it carries its findings and in full
-    on a copy that carries none.  The walk runs once, with ``CarryChecker``
-    in place of ``core._carry_tables``: every carried table equals a fresh
-    build, and no result builds its port index afresh.  Each result after a
-    walk's first carries its findings clean without a full validation; a
-    second call returns a new list of them, and on every 25th step they
-    equal the reference validator's lines."""
-    checker = CarryChecker()
-    monkeypatch.setattr(core, "_carry_tables", checker)
-    with criterion(3, "100 random rule applications on 200 models preserve validity", 60.0):
-        violations = 0
-        for seed in range(200):
-            model = gen_model(seed, max_depth=3, max_members=6)
-            rng = random.Random(seed)
-            applied = 0
-            while applied < 100:
-                proposal = propose_step(model, rng)
-                assert proposal is not None, "a rule is always applicable"
-                model, _ = proposal
-                applied += 1
-                # a copy carries no findings: it is validated in full
-                found = validate_model(dataclasses.replace(model))
-                carried = validate_model(model)
-                assert carried == found, (seed, applied)
-                again = validate_model(model)
-                assert again == carried and again is not carried, (seed, applied)
-                if applied % 25 == 1:
-                    assert lines(found) == reference_lines(model), (seed, applied)
-                if found:
-                    violations += 1
-        assert violations == 0
-        assert checker.wrong == []
-        assert checker.carried["_interfaces"] > 20_000, checker.carried
-        assert checker.carried["_interfaces built"] == 0, checker.carried
-        assert carries == Counter({True: 200 * 99}), carries
+    on a copy that carries none.  The walks are walked once, by the
+    ``criterion_3_walks`` fixture, which the carried-tables test shares; the
+    budget holds over that walk and these checks."""
+    walks = criterion_3_walks
+    label = "100 random rule applications on 200 models preserve validity"
+    with criterion(3, label, 60.0, spent=walks.seconds):
+        assert walks.mismatched == [], walks.mismatched[:10]
+        assert walks.violations == 0
 
 
 def test_criterion_4_fold_unfold_round_trip():

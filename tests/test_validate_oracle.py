@@ -13,6 +13,7 @@ import dataclasses
 import random
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -609,6 +610,66 @@ def test_walk_results_carry_their_tables(walks):
     assert checker.carried["_containers"] >= len(built) - 30, checker.carried
 
 
+@dataclasses.dataclass
+class Criterion3Walks:
+    """What ``walk_criterion_3`` saw: the seconds it took, the steps whose
+    result reported a violation, each ``(seed, step, what)`` whose carried
+    findings disagreed, and the table checker and ``_keeps_tree`` answers."""
+
+    seconds: float
+    violations: int
+    mismatched: list
+    checker: CarryChecker
+    carries: Counter
+
+
+def walk_criterion_3() -> Criterion3Walks:
+    """Criterion 3's 200 random walks of 100 rule steps, with
+    ``CarryChecker`` in place of ``core._carry_tables`` and ``_keeps_tree``'s
+    answers counted.  At each step a copy, which carries no findings, is
+    validated in full; the result's carried findings must equal them, a
+    second call must return a new list of them, and on every 25th step they
+    must equal the reference's lines."""
+    t0 = time.perf_counter()
+    checker = CarryChecker()
+    violations = 0
+    mismatched = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_carry_tables", checker)
+        answers = count_keeps(mp)
+        for seed in range(200):
+            model = gen_model(seed, max_depth=3, max_members=6)
+            rng = random.Random(seed)
+            for step in range(100):
+                proposal = propose_step(model, rng)
+                assert proposal is not None, "a rule is always applicable"
+                model, _ = proposal
+                found = validate_model(dataclasses.replace(model))
+                carried = validate_model(model)
+                if carried != found:
+                    mismatched.append((seed, step, "carried"))
+                again = validate_model(model)
+                if again != carried or again is carried:
+                    mismatched.append((seed, step, "again"))
+                if step % 25 == 0 and lines(found) != reference_lines(model):
+                    mismatched.append((seed, step, "reference"))
+                violations += bool(found)
+    return Criterion3Walks(time.perf_counter() - t0, violations, mismatched, checker, answers)
+
+
+def test_criterion_3_walks_carry_their_tables(criterion_3_walks):
+    """Criterion 3's 200 walks of 100 steps: every carried table equals a
+    fresh build, and no result builds its port index afresh.  Each result
+    after a walk's first carries its findings: they equal a full
+    validation's, and on every 25th step the reference's lines."""
+    walks = criterion_3_walks
+    assert walks.mismatched == [], walks.mismatched[:10]
+    assert walks.checker.wrong == []
+    assert walks.checker.carried["_interfaces"] > 20_000, walks.checker.carried
+    assert walks.checker.carried["_interfaces built"] == 0, walks.checker.carried
+    assert walks.carries == Counter({True: 200 * 99}), walks.carries
+
+
 def test_scripts_and_search_candidates_carry_their_tables(monkeypatch):
     """Both fixture scripts, and every candidate the search accepts on 20
     criterion-8 pairs, carry tables equal to fresh builds."""
@@ -750,6 +811,12 @@ class TestCarryFallsBack:
 def carries(monkeypatch) -> Counter:
     """How often ``core._keeps_tree`` answered each way: ``True`` where a
     result's findings were carried clean without a full validation."""
+    return count_keeps(monkeypatch)
+
+
+def count_keeps(monkeypatch) -> Counter:
+    """Replace ``core._keeps_tree`` through ``monkeypatch`` with a version
+    that counts its answers in the returned ``Counter``."""
     answers: Counter = Counter()
     keeps = core._keeps_tree
 
