@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -219,30 +218,12 @@ class ProcessNet:
     env_inputs: frozenset[PortId] = frozenset()
     env_outputs: frozenset[PortId] = frozenset()
 
-    # orderings the validator reads, computed once: models share their nets
-    @_cached
-    def sorted_members(self) -> tuple[ProcessId, ...]:
-        return tuple(sorted(self.processes))
-
-    @_cached
-    def sorted_channels(self) -> tuple[Channel, ...]:
-        return tuple(sorted(self.channels, key=lambda c: (c.source, c.dest)))
-
-    @_cached
-    def sorted_boundary(self) -> tuple[tuple[PortId, ...], tuple[PortId, ...]]:
-        """The sorted env inputs and the sorted env outputs."""
-        return tuple(sorted(self.env_inputs)), tuple(sorted(self.env_outputs))
-
 
 @dataclass(frozen=True)
 class InterfaceBinding:
     """Direction-preserving bijection: parent port <-> subnet boundary port."""
 
     pairs: tuple[tuple[PortId, PortId], ...] = ()
-
-    @_cached
-    def sorted_pairs(self) -> tuple[tuple[PortId, PortId], ...]:
-        return tuple(sorted(self.pairs))
 
     def to_subnet(self) -> dict[PortId, PortId]:
         return {parent: inner for parent, inner in self.pairs}
@@ -627,15 +608,16 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 # ``_net_violations`` hold every check local to one process or one net; a
 # process's checks read only the process, so ``Process.violations`` runs them
 # once per process however many models share it.  A net's checks read the
-# net, its binding, its owner and its members, and the ports those hold; a
-# net remembers the last such context it checked clean in, so it too is
-# checked once per context however many models share it.  ``validate_scope``
+# net, its binding, its owner and its members, and the ports those hold, so
+# they run again in every model that validates the net.  ``validate_scope``
 # runs the checks on a scope, ``validate_change`` on the scope a change
 # reaches, and ``validate_model`` on every process and net after the checks
-# that need the whole model.  Every check appends to the findings list its
-# caller passes in.  Where a check reports in sorted order, it finds the
-# offenders in one unsorted pass and sorts only those: a well-formed model
-# has none.
+# that need the whole model.  A rule's result that ``validate_change`` found
+# clean against a clean parent carries the parent's empty findings, so
+# ``validate_model`` checks none of its nets again.  Every check appends to
+# the findings list its caller passes in.  Where a check reports in sorted
+# order, it finds the offenders in one unsorted pass and sorts only those: a
+# well-formed model has none.
 
 
 def _process_violations(proc: Process, out: list[Violation]) -> None:
@@ -760,31 +742,10 @@ def _check_hierarchy(model: Model, out: list[Violation]) -> None:
 
 def _net_violations(model: Model, owner: ProcessId, out: list[Violation]) -> None:
     """Member names, reference integrity, constraints 1-4, input totality and
-    the interface binding of the net owned by ``owner``.
-
-    The net remembers the last context it checked clean in: the owner id,
-    the binding, the owner's process and each member's process (``None``
-    for an undefined member), and skips its checks in that same context,
-    the same objects, when the model holds no port id twice.  A clean net's
-    channel ends, boundary ports and binding ports are all held by its
-    owner or its members; with no id held twice, the model's port index and
-    ``port_owners`` map each of those ids to the same port and holder.  So
-    the checks would read the same values and find nothing again.  The memo
-    is replaced whole, so threads sharing a net at worst check it again.
-    """
+    the interface binding of the net owned by ``owner``."""
     net, binding = model.nets[owner]
-    processes = model.processes
-    context = (owner, binding, processes.get(owner), *map(processes.get, net.sorted_members))
-    unique = not model._interfaces[2]
-    if unique:
-        memo = net.__dict__.get("_clean_in")
-        if memo is not None and all(map(operator.is_, memo, context)):
-            return
-    found = len(out)
     _net_body_violations(model, net, owner, out)
     _binding_violations(model, owner, net, binding, out)
-    if unique and len(out) == found:
-        net.__dict__["_clean_in"] = context
 
 
 def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Violation]) -> None:
@@ -792,7 +753,7 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Viola
     # the process digraph; its keys are the defined members, in sorted order
     graph: dict[ProcessId, set[ProcessId]] = {}
     names_seen: dict[str, ProcessId] = {}
-    for member in net.sorted_members:
+    for member in sorted(net.processes):
         proc = processes.get(member)
         if proc is None:
             out.append(Violation(DANGLING_REF, (at, member), "net member is undefined"))
@@ -812,7 +773,7 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Viola
     # one pass over the channels checks each, counts the drivers of each
     # input and adds its edge to the digraph
     driven: dict[PortId, int] = {}
-    for ch in net.sorted_channels:
+    for ch in sorted(net.channels, key=lambda c: (c.source, c.dest)):
         src, dst = ports.get(ch.source), ports.get(ch.dest)
         if src is None or dst is None:
             if src is None:
@@ -869,9 +830,8 @@ def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Viola
                 )
             )
 
-    env_inputs, env_outputs = net.sorted_boundary
-    for boundary, direction in ((env_inputs, INPUT), (env_outputs, OUTPUT)):
-        for port_id in boundary:
+    for boundary, direction in ((net.env_inputs, INPUT), (net.env_outputs, OUTPUT)):
+        for port_id in sorted(boundary):
             port = ports.get(port_id)
             if port is None:
                 out.append(Violation(DANGLING_REF, (at, port_id), "boundary port is undefined"))
@@ -938,7 +898,7 @@ def _binding_violations(
     env_in, env_out = net.env_inputs, net.env_outputs
     seen_parent: set[PortId] = set()
     seen_inner: set[PortId] = set()
-    for parent_port, inner_port in binding.sorted_pairs:
+    for parent_port, inner_port in sorted(binding.pairs):
         if parent_port in seen_parent:
             out.append(
                 Violation(BINDING_INCOMPLETE, (owner, parent_port), "parent port bound twice")

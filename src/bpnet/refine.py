@@ -363,7 +363,7 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
     if common is None or common not in model.nets:
         raise CrossNetEndpointsError("endpoints do not share an enclosing net")
 
-    ports = dict(model.ports)
+    ports = ChainMap({}, model.ports)
     processes = dict(model.processes)
     nets = dict(model.nets)
 
@@ -628,7 +628,7 @@ def _split_port(
             )
 
     holders = model.port_owners
-    ports = dict(model.ports)
+    ports = ChainMap({}, model.ports)
     split: dict[PortId, tuple[Port, ...]] = {}
     for member in closure:
         old, owner = ports[member], holders[member]
@@ -788,7 +788,7 @@ def _fold(
     boundary_in = sorted(({ch.dest for ch in external} | net.env_inputs) & inside)
     boundary_out = sorted(({ch.source for ch in external} | net.env_outputs) & inside)
 
-    ports = dict(model.ports)
+    ports = ChainMap({}, model.ports)
     q_ports: list[Port] = []
     q_port_names: set[str] = set()
     fresh: dict[PortId, tuple[PortId]] = {}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,8 @@ from bpnet.core import (
 )
 from bpnet.errors import CycleDetectedError, NoNetError, UnknownProcessError
 
-from conftest import run_bounded
-from genmodels import gen_model
+from conftest import load_model, load_script, run_bounded
+from genmodels import gen_model, propose_step
 from reference_validate import find_cycle as recursive_find_cycle
 
 
@@ -528,10 +529,6 @@ class TestCachedOrderings:
         before = _views(net), _views(binding), _views(proc), repr(seq)
         assert "_hash" not in vars(seq)
         assert hash(seq) == hash(("seq", seq.element)) and "_hash" in vars(seq)
-        assert net.sorted_members == ("a", "b")
-        assert net.sorted_channels == (Channel("a:o", "b:i"), Channel("b:o", "a:i"))
-        assert net.sorted_boundary == (("a:x", "b:x"), ("b:y",))
-        assert binding.sorted_pairs == (("p:1", "a:x"), ("p:2", "b:y"))
         assert proc.inputs == ("p:i", "p:j") and proc.outputs == ("p:o",)
         assert proc.ports() == ("p:i", "p:j", "p:o")
         assert [v.message for v in proc.violations] == [
@@ -563,28 +560,35 @@ class TestCachedOrderings:
             model.ports = {}
 
     def test_a_replaced_value_orders_afresh(self):
-        net = dataclasses.replace(self.NET)
-        assert net.sorted_members == ("a", "b")
-        grown = dataclasses.replace(
-            net,
-            processes=net.processes | {"0"},
-            channels=net.channels | {Channel("0:o", "a:j")},
-            env_inputs=frozenset({"0:x"}),
-            env_outputs=frozenset(),
-        )
-        assert grown.sorted_members == ("0", "a", "b")
-        assert grown.sorted_channels[0] == Channel("0:o", "a:j")
-        assert grown.sorted_boundary == (("0:x",), ())
-        binding = dataclasses.replace(self.BINDING)
-        assert binding.sorted_pairs[0] == ("p:1", "a:x")
-        assert dataclasses.replace(binding, pairs=(("p:0", "0:x"),)).sorted_pairs == (
-            ("p:0", "0:x"),
-        )
         seq = dataclasses.replace(self.SEQ)
         hash(seq)
         assert hash(dataclasses.replace(seq, kind="set")) == hash(
             CollectionSort("set", seq.element)
         )
+
+    def test_nets_and_bindings_hold_only_their_fields(self):
+        """Validating models and applying rules to them stores nothing on
+        their nets and bindings: models share those, and a net's checks
+        depend on the model it is in."""
+        models = [load_model(name) for name in ("bp_fig6.bpn", "bp_refined.bpn")]
+        for name, script in (("bp.bpn", "bp_refine.bps"), ("library.bpn", "library_decompose.bps")):
+            model = load_model(name)
+            for step in load_script(script).steps:
+                assert not validate_model(model)
+                model, _ = step.apply(model)
+                models.append(model)
+        model, rng = gen_model(7), random.Random(7)
+        for _ in range(12):
+            assert not validate_model(model)
+            model, _ = propose_step(model, rng)
+            models.append(model)
+        net_fields = {f.name for f in dataclasses.fields(ProcessNet)}
+        binding_fields = {f.name for f in dataclasses.fields(InterfaceBinding)}
+        for model in models:
+            assert not validate_model(model)
+            for net, binding in model.nets.values():
+                assert vars(net).keys() == net_fields
+                assert vars(binding).keys() == binding_fields
 
     def test_a_replaced_process_derives_its_views_and_findings_afresh(self):
         proc = dataclasses.replace(self.PROCESS)

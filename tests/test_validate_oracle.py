@@ -1,11 +1,10 @@
 """``validate_model`` and ``validate_scope`` against the validator they
 replaced, and ``validate_change`` against a full-scope check, on a corpus
-of models with one corruption each and on the results rules build.  A net
-remembers the last context it checked clean in, so each model is also
-checked warm, after a model sharing its nets, against the same model with
-every net rebuilt.  A clean rule result of a clean parent carries its
-findings, so each such result is checked against a copy validated in
-full."""
+of models with one corruption each and on the results rules build.  Models
+share their nets, so each model is also checked warm, after a model sharing
+its nets, against the same model with every net rebuilt.  A clean rule
+result of a clean parent carries its findings, so each such result is
+checked against a copy validated in full."""
 
 from __future__ import annotations
 
@@ -256,7 +255,7 @@ def walks():
 
 
 def cold(model: Model) -> Model:
-    """``model`` with every net rebuilt, so that no net remembers a context."""
+    """``model`` with every net rebuilt, so that it shares no net."""
     nets = {
         owner: (dataclasses.replace(net), binding) for owner, (net, binding) in model.nets.items()
     }
@@ -308,7 +307,7 @@ class TestAgainstReferenceValidator:
 
 def test_warm_nets_report_what_cold_nets_report(cases, walks):
     """Each corrupted model is validated after the model it corrupts, whose
-    nets it shares and whose checks filled their memos."""
+    nets it shares and whose checks ran on them first."""
     for label, _, base, bad in cases:
         assert not validate_model(base), label
         assert_warm_is_cold(bad, label)
@@ -333,7 +332,6 @@ class TestWarmNetInAChangedContext:
         views = repr(net), hash(net), dataclasses.replace(net) == net
         assert not validate_model(model)
         assert (repr(net), hash(net), dataclasses.replace(net) == net) == views
-        assert "_clean_in" in vars(net) and "_clean_in" not in vars(dataclasses.replace(net))
         return model
 
     def assert_checked_again(self, model: Model, bad: Model, message: str) -> None:
