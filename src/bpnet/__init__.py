@@ -36,17 +36,10 @@ from .core import (
 )
 from .errors import BpnError
 from .refine import (
-    Endpoint,
     PortRefinementMap,
     RefinementScript,
     Trace,
-    add_channel,
     apply_script,
-    assign_sort,
-    decompose_process,
-    fold,
-    split_port,
-    unfold,
 )
 from .sim import (
     Fragment,
@@ -63,7 +56,6 @@ __all__ = [
     "BpnError",
     "Channel",
     "CollectionSort",
-    "Endpoint",
     "FiringRule",
     "Fragment",
     "InterfaceBinding",
@@ -80,16 +72,12 @@ __all__ = [
     "Verdict",
     "Violation",
     "abstract_net",
-    "add_channel",
     "apply_script",
-    "assign_sort",
     "brute_force_derivable",
     "check_confluence",
     "check_refinement",
-    "decompose_process",
     "export_dot",
     "flatten",
-    "fold",
     "model_isomorphic",
     "parse_model",
     "parse_script",
@@ -97,8 +85,6 @@ __all__ = [
     "serialize_order",
     "simulate_greedy",
     "sorts_compatible",
-    "split_port",
-    "unfold",
     "validate_model",
     "validate_net",
 ]

@@ -1,9 +1,12 @@
 """Refinement rules as total-or-rejected transformations of whole models.
 
-Every rule is a pure function: it either returns a new, well-formed model or
-raises a ``RuleError`` leaving the input untouched.  ``apply_script`` replays
-an ordered list of rule invocations and accumulates a trace that records how
-each original port is realized in the refined model (the ``~>`` map).
+Each rule has one public form, its script step (``DecomposeStep`` ...
+``UnfoldStep``): ``apply`` resolves the step's process paths and port
+names to ids and runs the rule's engine, ``_<rule>(model, ids...)``, which
+either returns a new, well-formed model with its substitution or raises a
+``RuleError`` leaving the input untouched.  ``apply_script`` replays an
+ordered list of steps and accumulates a trace that records how each
+original port is realized in the refined model (the ``~>`` map).
 """
 
 from __future__ import annotations
@@ -220,13 +223,6 @@ def _splice(
         processes[pid] = replace(proc, interface=interface)
 
 
-def _require_port(model: Model, port: PortId) -> Port:
-    p = model.ports.get(port)
-    if p is None:
-        raise UnknownPortError(f"unknown port {port!r}")
-    return p
-
-
 def _check_sort_value(sort: Sort, context: str) -> None:
     problems = core.sort_problems(sort)
     if problems:
@@ -236,23 +232,6 @@ def _check_sort_value(sort: Sort, context: str) -> None:
 # --- decomposition ------------------------------------------------------------
 
 
-def decompose_process(
-    model: Model,
-    pid: ProcessId,
-    new_processes: Sequence[Process],
-    subnet: ProcessNet,
-    binding: InterfaceBinding,
-) -> Model:
-    """Attach a fresh subnet of fresh processes, holding fresh ports, to an
-    undecomposed process.
-
-    The binding must be a direction-preserving bijection between the ports
-    of ``pid`` and the subnet boundary.  Sorts propagate across the new
-    binding where exactly one side specifies them.
-    """
-    return _decompose(model, pid, new_processes, subnet, binding)[0]
-
-
 def _decompose(
     model: Model,
     pid: ProcessId,
@@ -260,23 +239,16 @@ def _decompose(
     subnet: ProcessNet,
     binding: InterfaceBinding,
 ) -> tuple[Model, _Subst]:
-    proc = model.process(pid)
-    if pid in model.nets:
-        raise AlreadyDecomposedError(f"process {pid!r} is already decomposed")
+    """Attach the subnet ``build_subnet`` made, of fresh processes holding
+    fresh ports, to the undecomposed process ``pid``.
 
-    new_proc_ids = [p.id for p in new_processes]
+    The binding must be a direction-preserving bijection between the ports
+    of ``pid`` and the subnet boundary.  Sorts propagate across the new
+    binding where exactly one side specifies them.
+    """
+    proc = model.processes[pid]
     new_ports = {port.id: port for p in new_processes for port in p.interface}
     holders = {port.id: p.id for p in new_processes for port in p.interface}
-    duplicated = len(new_ports) != sum(len(p.interface) for p in new_processes)
-    if duplicated or len(set(new_proc_ids)) != len(new_proc_ids):
-        raise FreshnessViolationError("subnet declares duplicate ids")
-    clashes = (set(new_proc_ids) & set(model.processes)) | (new_ports.keys() & model.ports.keys())
-    if clashes:
-        raise FreshnessViolationError(
-            f"subnet reuses ids already present in the model: {sorted(clashes)[:3]}"
-        )
-    if set(subnet.processes) != set(new_proc_ids):
-        raise FreshnessViolationError("subnet membership must be exactly the fresh processes")
 
     to_subnet = binding.to_subnet()
     boundary = subnet.env_inputs | subnet.env_outputs
@@ -292,10 +264,7 @@ def _decompose(
 
     sorted_now: dict[PortId, tuple[Port]] = {}
     for parent_port, inner_port in binding.pairs:
-        pp = model.ports[parent_port]
-        ip = new_ports.get(inner_port)
-        if ip is None:
-            raise InterfaceMismatchError(f"binding names undeclared port {inner_port!r}")
+        pp, ip = model.ports[parent_port], new_ports[inner_port]
         inner_boundary = subnet.env_inputs if pp.direction == INPUT else subnet.env_outputs
         if inner_port not in inner_boundary:
             raise InterfaceMismatchError(
@@ -331,33 +300,23 @@ def _decompose(
 # --- adding channels -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """Names a port on a process; the port is created if it does not exist."""
-
-    process: ProcessId
-    port_name: str
-
-
-def add_channel(model: Model, source: Endpoint, dest: Endpoint) -> Model:
-    """Add a dataflow channel, adjusting every affected layer.
+def _add_channel(
+    model: Model, source: tuple[ProcessId, str], dest: tuple[ProcessId, str]
+) -> tuple[Model, _Subst]:
+    """Add a dataflow channel between two (process, port name) endpoints,
+    adjusting every affected layer.
 
     Fresh ports are created where the named ports do not exist; a fresh port
     on a decomposed process is realized downward through its subnet, and
     endpoints in different subtrees are lifted to their lowest common net.
     """
-    return _add_channel(model, source, dest)[0]
-
-
-def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model, _Subst]:
-    model.process(source.process)
-    model.process(dest.process)
-    if source.process == dest.process:
+    src_pid, dst_pid = source[0], dest[0]
+    if src_pid == dst_pid:
         raise WouldCreateCycleError("a channel may not connect a process to itself")
 
-    chain_s = core.containment_chain(model, source.process)
-    chain_d = core.containment_chain(model, dest.process)
-    if source.process in chain_d or dest.process in chain_s:
+    chain_s = core.containment_chain(model, src_pid)
+    chain_d = core.containment_chain(model, dst_pid)
+    if src_pid in chain_d or dst_pid in chain_s:
         raise CrossNetEndpointsError("one endpoint process contains the other")
     common = next((a for a in chain_s if a in chain_d), None)
     if common is None or common not in model.nets:
@@ -404,19 +363,19 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
             cur_pid, cur_port = member, inner
         return port_id
 
-    def resolve_endpoint(spec: Endpoint, direction: str) -> PortId:
-        existing = core.port_by_name(model, spec.process, spec.port_name)
+    def resolve_endpoint(pid: ProcessId, name: str, direction: str) -> PortId:
+        existing = core.port_by_name(model, pid, name)
         if existing is not None:
             if model.ports[existing].direction != direction:
                 raise WouldBeIllFormedError(
-                    f"{spec.port_name!r} on {spec.process!r} is not an "
+                    f"{name!r} on {pid!r} is not an "
                     f"{'input' if direction == INPUT else 'output'} port"
                 )
             return existing
-        return realize_down(spec.process, spec.port_name, direction)
+        return realize_down(pid, name, direction)
 
-    src_port = resolve_endpoint(source, OUTPUT)
-    dst_port = resolve_endpoint(dest, INPUT)
+    src_port = resolve_endpoint(*source, OUTPUT)
+    dst_port = resolve_endpoint(*dest, INPUT)
     if ports[src_port].sort is not None and ports[dst_port].sort is not None:
         if ports[src_port].sort != ports[dst_port].sort:
             raise SortMismatchError(
@@ -469,17 +428,12 @@ def _add_channel(model: Model, source: Endpoint, dest: Endpoint) -> tuple[Model,
 # --- data refinement ------------------------------------------------------------
 
 
-def assign_sort(model: Model, port: PortId, sort: Sort) -> Model:
+def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]:
     """Assign a sort to a port and its whole peer/binding closure.
 
     Idempotent when the closure already carries the sort; rejected with
     ``SortConflictError`` when any closure member carries a different one.
     """
-    return _assign_sort(model, port, sort)[0]
-
-
-def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]:
-    _require_port(model, port)
     _check_sort_value(sort, "assign_sort")
     closure = core.port_closure(model, port)
     for member in sorted(closure):
@@ -503,31 +457,6 @@ def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]
 
 # the fields a part of a record port takes: one field, bare, or a field set
 PartFields = str | tuple[str, ...]
-
-
-def split_port(
-    model: Model, port: PortId, parts: Sequence[tuple[str, Sort | None]]
-) -> tuple[Model, PortRefinementMap]:
-    """Split a port (and its whole closure) into parallel parts.
-
-    For a record-sorted port the part sorts must partition its fields, each
-    part taking the fields ``part_fields`` gives its sort; an unspecified
-    port splits freely.  Channels, boundary memberships, interface bindings,
-    and firing-rule references are rewritten at every affected level, and
-    the returned map records original to refined ports.
-    """
-    origin = _require_port(model, port)
-    if isinstance(origin.sort, RecordSort):
-        fields = part_fields(origin.sort, [sort for _, sort in parts])
-    else:
-        fields = [None] * len(parts)
-    result, subst = _split_port(
-        model, port, [(name, sort, f) for (name, sort), f in zip(parts, fields)]
-    )
-    mapping = {
-        old: frozenset(r.port for r in repls) for old, repls in subst.ports.items()
-    }
-    return result, PortRefinementMap(mapping)
 
 
 def part_fields(record: RecordSort, sorts: Sequence[Sort | None]) -> list[PartFields | None]:
@@ -568,12 +497,16 @@ def _part_sort(record: RecordSort, fields: PartFields) -> Sort | None:
 def _split_port(
     model: Model, port: PortId, parts: Sequence[tuple[str, Sort | None, PartFields | None]]
 ) -> tuple[Model, _Subst]:
-    """Split a port into parts given as (name, sort, fields).
+    """Split a port (and its whole closure) into parallel parts given as
+    (name, sort, fields).
 
     On a record port each part carries the fields it takes, and its sort
     must be the sort those fields give; the parts take every field once.
+    An unspecified port splits freely.  Channels, boundary memberships,
+    interface bindings, and firing-rule references are rewritten at every
+    affected level.
     """
-    origin = _require_port(model, port)
+    origin = model.ports[port]
     if len(parts) < 2:
         raise TooFewPartsError("a split needs at least two parts")
     part_names = [name for name, _, _ in parts]
@@ -687,12 +620,13 @@ def _split_port(
 # --- folding and unfolding --------------------------------------------------------
 
 
+# kept only for perfbench/spans.py, which installs a span on it by name
 def unfold(model: Model, parent: ProcessId, child: ProcessId) -> Model:
-    """Replace a decomposed member by the contents of its subnet."""
     return _unfold(model, parent, child)[0]
 
 
 def _unfold(model: Model, parent: ProcessId, child: ProcessId) -> tuple[Model, _Subst]:
+    """Replace a decomposed member by the contents of its subnet."""
     net, parent_binding = model.net_of(parent)
     if child not in net.processes:
         raise NoSuchChildError(f"{child!r} is not a member of the net of {parent!r}")
@@ -728,14 +662,10 @@ def _unfold(model: Model, parent: ProcessId, child: ProcessId) -> tuple[Model, _
     return result, subst
 
 
-def fold(model: Model, owner: ProcessId, group: Iterable[ProcessId], new_name: str) -> Model:
-    """Extract a convex process group of a net into a fresh decomposed process."""
-    return _fold(model, owner, group, new_name)[0]
-
-
 def _fold(
     model: Model, owner: ProcessId, group: Iterable[ProcessId], new_name: str
 ) -> tuple[Model, _Subst]:
+    """Extract a convex process group of a net into a fresh decomposed process."""
     net, owner_binding = model.net_of(owner)
     group = frozenset(group)
     if not group:
@@ -1072,8 +1002,8 @@ class AddChannelStep:
         return f"add-channel {self.source} -> {self.dest}"
 
     def apply(self, model: Model) -> tuple[Model, _Subst]:
-        src = Endpoint(core.resolve_path(model, self.source.path), self.source.port)
-        dst = Endpoint(core.resolve_path(model, self.dest.path), self.dest.port)
+        src = core.resolve_path(model, self.source.path), self.source.port
+        dst = core.resolve_path(model, self.dest.path), self.dest.port
         return _add_channel(model, src, dst)
 
 
@@ -1126,11 +1056,14 @@ class SplitPortStep:
                     )
                 psort = _part_sort(sort, fields)
                 if psort is None:
-                    raise PartitionMismatchError(
-                        f"record has no field named {fields!r}"
-                        if isinstance(fields, str)
-                        else f"part {part.name!r} names fields missing from the record"
-                    )
+                    if isinstance(fields, str):
+                        problem = f"record has no field named {fields!r}"
+                    elif set(fields) <= set(sort.field_names()):
+                        twice = next(f for i, f in enumerate(fields) if f in fields[:i])
+                        problem = f"part {part.name!r} lists field {twice!r} twice"
+                    else:
+                        problem = f"part {part.name!r} names fields missing from the record"
+                    raise PartitionMismatchError(problem)
                 resolved.append((part.name, psort, fields))
             elif part.fields is not None:
                 raise PartitionMismatchError(
@@ -1215,14 +1148,7 @@ def apply_script(model: Model, script: RefinementScript) -> tuple[Model, Trace]:
 __all__ = [
     "PortRefinementMap",
     "Trace",
-    "Endpoint",
-    "decompose_process",
-    "add_channel",
-    "assign_sort",
-    "split_port",
     "part_fields",
-    "unfold",
-    "fold",
     "PortRef",
     "RuleSpec",
     "ProcessSpec",

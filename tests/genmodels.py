@@ -36,7 +36,18 @@ from bpnet.core import (
     sort_expr,
 )
 from bpnet.errors import BpnError
-from bpnet.refine import DecomposeStep, Endpoint, NetSpec, ProcessSpec, RuleSpec
+from bpnet.refine import (
+    AddChannelStep,
+    AssignSortStep,
+    DecomposeStep,
+    FoldStep,
+    NetSpec,
+    PartSpec,
+    PortRef,
+    ProcessSpec,
+    RuleSpec,
+    SplitPortStep,
+)
 
 
 def gen_sort_table(rng: random.Random) -> dict[str, Sort]:
@@ -258,13 +269,18 @@ def two_step_pairs(count: int) -> list[tuple[Model, Model, str]]:
 # --- random applicable rule applications ----------------------------------------
 
 
+def _port_ref(model: Model, port_id: str) -> PortRef:
+    """The script name of a port: its holder's path and its own name."""
+    return PortRef(display_path(model, model.port_owners[port_id]), model.ports[port_id].name)
+
+
 def _try_assign(model: Model, rng: random.Random) -> Model | None:
     unsorted = sorted(p for p in model.ports if model.ports[p].sort is None)
     if not unsorted:
         return None
     port = rng.choice(unsorted)
-    sort = model.sort_table[rng.choice(sorted(model.sort_table))]
-    return refine.assign_sort(model, port, sort)
+    sort = SortNameRef(rng.choice(sorted(model.sort_table)))
+    return AssignSortStep(_port_ref(model, port), sort).apply(model)[0]
 
 
 def _try_add(model: Model, rng: random.Random) -> Model | None:
@@ -294,9 +310,9 @@ def _try_add(model: Model, rng: random.Random) -> Model | None:
     else:
         src_name = fresh_name(f"x{rng.randrange(100)}", port_names(src_pid))
     dst_name = fresh_name(f"y{rng.randrange(100)}", port_names(dst_pid))
-    return refine.add_channel(
-        model, Endpoint(src_pid, src_name), Endpoint(dst_pid, dst_name)
-    )
+    source = PortRef(display_path(model, src_pid), src_name)
+    dest = PortRef(display_path(model, dst_pid), dst_name)
+    return AddChannelStep(source, dest).apply(model)[0]
 
 
 def _try_decompose(model: Model, rng: random.Random) -> Model | None:
@@ -329,7 +345,7 @@ def _try_split(model: Model, rng: random.Random) -> Model | None:
     port_id = rng.choice(candidates)
     port = model.ports[port_id]
     if port.sort is None:
-        parts = [(f"{port.name}_sa", None), (f"{port.name}_sb", None)]
+        parts = [PartSpec(f"{port.name}_sa"), PartSpec(f"{port.name}_sb")]
     else:
         fields = list(port.sort.fields)
         rng.shuffle(fields)
@@ -337,10 +353,9 @@ def _try_split(model: Model, rng: random.Random) -> Model | None:
         groups = [fields[:cut], fields[cut:]]
         parts = []
         for gi, group in enumerate(groups):
-            ordered = tuple(f for f in port.sort.fields if f in group)
-            parts.append((f"{port.name}_s{gi}", RecordSort(ordered)))
-    model2, _ = refine.split_port(model, port_id, parts)
-    return model2
+            # a part takes its fields' sub-record in record order
+            parts.append(PartSpec(f"{port.name}_s{gi}", fields=tuple(f for f, _ in group)))
+    return SplitPortStep(_port_ref(model, port_id), tuple(parts)).apply(model)[0]
 
 
 def _try_fold(model: Model, rng: random.Random) -> Model | None:
@@ -356,7 +371,8 @@ def _try_fold(model: Model, rng: random.Random) -> Model | None:
         model.processes[m].name for m in net.processes if m in model.processes
     }
     new_name = fresh_name(f"q{rng.randrange(100)}", names)
-    return refine.fold(model, owner, group, new_name)
+    group_names = tuple(model.processes[m].name for m in group)
+    return FoldStep(display_path(model, owner), group_names, new_name).apply(model)[0]
 
 
 def _try_unfold(model: Model, rng: random.Random) -> Model | None:

@@ -276,7 +276,9 @@ def test_criterion_4_fold_unfold_round_trip():
             )
             owner = rng.choice(owners)
             group = random_convex_group(model, rng, owner)
-            folded = refine.fold(model, owner, group, "folded_group")
+            names = tuple(model.processes[m].name for m in group)
+            step = refine.FoldStep(core.display_path(model, owner), names, "folded_group")
+            folded, _ = step.apply(model)
             fresh = next(p for p in folded.processes if p not in model.processes)
             back = refine.unfold(folded, owner, fresh)
             if check.model_isomorphic(back, model) is None:

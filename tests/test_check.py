@@ -9,7 +9,7 @@ import pytest
 from bpnet import check, core, refine, textio
 from bpnet.check import DOES_NOT_MATCH, REFINES, SCRIPT_FAILS
 from bpnet.errors import SearchBudgetExceededError
-from bpnet.refine import RefinementScript
+from bpnet.refine import RefinementScript, apply_script
 
 from genmodels import DERIVE_BASE, gen_model, propose_step, rename_ids
 
@@ -116,8 +116,7 @@ class TestBruteForce:
         base = textio.parse_model(
             "sort Reservation\nprocess bp { in in_1 in_2; out out_1 }"
         )
-        port = core.port_by_name(base, "bp", "out_1")
-        refined = refine.assign_sort(base, port, core.AtomicSort("Reservation"))
+        refined, _ = apply_script(base, textio.parse_script("assign-sort bp.out_1 : Reservation"))
         script = check.brute_force_derivable(base, refined, max_steps=1)
         assert script is not None
         assert len(script.steps) == 1
@@ -131,12 +130,8 @@ class TestBruteForce:
 
     def test_two_step_target_is_not_derivable_in_one_step(self):
         base = textio.parse_model("sort A\nsort B\nprocess bp { in in_1 in_2; out out_1 }")
-        refined = refine.assign_sort(
-            base, core.port_by_name(base, "bp", "in_1"), core.AtomicSort("A")
-        )
-        refined = refine.assign_sort(
-            refined, core.port_by_name(refined, "bp", "in_2"), core.AtomicSort("B")
-        )
+        two = textio.parse_script("assign-sort bp.in_1 : A\nassign-sort bp.in_2 : B")
+        refined, _ = apply_script(base, two)
         assert check.brute_force_derivable(base, refined, max_steps=1) is None
         found = check.brute_force_derivable(base, refined, max_steps=2)
         assert found is not None
@@ -150,8 +145,7 @@ class TestBruteForce:
         base = textio.parse_model(
             "sort Reservation\nprocess bp { in in_1 in_2; out out_1 }"
         )
-        port = core.port_by_name(base, "bp", "out_1")
-        refined = refine.assign_sort(base, port, core.AtomicSort("Reservation"))
+        refined, _ = apply_script(base, textio.parse_script("assign-sort bp.out_1 : Reservation"))
         first = check.brute_force_derivable(base, refined, max_steps=1)
         second = check.brute_force_derivable(base, refined, max_steps=1)
         assert first == second

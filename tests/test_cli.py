@@ -126,6 +126,18 @@ class TestApply:
         assert code == EXIT_SCRIPT_FAILS
         assert "step 2 failed" in capsys.readouterr().err
 
+    def test_field_listed_twice_in_a_part_is_named(self, tmp_path, capsys):
+        script = tmp_path / "twice.bps"
+        script.write_text("split-port bp.out_1 -> a : { descr, descr }, b : avail\n")
+        code = run("apply", FIXTURES / "bp.bpn", script, tmp_path / "out.bpn")
+        assert code == EXIT_SCRIPT_FAILS
+        assert capsys.readouterr().err == "step 1 failed: part 'a' lists field 'descr' twice\n"
+        script.write_text("split-port bp.out_1 -> a : { descr, nope }, b : avail\n")
+        assert run("apply", FIXTURES / "bp.bpn", script, tmp_path / "out.bpn") == EXIT_SCRIPT_FAILS
+        assert capsys.readouterr().err == (
+            "step 1 failed: part 'a' names fields missing from the record\n"
+        )
+
     @pytest.mark.parametrize("steps", ["", "unfold top.c\n"], ids=["empty", "unfold"])
     def test_ill_formed_model_is_rejected_before_replay(self, tmp_path, capsys, steps):
         """An input ``bpn validate`` rejects is reported in its format, on

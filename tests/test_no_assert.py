@@ -9,7 +9,8 @@ fields itself, the statement readers call no per-token cursor method,
 the rules name no validation scope, no value stores a port fact twice,
 only ``core`` writes a model's cached tables, and only ``core`` writes
 sort text, and only ``core`` reads a model's stored findings; a walk's
-carried findings equal a full validation's under ``-O``."""
+carried findings equal a full validation's under ``-O``; and each rule
+has one public form, its script step."""
 
 from __future__ import annotations
 
@@ -151,6 +152,30 @@ def test_rules_name_no_validation_scope():
     to check itself."""
     calls = _calls(_tree("refine.py"), {"validate_scope"})
     assert calls == [], f"refine.py calls validate_scope: {calls}"
+
+
+ID_LEVEL_RULES = {
+    "decompose_process",
+    "add_channel",
+    "assign_sort",
+    "split_port",
+    "fold",
+    "unfold",
+    "Endpoint",
+}
+
+
+def test_one_public_form_per_rule():
+    """A rule's public form is its script step: neither the package nor
+    ``refine`` exports an id-level rule function.  ``refine.unfold`` is
+    still defined, because the benchmark's spans wrap it by name."""
+    import bpnet
+    from bpnet import refine
+
+    for module in (bpnet, refine):
+        exported = ID_LEVEL_RULES & set(module.__all__)
+        assert exported == set(), f"{module.__name__} exports {sorted(exported)}"
+    assert callable(getattr(refine, "unfold", None))
 
 
 CACHED_TABLES = {"_interfaces", "_containers"}

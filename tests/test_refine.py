@@ -22,13 +22,7 @@ from bpnet.errors import (
     TooFewPartsError,
     WouldCreateCycleError,
 )
-from bpnet.refine import (
-    Endpoint,
-    NetSpec,
-    ProcessSpec,
-    apply_script,
-    build_subnet,
-)
+from bpnet.refine import NetSpec, ProcessSpec, apply_script
 
 from conftest import FIXTURES, run_bounded
 from genmodels import gen_model, propose_step
@@ -36,6 +30,18 @@ from genmodels import gen_model, propose_step
 
 def names_of(model, port_ids):
     return sorted(model.ports[p].name for p in port_ids)
+
+
+def step(line: str) -> refine.Step:
+    """The one step a script line parses to."""
+    (only,) = textio.parse_script(line).steps
+    return only
+
+
+def split(model, line: str):
+    """The model a one-step script leaves, and the ``~>`` map of its step."""
+    result, trace = apply_script(model, textio.parse_script(line))
+    return result, trace.port_map()
 
 
 class TestDecompose:
@@ -54,9 +60,8 @@ class TestDecompose:
             input_binds=(("bp1", "in_1", "in_1"),),
             output_binds=(("bp1", "out_1", "out_1"),),
         )
-        procs, net, binding = build_subnet(bp_model, "bp", spec)
         with pytest.raises(InterfaceMismatchError):
-            refine.decompose_process(bp_model, "bp", procs, net, binding)
+            refine.DecomposeStep(("bp",), spec).apply(bp_model)
 
     def test_reserve_book_decomposition(self, library_model, library_script):
         result, _ = library_script.steps[0].apply(library_model)
@@ -84,9 +89,7 @@ class TestDecompose:
 class TestAddChannel:
     def test_fresh_channel_keeps_external_interface(self, bp_fig6):
         before = core.abstract_net(bp_fig6, "bp")
-        result = refine.add_channel(
-            bp_fig6, Endpoint("bp.bp1", "out_2"), Endpoint("bp.bp2", "in_3")
-        )
+        result, _ = step("add-channel bp.bp1.out_2 -> bp.bp2.in_3").apply(bp_fig6)
         assert validate_model(result) == []
         # fresh internal ports do not change bp's own interface
         assert names_of(result, result.processes["bp"].inputs) == ["in_1", "in_2"]
@@ -95,17 +98,12 @@ class TestAddChannel:
 
     def test_reverse_channel_would_create_cycle(self, bp_fig6):
         with pytest.raises(WouldCreateCycleError):
-            refine.add_channel(
-                bp_fig6, Endpoint("bp.bp2", "back"), Endpoint("bp.bp1", "fwd")
-            )
+            step("add-channel bp.bp2.back -> bp.bp1.fwd").apply(bp_fig6)
 
     def test_fresh_dest_on_decomposed_process(self, library_refined):
         before_in, before_out = core.abstract_net(library_refined, "system.reserve_book")
-        result = refine.add_channel(
-            library_refined,
-            Endpoint("system.retrieve_book", "out_aux"),
-            Endpoint("system.reserve_book", "in_aux"),
-        )
+        line = "add-channel system.retrieve_book.out_aux -> system.reserve_book.in_aux"
+        result, _ = step(line).apply(library_refined)
         assert validate_model(result) == []
         after_in, after_out = core.abstract_net(result, "system.reserve_book")
         assert len(after_in) == len(before_in) + 1
@@ -115,19 +113,17 @@ class TestAddChannel:
 
     def test_lifting_endpoints_in_different_layers(self, library_refined):
         # from inside the reserve_book subnet out to the notify process
-        result = refine.add_channel(
-            library_refined,
-            Endpoint("system.reserve_book.issue_notification", "out_aux"),
-            Endpoint("system.notify_user", "in_aux"),
+        line = (
+            "add-channel system.reserve_book.issue_notification.out_aux"
+            " -> system.notify_user.in_aux"
         )
+        result, _ = step(line).apply(library_refined)
         assert validate_model(result) == []
         top_net, _ = result.nets["system"]
         assert len(top_net.channels) == len(library_refined.nets["system"][0].channels) + 1
 
     def test_broadcast_source_reuse(self, bp_fig6):
-        result = refine.add_channel(
-            bp_fig6, Endpoint("bp.bp1", "out_1"), Endpoint("bp.bp2", "in_3")
-        )
+        result, _ = step("add-channel bp.bp1.out_1 -> bp.bp2.in_3").apply(bp_fig6)
         net, _ = result.nets["bp"]
         srcs = [c for c in net.channels if result.ports[c.source].name == "out_1"]
         assert len(srcs) == 2
@@ -136,11 +132,10 @@ class TestAddChannel:
         from bpnet.errors import CrossNetEndpointsError
 
         with pytest.raises(CrossNetEndpointsError):
-            refine.add_channel(
-                library_refined,
-                Endpoint("system.reserve_book.issue_notification", "out_x"),
-                Endpoint("system.reserve_book", "in_x"),
-            )
+            step(
+                "add-channel system.reserve_book.issue_notification.out_x"
+                " -> system.reserve_book.in_x"
+            ).apply(library_refined)
 
     def test_cyclic_containment_ends_in_a_rule_error(self):
         # the root is put in the net of one of its members; the walk up from
@@ -157,12 +152,9 @@ net = dataclasses.replace(net, processes=net.processes | {{"system"}})
 model = dataclasses.replace(
     model, nets={{**model.nets, "system.reserve_book": (net, binding)}}
 )
+source = refine.PortRef(("system", "reserve_book", "check_availability"), "zz")
 try:
-    refine.add_channel(
-        model,
-        refine.Endpoint("system.reserve_book.check_availability", "zz"),
-        refine.Endpoint("system", "yy"),
-    )
+    refine.AddChannelStep(source, refine.PortRef(("system",), "yy")).apply(model)
 except RuleError as exc:
     print(type(exc).__name__)
 """
@@ -172,9 +164,7 @@ except RuleError as exc:
 
     def test_same_process_endpoints_rejected(self, bp_fig6):
         with pytest.raises(WouldCreateCycleError):
-            refine.add_channel(
-                bp_fig6, Endpoint("bp.bp1", "out_x"), Endpoint("bp.bp1", "in_x")
-            )
+            step("add-channel bp.bp1.out_x -> bp.bp1.in_x").apply(bp_fig6)
 
 
 class TestAssignSort:
@@ -185,15 +175,14 @@ class TestAssignSort:
             "input p.a binds bp.a\noutput p.b binds bp.b }"
         )
         out_port = core.port_by_name(m, "bp", "b")
-        result = refine.assign_sort(m, out_port, AtomicSort("T"))
+        result, _ = step("assign-sort bp.b : T").apply(m)
         inner = core.port_by_name(result, "bp.p", "b")
         assert result.ports[inner].sort == AtomicSort("T")
         assert result.ports[out_port].sort == AtomicSort("T")
 
     def test_idempotent_returns_same_model(self, bp_model):
-        port = core.port_by_name(bp_model, "bp", "out_1")
-        sort = bp_model.ports[port].sort
-        assert refine.assign_sort(bp_model, port, sort) is bp_model
+        result, _ = step("assign-sort bp.out_1 : BookData").apply(bp_model)
+        assert result is bp_model
 
     def test_conflicting_peer_is_rejected(self):
         m = textio.parse_model(
@@ -201,9 +190,8 @@ class TestAssignSort:
             "net for system { process p { out o : B }\nprocess q { in i }\n"
             "channel p.o -> q.i }"
         )
-        target = core.port_by_name(m, "system.q", "i")
         with pytest.raises(SortConflictError):
-            refine.assign_sort(m, target, AtomicSort("A"))
+            step("assign-sort system.q.i : A").apply(m)
 
 
 class TestSplitPort:
@@ -213,9 +201,7 @@ class TestSplitPort:
             "process bp { in x; out y : R }"
         )
         port = core.port_by_name(m, "bp", "y")
-        result, mapping = refine.split_port(
-            m, port, [("ya", AtomicSort("A")), ("yb", AtomicSort("B"))]
-        )
+        result, mapping = split(m, "split-port bp.y -> ya : a, yb : b")
         assert validate_model(result) == []
         parts = mapping[port]
         assert names_of(result, parts) == ["ya", "yb"]
@@ -239,43 +225,24 @@ class TestSplitPort:
         m = textio.parse_model(
             "sort A\nsort R = record { a: A, b: A }\nprocess bp { out y : R }"
         )
-        port = core.port_by_name(m, "bp", "y")
         with pytest.raises(PartitionMismatchError):
-            refine.split_port(
-                m,
-                port,
-                [
-                    ("p", RecordSort((("a", AtomicSort("A")),))),
-                    ("q", RecordSort((("a", AtomicSort("A")),))),
-                ],
-            )
+            step("split-port bp.y -> p : { a }, q : { a }").apply(m)
 
     def test_collection_sorts_do_not_split(self):
         m = textio.parse_model(
             "sort A\nsort S = seq A\nprocess bp { out y : S }"
         )
-        port = core.port_by_name(m, "bp", "y")
         with pytest.raises(PartitionMismatchError):
-            refine.split_port(m, port, [("p", None), ("q", None)])
+            step("split-port bp.y -> p, q").apply(m)
 
     def test_too_few_parts(self, bp_model):
-        port = core.port_by_name(bp_model, "bp", "out_1")
         with pytest.raises(TooFewPartsError):
-            refine.split_port(bp_model, port, [("only", None)])
+            step("split-port bp.out_1 -> only : descr").apply(bp_model)
 
     def test_split_propagates_through_hierarchy(self, bp_fig6):
-        port = core.port_by_name(bp_fig6, "bp", "out_1")
-        result, mapping = refine.split_port(
-            bp_fig6,
-            port,
-            [
-                ("out_1a", AtomicSort("Description")),
-                ("out_1b", AtomicSort("Availability")),
-            ],
-        )
+        result, mapping = split(bp_fig6, "split-port bp.out_1 -> out_1a : descr, out_1b : avail")
         assert validate_model(result) == []
         inner = core.port_by_name(bp_fig6, "bp.bp2", "out_1")
-        assert inner in mapping.mapping
         assert names_of(result, mapping[inner]) == ["out_1a", "out_1b"]
         # firing-rule references follow the split
         bp2 = result.processes["bp.bp2"]
@@ -287,7 +254,7 @@ class TestSplitPort:
     def test_unspecified_port_splits_freely(self):
         m = textio.parse_model("process bp { out y }")
         port = core.port_by_name(m, "bp", "y")
-        result, mapping = refine.split_port(m, port, [("p", None), ("q", None)])
+        result, mapping = split(m, "split-port bp.y -> p, q")
         assert len(mapping[port]) == 2
         assert validate_model(result) == []
 
@@ -299,8 +266,7 @@ class TestSplitPort:
             "net for top.b {\n  process c { in i }\n  input c.i binds b.i\n}\n"
             "net for top.d {\n  process e { }\n}\n"
         )
-        port = core.port_by_name(m, "top.a", "o")
-        result, mapping = refine.split_port(m, port, [("p", None), ("q", None)])
+        result, mapping = split(m, "split-port top.a.o -> p, q")
         assert validate_model(result) == []
         inner = core.port_by_name(m, "top.b.c", "i")
         assert names_of(result, mapping[inner]) == ["p", "q"]
@@ -323,9 +289,12 @@ class TestSplitPort:
         assert rule.produces == (("top:p", "whole"), ("top:q", "whole"))
 
     def test_record_sorted_part_takes_its_field_bare(self):
+        # the search names a part's fields by ``part_fields``, from its sort
         m = textio.parse_model(self.NESTED)
         port = core.port_by_name(m, "top", "o")
-        result, mapping = refine.split_port(m, port, [("p", self.R), ("q", AtomicSort("B"))])
+        fields = refine.part_fields(m.ports[port].sort, [self.R, AtomicSort("B")])
+        assert fields == ["r", "b"]
+        result, mapping = split(m, "split-port top.o -> p : r, q : b")
         assert validate_model(result) == []
         assert names_of(result, mapping[port]) == ["p", "q"]
         assert result.ports["top:p"].sort == self.R
@@ -356,15 +325,8 @@ class TestUnfold:
 
     def test_unfold_then_fold_is_isomorphic(self, library_refined):
         unfolded = refine.unfold(library_refined, "system", "system.reserve_book")
-        refolded = refine.fold(
-            unfolded,
-            "system",
-            [
-                "system.reserve_book.check_availability",
-                "system.reserve_book.issue_notification",
-            ],
-            "reserve_book",
-        )
+        line = "fold system { check_availability, issue_notification } as reserve_book"
+        refolded, _ = step(line).apply(unfolded)
         assert check.model_isomorphic(refolded, library_refined) is not None
 
     def test_leaf_cannot_be_unfolded(self, library_refined):
@@ -394,7 +356,7 @@ class TestUnfold:
 class TestFold:
     def test_fold_then_unfold_restores_net(self, bp_fig6):
         # {bp1, bp2} is the full member set, so fold a proper subset
-        folded = refine.fold(bp_fig6, "bp", ["bp.bp1"], "grp")
+        folded, _ = step("fold bp { bp1 } as grp").apply(bp_fig6)
         assert validate_model(folded) == []
         qid = next(p for p in folded.processes if p not in bp_fig6.processes)
         # the fresh process's interface mirrors the extracted boundary
@@ -405,12 +367,8 @@ class TestFold:
 
     def test_fold_library_pair(self, library_refined):
         unfolded = refine.unfold(library_refined, "system", "system.reserve_book")
-        folded = refine.fold(
-            unfolded,
-            "system",
-            ["system.reserve_book.check_availability", "system.reserve_book.issue_notification"],
-            "desk",
-        )
+        line = "fold system { check_availability, issue_notification } as desk"
+        folded, _ = step(line).apply(unfolded)
         assert validate_model(folded) == []
         qid = next(p for p in folded.processes if folded.processes[p].name == "desk")
         assert names_of(folded, folded.processes[qid].inputs) == ["in_1"]
@@ -430,19 +388,20 @@ class TestFold:
             """
         )
         with pytest.raises(NotConvexError) as exc:
-            refine.fold(m, "system", ["system.a", "system.b"], "grp")
+            step("fold system { a, b } as grp").apply(m)
         assert exc.value.witness[0] == "system.a"
         assert exc.value.witness[-1] == "system.b"
         assert "system.x" in exc.value.witness
 
     def test_full_member_set_rejected(self, bp_fig6):
         net, _ = bp_fig6.nets["bp"]
+        names = sorted(bp_fig6.processes[m].name for m in net.processes)
         with pytest.raises(GroupNotSubsetError):
-            refine.fold(bp_fig6, "bp", sorted(net.processes), "grp")
+            refine.FoldStep(("bp",), tuple(names), "grp").apply(bp_fig6)
 
     def test_empty_group_rejected(self, bp_fig6):
         with pytest.raises(EmptyGroupError):
-            refine.fold(bp_fig6, "bp", [], "grp")
+            refine.FoldStep(("bp",), (), "grp").apply(bp_fig6)
 
 
 class TestApplyScript:
@@ -524,11 +483,8 @@ class TestRulePreservation:
                 assert image_sort is not None, "specified sorts never become unspecified"
 
     def test_interface_stability_for_untouched_processes(self, library_refined):
-        touched = refine.add_channel(
-            library_refined,
-            Endpoint("system.retrieve_book", "out_aux"),
-            Endpoint("system.notify_user", "in_aux"),
-        )
+        line = "add-channel system.retrieve_book.out_aux -> system.notify_user.in_aux"
+        touched, _ = step(line).apply(library_refined)
         before = core.abstract_net(library_refined, "system.reserve_book")
         after = core.abstract_net(touched, "system.reserve_book")
         assert before == after
@@ -544,3 +500,14 @@ class TestGreedyPreservation:
         for frag in base_out:
             mapped |= set(trace.fragment_image(frag.port, frag.label))
         assert mapped == {(f.port, f.label) for f in ref_out}
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    """The code block of the README's ``## Library`` section runs as written,
+    from the repository root, so the documented API cannot drift."""
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(FIXTURES.parent)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("{")

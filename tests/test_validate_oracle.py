@@ -996,7 +996,8 @@ class TestCarryNotClean:
         )
         bad = dataclasses.replace(model, sort_table={**model.sort_table, "Bad": BAD_RECORD})
         assert validate_model(bad)
-        after = refine.assign_sort(bad, "system.a:o", AtomicSort("T"))
+        step = refine.AssignSortStep(refine.PortRef(("system", "a"), "o"), core.SortNameRef("T"))
+        after, _ = step.apply(bad)
         found = validate_model(after)
         assert [v.code for v in found] == [v.code for v in validate_model(bad)]
         assert found == validate_model(dataclasses.replace(after))
