@@ -260,8 +260,7 @@ class Model:
         found in one pass over the processes, and the ids held more than
         once.  Of several holders the least, by process id, owns the id, so
         the answer does not depend on the order of ``processes``.  A rule's
-        result gets it carried from the model the rule ran on
-        (``_carry_tables``)."""
+        result gets it carried from the model the rule ran on (``edit``)."""
         ports: dict[PortId, Port] = {}
         owners: dict[PortId, ProcessId] = {}
         repeated: set[PortId] = set()
@@ -610,14 +609,14 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 # once per process however many models share it.  A net's checks read the
 # net, its binding, its owner and its members, and the ports those hold, so
 # they run again in every model that validates the net.  ``validate_scope``
-# runs the checks on a scope, ``validate_change`` on the scope a change
-# reaches, and ``validate_model`` on every process and net after the checks
-# that need the whole model.  A rule's result that ``validate_change`` found
-# clean against a clean parent carries the parent's empty findings, so
-# ``validate_model`` checks none of its nets again.  Every check appends to
-# the findings list its caller passes in.  Where a check reports in sorted
-# order, it finds the offenders in one unsorted pass and sorts only those: a
-# well-formed model has none.
+# runs the checks on a scope, ``validate_change`` on the scope reached by the
+# change ``edit`` recorded on a rule's result, and ``validate_model`` on every
+# process and net after the checks that need the whole model.  A rule's
+# result that ``validate_change`` found clean against a clean parent carries
+# the parent's empty findings, so ``validate_model`` checks none of its nets
+# again.  Every check appends to the findings list its caller passes in.
+# Where a check reports in sorted order, it finds the offenders in one
+# unsorted pass and sorts only those: a well-formed model has none.
 
 
 def _process_violations(proc: Process, out: list[Violation]) -> None:
@@ -1010,91 +1009,81 @@ def validate_scope(
     return findings
 
 
-def _replaced(old: Mapping, new: Mapping) -> list:
-    """Keys whose entry ``new`` added or replaced relative to ``old``."""
-    return [] if old is new else [k for k, v in new.items() if old.get(k) is not v]
+def edit(
+    model: Model,
+    processes: Mapping[ProcessId, Optional[Process]],
+    nets: Mapping[ProcessId, Optional[tuple[ProcessNet, InterfaceBinding]]] = MappingProxyType({}),
+) -> Model:
+    """``model`` with each given process and net entry added or replaced,
+    or removed where it is ``None``.  The result keeps ``model``'s sort
+    table and root.  Every rule builds its result here, and the keys given
+    are recorded on it for ``validate_change``.
 
-
-def _carry_tables(before: Model, after: Model) -> tuple[list, set, list]:
-    """The process keys ``after`` added or replaced relative to ``before``,
-    those it removed, and the net keys it added or replaced.
-
-    On the way, ``after``'s port index and containment map are made from
-    ``before``'s, where ``before`` has them: copies with the entries of each
+    The result's port index and containment map are carried from
+    ``model``'s, where ``model`` has them: copies with the entries of each
     replaced or removed process, and of each net whose members changed,
-    taken out and those of each added or replaced one put in; a map no
-    net's members changed in is shared.  Each is stored in
-    ``after.__dict__`` as its ``_cached`` view stores it, with the same
-    entries, maybe in another order.  A table is carried only while
-    neither model holds a port id twice, or lists a process in two nets;
-    there the least holder or the least owner needs every entry, and the
-    view builds the table in full on its first read.
+    taken out and those of each given one put in; a map no net's members
+    changed in is shared.  Each is stored in the result's ``__dict__`` as
+    its ``_cached`` view stores it, with the same entries, maybe in another
+    order.  A table is carried only while neither model holds a port id
+    twice, or lists a process in two nets; there the least holder or the
+    least owner needs every entry, and the view builds the table in full
+    on its first read.
     """
-    old, new = before.processes, after.processes
-    procs, gone = _replaced(old, new), old.keys() - new.keys()
-    nets = _replaced(before.nets, after.nets)
-    known, cache = before.__dict__, after.__dict__
+    old, listing = model.processes, model.nets
+    table, listed = {**old, **processes}, {**listing, **nets}
+    for written, entries in ((table, processes), (listed, nets)):
+        for key in [key for key, entry in entries.items() if entry is None]:
+            del written[key]
+    result = Model(model.sort_table, table, model.root, listed)
+    known, cache = model.__dict__, result.__dict__
+    cache["_change"] = tuple(processes), tuple(nets)
     interfaces = known.get("_interfaces")
-    if interfaces is not None and not interfaces[2] and "_interfaces" not in cache:
+    if interfaces is not None and not interfaces[2]:
         ports, owners = interfaces[0].copy(), interfaces[1].copy()
-        for pid in procs:
-            proc = old.get(pid)
-            if proc is not None:
-                for port in proc.interface:
-                    del ports[port.id], owners[port.id]
-        for pid in gone:
-            for port in old[pid].interface:
+        for pid in processes:
+            for port in old[pid].interface if pid in old else ():
                 del ports[port.id], owners[port.id]
         held = len(owners)
-        for pid in procs:
-            interface = new[pid].interface
-            held += len(interface)
-            for port in interface:
+        for pid, proc in processes.items():
+            for port in proc.interface if proc else ():
+                held += 1
                 ports[port.id] = port
                 owners[port.id] = pid
         # an id written twice leaves fewer entries than ports written
         if len(owners) == held:
             cache["_interfaces"] = ports, owners, set()
     containers = known.get("_containers")
-    if containers is not None and "_containers" not in cache:
-        listing, listed = before.nets, after.nets
+    if containers is not None:
         # the owners of the nets whose members changed, were added or removed
-        moved, added = [], 0
-        for owner in nets:
-            was = listing.get(owner)
-            if was is None:
-                added += 1
-                moved.append(owner)
-            elif was[0].processes is not listed[owner][0].processes:
-                moved.append(owner)
-        # some net was removed only if fewer remain than were there or added
-        if len(listing) + added > len(listed):
-            moved += listing.keys() - listed.keys()
+        moved = [
+            owner
+            for owner, entry in nets.items()
+            if entry is None
+            or owner not in listing
+            or listing[owner][0].processes is not entry[0].processes
+        ]
         if not moved:
             cache["_containers"] = containers
         elif sum([len(net.processes) for net, _ in listing.values()]) == len(containers):
             index = containers.copy()
             for owner in moved:
-                was = listing.get(owner)
-                if was is not None:
-                    for member in was[0].processes:
-                        del index[member]
+                for member in listing[owner][0].processes if owner in listing else ():
+                    del index[member]
             held = len(index)
             for owner in moved:
-                entry = listed.get(owner)
-                if entry is not None:
-                    held += len(entry[0].processes)
-                    for member in entry[0].processes:
-                        index[member] = owner
+                members = nets[owner][0].processes if nets[owner] else ()
+                held += len(members)
+                index.update(dict.fromkeys(members, owner))
             if len(index) == held:
                 cache["_containers"] = index
-    return procs, gone, nets
+    return result
 
 
 def validate_change(before: Model, after: Model) -> list[Violation]:
-    """``validate_scope`` on the entries whose checks read what ``after``
-    added, replaced or removed relative to ``before``, with the process and
-    net tables compared by identity.
+    """``validate_scope`` on the entries whose checks read what ``after``,
+    ``edit``'s result on ``before``, added, replaced or removed: the keys
+    ``edit`` recorded on it.
 
     The scope is each changed process, and each other holder of a port a
     changed process holds; the net the containment map places each of those
@@ -1104,27 +1093,31 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     members and the ports they hold.  A port's entry in the model's index
     changes only with a changed process that holds it or held it; a port
     that a changed process now shares with an unchanged one may pass to
-    either, so both are in scope.  ``after``'s port index and containment
-    map are carried over from ``before``'s (``_carry_tables``).
+    either, so both are in scope.
 
     When the scope is clean, ``validate_model`` found nothing on ``before``
     and the sort table and root are ``before``'s, ``after`` is marked with
     the change, so that its ``validate_model`` runs only ``_keeps_tree``.
     """
-    changed, gone, nets = _carry_tables(before, after)
-    procs = set(changed)
+    change = after.__dict__.get("_change")
+    if change is None:
+        raise ValueError("validate_change needs a model that core.edit built")
+    processes, listed = after.processes, after.nets
+    procs = {pid for pid in change[0] if pid in processes}
+    gone = {pid for pid in change[0] if pid not in processes}
+    nets = [owner for owner in change[1] if owner in listed]
     repeated = after._interfaces[2]
     if repeated:
-        shared = {p.id for pid in procs for p in after.processes[pid].interface} & repeated
+        shared = {p.id for pid in procs for p in processes[pid].interface} & repeated
         procs.update(
             pid
-            for pid, proc in after.processes.items()
+            for pid, proc in processes.items()
             if any(p.id in shared for p in proc.interface)
         )
     reading = procs | gone
     located = after._containers
     owners = {located[p] for p in reading if p in located}
-    owners |= reading & after.nets.keys()
+    owners |= reading & listed.keys()
     owners.update(nets)
     found = validate_scope(after, owners, procs)
     clean = not found and before.__dict__.get("_findings") == ()

@@ -4,9 +4,11 @@ Each rule has one public form, its script step (``DecomposeStep`` ...
 ``UnfoldStep``): ``apply`` resolves the step's process paths and port
 names to ids and runs the rule's engine, ``_<rule>(model, ids...)``, which
 either returns a new, well-formed model with its substitution or raises a
-``RuleError`` leaving the input untouched.  ``apply_script`` replays an
-ordered list of steps and accumulates a trace that records how each
-original port is realized in the refined model (the ``~>`` map).
+``RuleError`` leaving the input untouched.  An engine collects only the
+process and net entries it writes, and ``core.edit`` builds its result
+from them.  ``apply_script`` replays an ordered list of steps and
+accumulates a trace that records how each original port is realized in
+the refined model (the ``~>`` map).
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ class Trace:
 def _validated(before: Model, after: Model, context: str) -> Model:
     """Reject the result unless it is well-formed.
 
-    Rules reuse every entry they leave alone, so ``core.validate_change``
-    finds what they changed and checks only that.
+    ``core.edit`` recorded what the rule changed, so
+    ``core.validate_change`` checks only that.
     """
     violations = core.validate_change(before, after)
     if violations:
@@ -211,7 +213,7 @@ def _rewire(
 
 
 def _splice(
-    processes: dict[ProcessId, Process],
+    processes: ChainMap[ProcessId, Process],
     holders: Mapping[PortId, ProcessId],
     parts: Mapping[PortId, Sequence[Port]],
 ) -> None:
@@ -281,15 +283,10 @@ def _decompose(
             sorted_now[parent_port] = (replace(pp, sort=ip.sort),)
             holders[parent_port] = pid
 
-    processes = dict(model.processes)
-    for p in new_processes:
-        processes[p.id] = p
+    processes = ChainMap({p.id: p for p in new_processes}, model.processes)
     _splice(processes, holders, sorted_now)
-    nets = dict(model.nets)
-    nets[pid] = (subnet, binding)
-    result = _validated(
-        model, replace(model, processes=processes, nets=nets), f"decomposing {pid!r}"
-    )
+    result = core.edit(model, processes.maps[0], {pid: (subnet, binding)})
+    result = _validated(model, result, f"decomposing {pid!r}")
     subst = _Subst(
         ports={p: (_Repl(to_subnet[p]),) for p in proc.ports()},
         procs={pid: frozenset(subnet.processes)},
@@ -323,8 +320,8 @@ def _add_channel(
         raise CrossNetEndpointsError("endpoints do not share an enclosing net")
 
     ports = ChainMap({}, model.ports)
-    processes = dict(model.processes)
-    nets = dict(model.nets)
+    processes = ChainMap({}, model.processes)
+    nets = ChainMap({}, model.nets)
 
     def add_port(pid: ProcessId, name: str, direction: str) -> PortId:
         proc = processes[pid]
@@ -399,9 +396,8 @@ def _add_channel(
     new_net = replace(net, channels=net.channels | {Channel(top_src, top_dst)})
     nets[common] = (new_net, binding)
 
-    candidate = replace(model, processes=processes, nets=nets)
     # the checks below read the candidate's port index and containment map
-    core._carry_tables(model, candidate)
+    candidate = core.edit(model, processes.maps[0], nets.maps[0])
     cycle = core.find_cycle(core.process_digraph(candidate, new_net))
     if cycle is not None:
         raise WouldCreateCycleError(
@@ -418,9 +414,8 @@ def _add_channel(
         sorted_now = {
             p: (replace(ports[p], sort=the_sort),) for p in closure if ports[p].sort is None
         }
-        processes = dict(processes)
         _splice(processes, candidate.port_owners, sorted_now)
-        candidate = replace(candidate, processes=processes)
+        candidate = core.edit(model, processes.maps[0], nets.maps[0])
 
     return _validated(model, candidate, "adding the channel"), _Subst()
 
@@ -447,9 +442,10 @@ def _assign_sort(model: Model, port: PortId, sort: Sort) -> tuple[Model, _Subst]
     }
     if not sorted_now:
         return model, _Subst()
-    processes = dict(model.processes)
+    processes = ChainMap({}, model.processes)
     _splice(processes, model.port_owners, sorted_now)
-    return _validated(model, replace(model, processes=processes), "assigning the sort"), _Subst()
+    result = core.edit(model, processes.maps[0])
+    return _validated(model, result, "assigning the sort"), _Subst()
 
 
 # --- channel decomposition --------------------------------------------------------
@@ -500,8 +496,8 @@ def _split_port(
     """Split a port (and its whole closure) into parallel parts given as
     (name, sort, fields).
 
-    On a record port each part carries the fields it takes, and its sort
-    must be the sort those fields give; the parts take every field once.
+    On a record port each part carries the fields it takes, with the sort
+    ``SplitPortStep`` resolved from them; the parts take every field once.
     An unspecified port splits freely.  Channels, boundary memberships,
     interface bindings, and firing-rule references are rewritten at every
     affected level.
@@ -519,21 +515,13 @@ def _split_port(
     labels: list[tuple[frozenset[str] | None, bool]] = []
     if isinstance(origin.sort, RecordSort):
         claimed: set[str] = set()
-        for name, psort, fields in parts:
-            if psort is None:
-                raise PartitionMismatchError(
-                    f"part {name!r} needs a sort when splitting a record port"
-                )
+        for name, _, fields in parts:
             bare = isinstance(fields, str)
-            names = {fields} if bare else set(fields or ())
+            names = {fields} if bare else set(fields)
             taken = names & claimed
-            if fields is None or bare and taken:
+            if bare and taken:
                 raise PartitionMismatchError(
                     f"part {name!r} does not match any unclaimed record field"
-                )
-            if _part_sort(origin.sort, fields) != psort:
-                raise PartitionMismatchError(
-                    f"part {name!r} is not a field sub-record in original field order"
                 )
             if taken:
                 raise PartitionMismatchError(
@@ -595,7 +583,7 @@ def _split_port(
                 out.append((ref_port, label))
         return tuple(dict.fromkeys(out))
 
-    processes = dict(model.processes)
+    processes = ChainMap({}, model.processes)
     _splice(processes, holders, split)
     owners = {holders[m] for m in closure}
     for owner in owners:
@@ -610,10 +598,11 @@ def _split_port(
 
     # the nets that list an owner of the closure, or that one owns
     located = core.container_index(model)
-    nets = dict(model.nets)
-    for owner in {located[o] for o in owners if o in located} | (owners & nets.keys()):
-        nets[owner] = _rewire(nets[owner], part_ids)
-    result = replace(model, processes=processes, nets=nets)
+    nets = {
+        owner: _rewire(model.nets[owner], part_ids)
+        for owner in {located[o] for o in owners if o in located} | (owners & model.nets.keys())
+    }
+    result = core.edit(model, processes.maps[0], nets)
     return _validated(model, result, f"splitting {port!r}"), _Subst(ports=repls)
 
 
@@ -649,12 +638,8 @@ def _unfold(model: Model, parent: ProcessId, child: ProcessId) -> tuple[Model, _
         rewired.env_outputs,
     )
 
-    processes = {p: proc for p, proc in model.processes.items() if p != child}
-    nets = {o: e for o, e in model.nets.items() if o != child}
-    nets[parent] = (merged, binding)
-    result = _validated(
-        model, replace(model, processes=processes, nets=nets), f"unfolding {child!r}"
-    )
+    result = core.edit(model, {child: None}, {child: None, parent: (merged, binding)})
+    result = _validated(model, result, f"unfolding {child!r}")
     subst = _Subst(
         ports={p: (_Repl(q),) for p, (q,) in inner.items()},
         procs={child: frozenset(subnet.processes)},
@@ -670,7 +655,7 @@ def _fold(
     group = frozenset(group)
     if not group:
         raise EmptyGroupError("the folded group must be non-empty")
-    if not group <= net.processes or group == net.processes:
+    if group == net.processes:
         raise GroupNotSubsetError(
             "the folded group must be a proper subset of the net's processes"
         )
@@ -745,12 +730,11 @@ def _fold(
         tuple(sorted((q, inner) for inner, (q,) in fresh.items()))
     )
 
-    processes = dict(model.processes)
-    processes[qid] = Process(qid, new_name, tuple(q_ports))
-    nets = dict(model.nets)
-    nets[owner] = _rewire((remaining, owner_binding), fresh)
-    nets[qid] = (extracted, q_binding)
-    result = replace(model, processes=processes, nets=nets)
+    result = core.edit(
+        model,
+        {qid: Process(qid, new_name, tuple(q_ports))},
+        {owner: _rewire((remaining, owner_binding), fresh), qid: (extracted, q_binding)},
+    )
     return _validated(model, result, f"folding into {new_name!r}"), _Subst()
 
 

@@ -6,9 +6,10 @@ reports the same under ``-O`` as without it.  The model and the
 simulator must not import the rule engine, the parser builds no model
 value and the search no net spec itself, the search matches no record
 fields itself, the statement readers call no per-token cursor method,
-the rules name no validation scope, no value stores a port fact twice,
-only ``core`` writes a model's cached tables, and only ``core`` writes
-sort text, and only ``core`` reads a model's stored findings; a walk's
+the rules name no validation scope and build each result through
+``core.edit``, no value stores a port fact twice, only ``core`` writes a
+model's cached tables, and only ``core`` writes sort text, and only
+``core`` reads a model's stored findings or recorded change; a walk's
 carried findings equal a full validation's under ``-O``; and each rule
 has one public form, its script step."""
 
@@ -240,8 +241,9 @@ def test_only_core_carries_cached_tables(path):
     assert lines == [], f"{path.name}: writes a cached table on lines {lines}"
 
 
-# a model's stored findings, and the mark of a change found clean
-MODEL_FACTS = {"_findings", "_clean_change"}
+# a model's stored findings, the change ``core.edit`` recorded on it, and
+# the mark of a change found clean
+MODEL_FACTS = {"_findings", "_change", "_clean_change"}
 
 
 def _fact_uses(tree: ast.AST) -> list[int]:
@@ -291,6 +293,32 @@ def test_only_core_reads_stored_findings(path):
     reads or writes either in a model's ``__dict__``."""
     lines = _fact_uses(_tree(path.name))
     assert lines == [], f"{path.name}: uses a model's stored findings on lines {lines}"
+
+
+def test_rules_build_results_through_core_edit():
+    """Every rule result comes from ``core.edit``, which keeps the sort
+    table and root and records the change: ``refine`` builds no ``Model``,
+    replaces no model's process or net table, and reads nothing private of
+    ``core``."""
+    tree = _tree("refine.py")
+    built = [line for line, _ in _calls(tree, {"Model"})]
+    built += [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "replace"
+        and any(kw.arg in {"processes", "nets"} for kw in node.keywords)
+    ]
+    private = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "core"
+        and node.attr.startswith("_")
+    ]
+    assert built == [], f"refine.py builds a model itself on lines {sorted(built)}"
+    assert private == [], f"refine.py reads private names of core on lines {private}"
 
 
 @pytest.mark.parametrize(

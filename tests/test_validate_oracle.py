@@ -13,7 +13,7 @@ import random
 import sys
 import threading
 import time
-from collections import Counter
+from collections import ChainMap, Counter
 from pathlib import Path
 
 import pytest
@@ -73,6 +73,23 @@ def _with_net(model: Model, owner, **changes) -> Model:
     binding = changes.pop("binding", binding)
     nets[owner] = (dataclasses.replace(net, **changes), binding)
     return dataclasses.replace(model, nets=nets)
+
+
+def as_edit(before: Model, after: Model) -> Model:
+    """``after`` built afresh by ``core.edit`` from ``before``, as a rule
+    builds its result: each process and net entry ``after`` added, replaced
+    or removed, by identity, is passed in.  ``edit`` keeps the sort table,
+    so a different one is set on the result afterwards: such a change
+    must not be marked clean."""
+    entries = []
+    for old, new in ((before.processes, after.processes), (before.nets, after.nets)):
+        changed = {key: value for key, value in new.items() if old.get(key) is not value}
+        changed.update(dict.fromkeys(old.keys() - new.keys()))
+        entries.append(changed)
+    result = core.edit(before, *entries)
+    if after.sort_table is not before.sort_table:
+        object.__setattr__(result, "sort_table", after.sort_table)
+    return result
 
 
 def corruptions(model: Model, rng: random.Random):
@@ -197,25 +214,24 @@ def reference_lines(model: Model) -> Counter:
 
 
 class CarryChecker:
-    """Stands in for ``core._carry_tables``: after each call, each table the
-    call stored in the result is compared with a fresh build of it."""
+    """Stands in for ``core.edit``: after each call, each table the call
+    stored in the result is compared with a fresh build of it."""
 
     def __init__(self) -> None:
-        self.carry = core._carry_tables
+        self.edit = core.edit
         self.carried: Counter = Counter()
         self.wrong: list[tuple[str, Model]] = []
 
-    def __call__(self, before: Model, after: Model):
-        absent = [name for name in TABLES if name not in after.__dict__]
-        changes = self.carry(before, after)
-        for name in absent:
+    def __call__(self, model: Model, *entries) -> Model:
+        after = self.edit(model, *entries)
+        for name in TABLES:
             if name in after.__dict__:
                 self.carried[name] += 1
                 if not same_table(after.__dict__[name], getattr(Model, name).func(after)):
                     self.wrong.append((name, after))
             else:
                 self.carried[name + " built"] += 1
-        return changes
+        return after
 
 
 TABLES = ("_interfaces", "_containers")
@@ -244,7 +260,7 @@ def walks():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(refine, "_validated", recorded)
-        patch.setattr(core, "_carry_tables", checker)
+        patch.setattr(core, "edit", checker)
         for seed in range(30):
             model = gen_model(seed, max_depth=3, max_members=6)
             rng = random.Random(seed)
@@ -300,7 +316,7 @@ class TestAgainstReferenceValidator:
         per-net violation of the corrupted model, in the same order."""
         for label, _, base, bad in cases:
             assert not validate_model(base), label
-            assert validate_change(base, bad) == validate_scope(
+            assert validate_change(base, as_edit(base, bad)) == validate_scope(
                 bad, bad.nets, bad.processes
             ), label
 
@@ -623,7 +639,7 @@ class Criterion3Walks:
 
 def walk_criterion_3() -> Criterion3Walks:
     """Criterion 3's 200 random walks of 100 rule steps, with
-    ``CarryChecker`` in place of ``core._carry_tables`` and ``_keeps_tree``'s
+    ``CarryChecker`` in place of ``core.edit`` and ``_keeps_tree``'s
     answers counted.  At each step a copy, which carries no findings, is
     validated in full; the result's carried findings must equal them, a
     second call must return a new list of them, and on every 25th step they
@@ -633,7 +649,7 @@ def walk_criterion_3() -> Criterion3Walks:
     violations = 0
     mismatched = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_carry_tables", checker)
+        mp.setattr(core, "edit", checker)
         answers = count_keeps(mp)
         for seed in range(200):
             model = gen_model(seed, max_depth=3, max_members=6)
@@ -672,7 +688,7 @@ def test_scripts_and_search_candidates_carry_their_tables(monkeypatch):
     """Both fixture scripts, and every candidate the search accepts on 20
     criterion-8 pairs, carry tables equal to fresh builds."""
     checker = CarryChecker()
-    monkeypatch.setattr(core, "_carry_tables", checker)
+    monkeypatch.setattr(core, "edit", checker)
     accepted = 0
     for name, script in (("bp.bpn", "bp_refine.bps"), ("library.bpn", "library_decompose.bps")):
         refine.apply_script(load_model(name), load_script(script))
@@ -708,17 +724,17 @@ def test_replaying_a_script_builds_no_table_afresh(monkeypatch):
         assert builds == Counter(), (name, builds)
 
 
-def carried(before: Model, after: Model) -> set[str]:
-    """The tables ``core._carry_tables`` carries from a ``before`` whose
-    tables are built; each read of ``after``'s tables then equals a fresh
-    build."""
+def carried(before: Model, after: Model) -> tuple[set[str], Model]:
+    """The tables ``core.edit`` carries from a ``before`` whose tables are
+    built, building ``after`` as an edit of it, and that edit; each read of
+    the edit's tables then equals a fresh build."""
     for name in TABLES:
         getattr(before, name)
-    core._carry_tables(before, after)
-    names = {name for name in TABLES if name in after.__dict__}
+    edited = as_edit(before, after)
+    names = {name for name in TABLES if name in edited.__dict__}
     for name in TABLES:
-        assert same_table(getattr(after, name), getattr(Model, name).func(after)), name
-    return names
+        assert same_table(getattr(edited, name), getattr(Model, name).func(edited)), name
+    return names, edited
 
 
 def test_corpus_corruptions_carry_or_build_their_tables(cases):
@@ -726,7 +742,7 @@ def test_corpus_corruptions_carry_or_build_their_tables(cases):
     tables equal to fresh builds, whether carried or built in full."""
     kinds: Counter = Counter()
     for label, _, base, bad in cases:
-        for name in carried(base, dataclasses.replace(bad)):
+        for name in carried(base, bad)[0]:
             kinds[name] += 1
     assert len(cases) > 300 and 0 < kinds["_interfaces"] < len(cases), kinds
     assert 0 < kinds["_containers"] < len(cases), kinds
@@ -747,27 +763,28 @@ class TestCarryFallsBack:
 
     def test_a_parent_holding_an_id_twice(self, model):
         bad = self.with_port_held_twice(model, "system.retrieve_book", "system.notify_user")
-        after = _with_process(bad, "system.notify_user", behavior_note="changed")
-        assert carried(bad, after) == {"_containers"}
+        names, after = carried(bad, _with_process(bad, "system.notify_user", behavior_note="changed"))
+        assert names == {"_containers"}
         assert after._interfaces[2] == {"system.notify_user:in_1"}
 
     def test_a_result_holding_an_id_twice(self, model):
-        after = self.with_port_held_twice(model, "system.retrieve_book", "system.notify_user")
-        assert carried(model, after) == {"_containers"}
+        twice = self.with_port_held_twice(model, "system.retrieve_book", "system.notify_user")
+        names, after = carried(model, twice)
+        assert names == {"_containers"}
         assert after._interfaces[2] == {"system.notify_user:in_1"}
 
     def test_a_process_holding_an_id_twice(self, model):
         pid = "system.retrieve_book"
-        after = self.with_port_held_twice(model, pid, pid)
-        assert carried(model, after) == {"_containers"}
+        names, after = carried(model, self.with_port_held_twice(model, pid, pid))
+        assert names == {"_containers"}
         assert after._interfaces[2] == {model.processes[pid].inputs[0]}
 
     def test_a_parent_listing_a_process_in_two_nets(self, model):
         inner = "system.reserve_book"
         members = model.nets[inner][0].processes
         bad = _with_net(model, inner, processes=members | {"system.notify_user"})
-        after = _with_net(bad, inner, processes=members)
-        assert carried(bad, after) == {"_interfaces"}
+        names, after = carried(bad, _with_net(bad, inner, processes=members))
+        assert names == {"_interfaces"}
         assert after._containers["system.notify_user"] == "system"
 
     def test_a_map_no_members_changed_in_is_shared(self, model):
@@ -776,30 +793,78 @@ class TestCarryFallsBack:
         inner = "system.reserve_book"
         listed = model.nets[inner][0].processes | {"system.notify_user"}
         bad = _with_net(model, inner, processes=listed)
-        after = _with_process(bad, "system.retrieve_book", behavior_note="changed")
-        assert carried(bad, after) == set(TABLES)
+        names, after = carried(
+            bad, _with_process(bad, "system.retrieve_book", behavior_note="changed")
+        )
+        assert names == set(TABLES)
         assert after._containers is bad._containers
 
     def test_a_result_listing_a_process_in_two_nets(self, model):
         inner = "system.reserve_book"
         listed = model.nets[inner][0].processes | {"system.notify_user"}
-        after = _with_net(model, inner, processes=listed)
-        assert carried(model, after) == {"_interfaces"}
+        names, after = carried(model, _with_net(model, inner, processes=listed))
+        assert names == {"_interfaces"}
         assert after._containers["system.notify_user"] == "system"
 
     def test_a_parent_without_tables_carries_none(self, model):
-        after = _with_process(model, "system.retrieve_book", behavior_note="changed")
-        core._carry_tables(model, after)
+        after = as_edit(
+            model, _with_process(model, "system.retrieve_book", behavior_note="changed")
+        )
         assert not any(name in after.__dict__ for name in TABLES)
 
     def test_unfold_removes_a_process_and_a_net(self, model):
         # the result, its tables not yet read
-        after = dataclasses.replace(refine.unfold(model, "system", "system.reserve_book"))
+        names, after = carried(model, refine.unfold(model, "system", "system.reserve_book"))
         assert "system.reserve_book" not in after.processes
         assert "system.reserve_book" not in after.nets
-        assert carried(model, after) == set(TABLES)
+        assert names == set(TABLES)
         assert "system.reserve_book" not in after._containers
         assert not any(p.startswith("system.reserve_book:") for p in after.ports)
+
+
+class TestEdit:
+    """``core.edit`` applies the entries it is given, keeps the rest of the
+    model it edits, and records the keys of the entries on its result."""
+
+    @pytest.fixture
+    def model(self) -> Model:
+        return load_model("library_refined.bpn")
+
+    def test_none_removes_a_process_and_a_net(self, model):
+        child = "system.reserve_book"
+        after = core.edit(model, {child: None}, {child: None})
+        assert after.processes.keys() == model.processes.keys() - {child}
+        assert after.nets.keys() == model.nets.keys() - {child}
+        assert child in model.processes and child in model.nets
+
+    def test_the_result_keeps_the_sort_table_and_root(self, model):
+        proc = dataclasses.replace(model.processes["system.notify_user"], behavior_note="x")
+        after = core.edit(model, {proc.id: proc})
+        assert after.sort_table is model.sort_table
+        assert after.root is model.root
+        assert after.processes[proc.id] is proc
+
+    def test_the_recorded_keys_are_those_passed_in(self, model):
+        proc = dataclasses.replace(model.processes["system.notify_user"], behavior_note="x")
+        processes = {proc.id: proc, "system.reserve_book": None}
+        nets = {"system": model.nets["system"], "system.reserve_book": None}
+        after = core.edit(model, processes, nets)
+        assert after.__dict__["_change"] == (tuple(processes), tuple(nets))
+
+    def test_the_overlay_may_change_after_the_call(self, model):
+        """A rule may write on in the overlay it built its result from."""
+        overlay = ChainMap({}, model.processes)
+        pid = "system.notify_user"
+        overlay[pid] = dataclasses.replace(model.processes[pid], behavior_note="x")
+        after = core.edit(model, overlay.maps[0])
+        other = "system.retrieve_book"
+        overlay[other] = dataclasses.replace(model.processes[other], behavior_note="y")
+        assert after.__dict__["_change"] == ((pid,), ())
+        assert after.processes[other] is model.processes[other]
+
+    def test_validate_change_needs_an_edit(self, model):
+        with pytest.raises(ValueError, match="core.edit"):
+            validate_change(model, dataclasses.replace(model))
 
 
 # --- findings carried from the model a rule ran on --------------------------------
@@ -846,8 +911,8 @@ def test_corpus_corruptions_carry_no_findings(cases, carries):
     cannot see, a port id held twice, fall back to the full check."""
     for label, _, base, bad in cases:
         assert not validate_model(base), label
-        # a copy: another test may have stored the corruption's findings
-        after = dataclasses.replace(bad)
+        # built afresh: another test may have stored the corruption's findings
+        after = as_edit(base, bad)
         validate_change(base, after)
         assert_carried_is_full(after, label)
     assert carries[True] == 0 and carries[False] > 0, carries
@@ -860,7 +925,7 @@ def test_walk_results_carry_their_findings(walks, carries):
     accepted = 0
     for before, after, context in built:
         validate_model(before)
-        after = dataclasses.replace(after)
+        after = as_edit(before, after)
         accepted += not validate_change(before, after)
         assert_carried_is_full(after, context)
     assert accepted > 800 and carries == Counter({True: accepted}), (accepted, carries)
@@ -929,6 +994,7 @@ class TestCarryNotClean:
         return model
 
     def assert_full(self, model: Model, after: Model, message: str) -> None:
+        after = as_edit(model, after)
         assert validate_change(model, after) == []
         found = validate_model(after)
         assert message in [v.message for v in found]
