@@ -227,13 +227,6 @@ class _Refined:
         return self._twins[path]
 
 
-def _candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
-    """Deterministic enumeration of plausible single rule applications: the
-    candidates of ``_candidate_groups``, group after group."""
-    groups = _candidate_groups(current, _Refined(refined))
-    return itertools.chain.from_iterable(candidates for *_, candidates in groups)
-
-
 def _candidate_groups(
     current: Model, refined: _Refined
 ) -> Iterator[tuple[type, int, int, Iterable[Step]]]:

@@ -341,13 +341,16 @@ class Model:
         for owner in reversed(owners):  # children first, so inner ports are resolved
             for parent_port, inner in self.nets[owner][1].pairs:
                 down[parent_port] = down.get(inner, inner)
+        # the channels no binding moves are kept, and their union reuses their hashes
+        channels = set().union(*(self.nets[owner][0].channels for owner in owners))
+        moved = [ch for ch in channels if ch.source in down or ch.dest in down]
+        channels.difference_update(moved)
+        channels.update(
+            Channel(down.get(ch.source, ch.source), down.get(ch.dest, ch.dest)) for ch in moved
+        )
         flat = ProcessNet(
             processes=frozenset(leaves),
-            channels=frozenset(
-                Channel(down.get(ch.source, ch.source), down.get(ch.dest, ch.dest))
-                for owner in owners
-                for ch in self.nets[owner][0].channels
-            ),
+            channels=frozenset(channels),
             env_inputs=frozenset(down.get(p, p) for p in root_net.env_inputs),
             env_outputs=frozenset(down.get(p, p) for p in root_net.env_outputs),
         )

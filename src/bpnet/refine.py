@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import core
 from .core import (
@@ -752,25 +752,26 @@ class PortRef:
         return ".".join(self.path + (self.port,))
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
+    """A firing rule as text names it, a named tuple like every spec."""
+
     process: str
     needs: tuple[tuple[str, str], ...]
     produces: tuple[tuple[str, str], ...]
     compute: str = "tag"
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
+class ProcessSpec(NamedTuple):
+    """A process as text declares it, a named tuple like every spec."""
+
     name: str
     inputs: tuple[tuple[str, SortExpr | None], ...] = ()
     outputs: tuple[tuple[str, SortExpr | None], ...] = ()
     note: str = ""
 
 
-@dataclass(frozen=True)
-class NetSpec:
-    """Textual form of a subnet: members, wiring, and boundary binds."""
+class NetSpec(NamedTuple):
+    """Textual form of a subnet, a named tuple: members, wiring, binds."""
 
     members: tuple[ProcessSpec, ...] = ()
     channels: tuple[tuple[str, str, str, str], ...] = ()
@@ -789,37 +790,42 @@ def build_subnet(
     its id.  The model's tables are read, never copied, so building a model
     block by block stays linear in its size.
     """
-    table = model.sort_table
+    table, processes, ports = model.sort_table, model.processes, model.ports
     prefix = f"{pid}." if pid else ""
     member_ids: dict[str, ProcessId] = {}
-    port_ids: dict[tuple[str, str], PortId] = {}
-    # each member's spec and ports, then its firing rules, by its new id
-    made: dict[ProcessId, tuple[ProcessSpec, tuple[Port, ...]]] = {}
+    # each member's port ids by port name, by member name
+    port_ids: dict[str, dict[str, PortId]] = {}
+    # each member's name, note and ports, then its firing rules, by its new id
+    made: dict[ProcessId, tuple[str, str, tuple[Port, ...]]] = {}
     rules: dict[ProcessId, list[FiringRule]] = {}
     new_ports: dict[PortId, Port] = {}
+    # each sort expression, and None, resolved once, by identity (the spec keeps it alive)
+    sorts: dict[int, Sort | None] = {id(None): None}
 
-    for mspec in spec.members:
-        if mspec.name in member_ids:
-            raise FreshnessViolationError(f"member {mspec.name!r} declared twice")
-        mid = prefix + mspec.name
-        if mid in made or mid in model.processes:
-            mid = core.fresh_id(mid, ChainMap(made, model.processes))
-        member_ids[mspec.name] = mid
+    for name, inputs, outputs, note in spec.members:
+        if name in member_ids:
+            raise FreshnessViolationError(f"member {name!r} declared twice")
+        mid = prefix + name
+        if mid in made or mid in processes:
+            mid = core.fresh_id(mid, ChainMap(made, processes))
+        member_ids[name] = mid
+        port_ids[name] = own = {}
         interface = []
-        for direction, decls in ((INPUT, mspec.inputs), (OUTPUT, mspec.outputs)):
+        for direction, decls in ((INPUT, inputs), (OUTPUT, outputs)):
             for pname, sexpr in decls:
                 port_id = f"{mid}:{pname}"
-                if port_id in new_ports or port_id in model.ports:
-                    port_id = core.fresh_id(port_id, ChainMap(new_ports, model.ports))
-                sort = resolve_sort_expr(sexpr, table) if sexpr is not None else None
-                new_ports[port_id] = port = Port(port_id, pname, direction, sort)
-                port_ids[(mspec.name, pname)] = port_id
+                if port_id in new_ports or port_id in ports:
+                    port_id = core.fresh_id(port_id, ChainMap(new_ports, ports))
+                if id(sexpr) not in sorts:
+                    sorts[id(sexpr)] = resolve_sort_expr(sexpr, table)
+                new_ports[port_id] = port = Port(port_id, pname, direction, sorts[id(sexpr)])
+                own[pname] = port_id
                 interface.append(port)
-        made[mid] = (mspec, tuple(interface))
+        made[mid] = (name, note, tuple(interface))
         rules[mid] = []
 
     def member_port(member: str, port: str) -> PortId:
-        port_id = port_ids.get((member, port))
+        port_id = port_ids.get(member, {}).get(port)
         if port_id is None:
             raise UnknownPortError(f"no port {port!r} on subnet member {member!r}")
         return port_id
@@ -831,22 +837,23 @@ def build_subnet(
         mid = member_ids.get(member)
         if mid is None:
             raise UnknownPortError(f"rule names unknown subnet member {member!r}")
+        own = port_ids[member]
         try:
-            needs = tuple([(port_ids[member, p], lab) for p, lab in rspec.needs])
-            produces = tuple([(port_ids[member, p], lab) for p, lab in rspec.produces])
+            needs = tuple([(own[p], lab) for p, lab in rspec.needs])
+            produces = tuple([(own[p], lab) for p, lab in rspec.produces])
         except KeyError:
             for p, _ in rspec.needs + rspec.produces:
                 member_port(member, p)
             raise
         rules[mid].append(FiringRule(needs, produces, rspec.compute))
     members = [
-        Process(mid, mspec.name, interface, mspec.note, tuple(rules[mid]))
-        for mid, (mspec, interface) in made.items()
+        Process(mid, name, interface, note, tuple(rules[mid]))
+        for mid, (name, note, interface) in made.items()
     ]
 
     try:
         channels = frozenset(
-            [Channel(port_ids[sa, pa], port_ids[sb, pb]) for sa, pa, sb, pb in spec.channels]
+            [Channel(port_ids[sa][pa], port_ids[sb][pb]) for sa, pa, sb, pb in spec.channels]
         )
     except KeyError:
         for sa, pa, sb, pb in spec.channels:

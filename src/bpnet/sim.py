@@ -73,7 +73,7 @@ ComputeFn = Callable[[str, Sequence[Fragment], str, str], Value]
 
 def _tag_compute(process_name: str, consumed: Sequence[Fragment], port_name: str, label: str) -> Value:
     # tags carry the multiset of consumed labels, so tests observe dataflow
-    labels = "+".join(sorted(f.label for f in consumed))
+    labels = "+".join(sorted([f.label for f in consumed]))
     return AtomicValue(f"({labels})")
 
 
@@ -110,12 +110,11 @@ def _check_rule_determinism(model: Model, members: Iterable[ProcessId]) -> None:
         seen: dict[tuple[PortId, str], int] = {}
         for index, rule in enumerate(model.processes[pid].firing_rules):
             for pair in rule.produces:
-                if pair in seen and seen[pair] != index:
+                if seen.setdefault(pair, index) != index:
                     raise NonDeterministicRulesError(
                         f"process {pid!r}: rules {seen[pair]} and {index} both "
                         f"produce {pair!r}"
                     )
-                seen.setdefault(pair, index)
 
 
 class _Plan(NamedTuple):
@@ -143,13 +142,11 @@ def _plan(model: Model) -> _Plan:
     for dests in outgoing.values():
         dests.sort()
 
+    # (pid, index) is unique, so sorting never compares two rules
     entries = sorted(
-        (
-            (model.processes[pid].name, pid, index, rule)
-            for pid in members
-            for index, rule in enumerate(model.processes[pid].firing_rules)
-        ),
-        key=lambda e: e[:3],
+        (model.processes[pid].name, pid, index, rule)
+        for pid in members
+        for index, rule in enumerate(model.processes[pid].firing_rules)
     )
     missing = []
     waiting: dict[tuple[PortId, str], list[int]] = {}
@@ -191,6 +188,8 @@ def _checked_env(plan: _Plan, env: Iterable[Fragment]) -> list[Fragment]:
 def _run(
     plan: _Plan, env: list[Fragment], rng: random.Random | None
 ) -> tuple[frozenset[Fragment], list[tuple[ProcessId, int]]]:
+    entries, waiting, outgoing = plan.entries, plan.waiting, plan.outgoing
+    ports, env_outputs, registry = plan.model.ports, plan.flat.env_outputs, COMPUTE_REGISTRY
     missing = list(plan.missing)
     ready = [position for position, count in enumerate(missing) if count == 0]
     delivered: dict[tuple[PortId, str], Value] = {}
@@ -203,7 +202,7 @@ def _run(
             # only fan-in or a rule producing one pair twice can get here
             raise SimError(f"second fragment {label!r} on {port_id!r}")
         delivered[need] = payload
-        for position in plan.waiting.get(need, ()):
+        for position in waiting.get(need, ()):
             missing[position] -= 1
             if missing[position] == 0:
                 insort(ready, position)
@@ -213,18 +212,18 @@ def _run(
 
     while ready:
         position = ready.pop(0 if rng is None else rng.randrange(len(ready)))
-        name, pid, index, rule = plan.entries[position]
+        name, pid, index, rule = entries[position]
         trace.append((pid, index))
         consumed = [
             Fragment(port_id, label, delivered[port_id, label])
             for port_id, label in sorted(rule.needs)
         ]
-        compute = COMPUTE_REGISTRY.get(rule.compute, _tag_compute)
+        compute = registry.get(rule.compute, _tag_compute)
         for port_id, label in sorted(rule.produces):
-            payload = compute(name, consumed, plan.model.ports[port_id].name, label)
-            if port_id in plan.flat.env_outputs:
+            payload = compute(name, consumed, ports[port_id].name, label)
+            if port_id in env_outputs:
                 outputs.add(Fragment(port_id, label, payload))
-            for dest in plan.outgoing.get(port_id, ()):
+            for dest in outgoing.get(port_id, ()):
                 deliver(dest, label, payload)
 
     return frozenset(outputs), trace

@@ -1,27 +1,27 @@
 """Text format for models and refinement scripts, plus DOT export.
 
-Line ends, like blanks, only separate tokens: a statement may span lines,
-and one line may hold several statements (``;`` may also separate them).
-The line ends are those of ``str.splitlines``, a carriage return and line
-feed counting as one.  ``#`` starts a comment that runs to the end of its
-line; files are UTF-8.  The whole text is split into tokens at once, and a
-token's line and column are computed only for an error.
+The formats are specified in the README's "File formats".  The whole text
+is split into tokens at once, by one regular expression, and a token's line
+and column are computed only for an error.  Statements are read by index:
+each reader takes the index of its first token and returns what it read
+with the index after it; it tests each token inline, against the set of
+the text's names or the punctuation it expects, so reading a statement
+calls no function per token.  The cursor makes each error that names a
+token, from the token's index.
 
-Statements are read by index.  Each reader takes the index of its first
-token and returns what it read with the index after it; it tests each token
-inline, against the set of the text's names or the punctuation it expects,
-so reading a statement calls no function per token.  The cursor makes each
-error that names a token, from the token's index.
-
-Model files (``.bpn``) declare sorts, a root process, and one ``net for
-<path>`` block per decomposed process; member processes are declared inside
-the block of the net containing them.  Each block is read as a decomposition
-of its owner and built by ``refine.build_subnet``, the builder the
-``decompose`` rule uses.  Script files (``.bps``) hold a sequence of rule
-invocations.  Parsing tolerates ill-formed nets: the validator owns all
-constraint checking.
+A model's top level and each of its ``net for`` blocks are read into a
+``refine.NetSpec`` of ``ProcessSpec`` and ``RuleSpec`` values: named tuples,
+each about as cheap to build as a tuple, with one sort expression shared by
+the ports that name one sort.  Each block is then built as a decomposition
+of its owner by ``refine.build_subnet``, the builder the ``decompose`` rule
+uses, which resolves each distinct sort expression once and finds each port
+a rule or channel names in a dictionary of its member's ports.  The parser
+keeps only the grammar and the sort table, and tolerates ill-formed nets:
+the validator owns all constraint checking.  Printing goes the other way,
+each net from its ``refine.net_spec``, the spec ``build_subnet`` builds it
+back from; the brute-force search takes its ``decompose`` candidates from
+the same exporter.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -748,10 +748,8 @@ def print_model(model: Model) -> str:
     """Canonical text for a model: sorted declarations, stable ordering.
 
     After the sort declarations come the top level and each net, in display
-    path order, each printed from its ``refine.net_spec``: the spec that
-    parsing hands back to ``build_subnet``.  Isomorphic models print
-    byte-identically; parsing the output yields a model isomorphic to the
-    input.
+    path order.  Isomorphic models print byte-identically; parsing the
+    output yields a model isomorphic to the input.
     """
     table, names = model.sort_table, model._sort_names
     lines: list[str] = []

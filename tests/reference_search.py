@@ -8,10 +8,20 @@ package, so any difference between the two searches lies in the pruning.
 
 from __future__ import annotations
 
-from bpnet.check import _candidate_steps, _match_models
+import itertools
+from typing import Iterator
+
+from bpnet.check import _candidate_groups, _match_models, _Refined
 from bpnet.core import Model
 from bpnet.errors import BpnError, SearchBudgetExceededError
 from bpnet.refine import RefinementScript, Step
+
+
+def candidate_steps(current: Model, refined: Model) -> Iterator[Step]:
+    """Deterministic enumeration of plausible single rule applications: the
+    candidates of ``check._candidate_groups``, group after group."""
+    groups = _candidate_groups(current, _Refined(refined))
+    return itertools.chain.from_iterable(candidates for *_, candidates in groups)
 
 
 def brute_force_derivable(
@@ -29,7 +39,7 @@ def brute_force_derivable(
             return RefinementScript(tuple(prefix))
         if depth >= max_steps:
             return None
-        for step in _candidate_steps(current, refined):
+        for step in candidate_steps(current, refined):
             nodes += 1
             if nodes > node_limit:
                 raise SearchBudgetExceededError(

@@ -646,4 +646,4 @@ def test_parse_oracle_mutants_give_no_traceback(tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
     ran, seen, bad = json.loads(done.stdout.splitlines()[-1])
     assert bad == []
-    assert ran == 6 * 254 and {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH} <= set(seen), seen
+    assert ran == 6 * 274 and {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH} <= set(seen), seen

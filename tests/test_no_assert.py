@@ -4,14 +4,15 @@ Invariants in the package must hold under ``python -O``, which strips
 ``assert``: every check raises explicitly instead, and ``bpn validate``
 reports the same under ``-O`` as without it.  The model and the
 simulator must not import the rule engine, the parser builds no model
-value and the search no net spec itself, the search matches no record
-fields itself, the statement readers call no per-token cursor method,
-the rules name no validation scope and build each result through
-``core.edit``, no value stores a port fact twice, only ``core`` writes a
-model's cached tables, and only ``core`` writes sort text, and only
-``core`` reads a model's stored findings or recorded change; a walk's
-carried findings equal a full validation's under ``-O``; and each rule
-has one public form, its script step."""
+value (each process and net of a parsed model is one that
+``refine.build_subnet`` returned) and the search no net spec itself, the
+search matches no record fields itself, the statement readers call no
+per-token cursor method, the rules name no validation scope and build
+each result through ``core.edit``, no value stores a port fact twice,
+only ``core`` writes a model's cached tables, and only ``core`` writes
+sort text, and only ``core`` reads a model's stored findings or recorded
+change; a walk's carried findings equal a full validation's under
+``-O``; and each rule has one public form, its script step."""
 
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ import pytest
 
 from bpnet.core import Model, Port
 
-from genmodels import chain_text
+from conftest import fixture_text
+from genmodels import chain_text, gen_model
+from test_parse_oracle import FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bpnet").glob("*.py"))
@@ -92,6 +95,34 @@ def test_parser_builds_no_model_values():
     it the top level and each ``net for`` block, and forms no id itself."""
     calls = _calls(_tree("textio.py"), MODEL_VALUES)
     assert calls == [], f"textio.py constructs model values: {calls}"
+
+
+def test_parsed_models_hold_only_what_build_subnet_built(monkeypatch):
+    """Each process, net and binding of a parsed model is the very value
+    ``refine.build_subnet`` returned for its block, so a faster parser
+    cannot build a net some other way."""
+    from bpnet import textio
+
+    built = []
+    build_subnet = textio.build_subnet
+
+    def recording(model, pid, spec):
+        built.append(build_subnet(model, pid, spec))
+        return built[-1]
+
+    monkeypatch.setattr(textio, "build_subnet", recording)
+    texts = [fixture_text(name) for name in FIXTURES] + [
+        textio.print_model(gen_model(seed, 4, 6)) for seed in range(5)
+    ]
+    for text in texts:
+        built.clear()
+        model = textio.parse_model(text)
+        made = {id(p) for members, _, _ in built for p in members}
+        entries = {(id(net), id(binding)) for _, net, binding in built}
+        assert {id(p) for p in model.processes.values()} == made
+        assert {(id(net), id(binding)) for net, binding in model.nets.values()} <= entries
+        # one build per block: the top level, then each net
+        assert len(built) == 1 + len(model.nets)
 
 
 def test_search_builds_no_net_spec():

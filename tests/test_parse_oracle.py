@@ -96,6 +96,10 @@ def base_texts() -> list[tuple[str, str]]:
     for seed in range(20):
         model = gen_model(seed, 1 + seed % 3, 3 + seed % 4)
         texts.append((f"gen{seed}", textio.print_model(model)))
+    # the benchmark's shapes: a single-level net of 58 members and 58 rules,
+    # and a model of 12 nets four levels deep
+    texts.append(("wide101", textio.print_model(gen_model(101, 1, 100))))
+    texts.append(("deep105", textio.print_model(gen_model(105, 4, 6))))
     return texts
 
 
@@ -139,7 +143,7 @@ class TestAgainstReferenceParser:
     def test_corpus_size_and_mix(self, outcomes):
         assert len(outcomes) >= 2000
         accepted = Counter(kind for _, kind, _, got in outcomes if not isinstance(got, BpnError))
-        assert accepted["base"] == len(FIXTURES) + 20
+        assert accepted["base"] == len(FIXTURES) + 22
         # enough mutants are accepted that both outcomes are compared often
         assert sum(accepted.values()) - accepted["base"] >= 200, accepted
 

@@ -12,7 +12,6 @@ and firing rules, residue beside its net, are left out.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -68,10 +67,9 @@ class TestAgainstReferencePrinter:
 def without_residue(model, owner, spec):
     net, _ = model.nets[owner]
     decomposed = {model.processes[m].name for m in net.processes if m in model.nets}
-    return replace(
-        spec,
+    return spec._replace(
         members=tuple(
-            replace(m, note="") if m.name in decomposed else m for m in spec.members
+            m._replace(note="") if m.name in decomposed else m for m in spec.members
         ),
         rules=tuple(r for r in spec.rules if r.process not in decomposed),
     )

@@ -173,7 +173,8 @@ def searched(corpus):
 def test_group_counts_are_the_lengths_of_their_candidates(searched):
     """At every state the searches visit, each group's count is the number
     of candidates its iterator gives, each of the group's kind and delta,
-    and ``_candidate_steps`` lists the groups' candidates in order."""
+    and ``reference_search.candidate_steps`` lists the groups' candidates
+    in order."""
     states, _, _ = searched
     counted: Counter[str] = Counter()
     for current, refined in states:
@@ -186,7 +187,7 @@ def test_group_counts_are_the_lengths_of_their_candidates(searched):
                 assert check._PROCESS_DELTA[kind](step) == delta, step.describe()
             counted[kind.__name__] += count
             steps += group
-        assert list(check._candidate_steps(current, refined.model)) == steps
+        assert list(reference_search.candidate_steps(current, refined.model)) == steps
     assert len(states) > 500, len(states)
     assert set(+counted) == {cls.__name__ for cls in typing.get_args(refine.Step)}, counted
 
@@ -204,7 +205,7 @@ def one_at_a_time(base, refined, max_steps, node_limit=200_000, spent=None):
             return RefinementScript(tuple(prefix))
         if depth >= max_steps:
             return None
-        for step in check._candidate_steps(current, refined):
+        for step in reference_search.candidate_steps(current, refined):
             nodes += 1
             if nodes > node_limit:
                 raise SearchBudgetExceededError(f"brute-force search exceeded {node_limit} nodes")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from bpnet import check, core, refine, textio
+from bpnet import core, refine, textio
 from bpnet.core import (
     INPUT,
     OUTPUT,
@@ -40,6 +40,7 @@ from bpnet.errors import BpnError
 
 from conftest import load_model, load_script
 from genmodels import gen_model, one_step_pairs, propose_step, rename_ids
+from reference_search import candidate_steps
 from reference_validate import reference_validate_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -477,7 +478,7 @@ def test_a_step_and_full_validation_check_only_the_nets_it_changed(monkeypatch):
         for step in load_script(script).steps:
             model = step_checks_what_it_changed(model, step)
     for base, refined, _ in one_step_pairs(20):
-        for step in check._candidate_steps(base, refined):
+        for step in candidate_steps(base, refined):
             step_checks_what_it_changed(base, step)
     assert len(kinds) == 7 and kinds["unchanged nets"] > 1000, kinds
 
@@ -693,7 +694,7 @@ def test_scripts_and_search_candidates_carry_their_tables(monkeypatch):
     for name, script in (("bp.bpn", "bp_refine.bps"), ("library.bpn", "library_decompose.bps")):
         refine.apply_script(load_model(name), load_script(script))
     for base, refined, _ in one_step_pairs(20):
-        for step in check._candidate_steps(base, refined):
+        for step in candidate_steps(base, refined):
             try:
                 step.apply(base)
             except BpnError:
@@ -967,7 +968,7 @@ def test_search_candidates_carry_their_findings(carries):
     accepted = 0
     for base, refined, _ in one_step_pairs(20):
         assert not validate_model(base)
-        for step in check._candidate_steps(base, refined):
+        for step in candidate_steps(base, refined):
             try:
                 result, _ = step.apply(base)
             except BpnError:
