@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping, Optional, Union
@@ -234,7 +233,9 @@ class InterfaceBinding:
 
 @dataclass(frozen=True)
 class Model:
-    """A root process plus a tree-shaped assignment of nets to processes."""
+    """A root process plus a tree-shaped assignment of nets to processes.
+    The read functions assume one holder per port id and one listing per
+    process; ``validate_model`` reports a model that breaks this."""
 
     sort_table: Mapping[str, Sort]
     processes: Mapping[ProcessId, Process]
@@ -255,25 +256,20 @@ class Model:
             raise NoNetError(f"process {owner!r} has no net") from None
 
     @_cached
-    def _interfaces(self) -> tuple[dict[PortId, Port], dict[PortId, ProcessId], set[PortId]]:
+    def _interfaces(self) -> tuple[dict[PortId, Port], dict[PortId, ProcessId], int]:
         """Each port id mapped to its port and to the process holding it,
-        found in one pass over the processes, and the ids held more than
-        once.  Of several holders the least, by process id, owns the id, so
-        the answer does not depend on the order of ``processes``.  A rule's
-        result gets it carried from the model the rule ran on (``edit``)."""
+        found in one pass over the processes, and the number of ports they
+        hold: more than the ids where an id is held twice.  A rule's result
+        gets it carried from the model the rule ran on (``edit``)."""
         ports: dict[PortId, Port] = {}
         owners: dict[PortId, ProcessId] = {}
-        repeated: set[PortId] = set()
+        held = 0
         for pid, proc in self.processes.items():
+            held += len(proc.interface)
             for port in proc.interface:
-                held = owners.get(port.id)
-                if held is not None:
-                    repeated.add(port.id)
-                    if held <= pid:
-                        continue
                 ports[port.id] = port
                 owners[port.id] = pid
-        return ports, owners, repeated
+        return ports, owners, held
 
     @_cached
     def ports(self) -> Mapping[PortId, Port]:
@@ -293,21 +289,19 @@ class Model:
         return {table[name]: name for name in sorted(table, reverse=True)}
 
     @_cached
-    def _containers(self) -> dict[ProcessId, ProcessId]:
-        """Each net member mapped to the least owner of a net listing it.
-
-        A well-formed model lists each member once; taking the least owner
-        keeps the answer for one listed twice independent of the order of
-        ``nets``.  Computed once, on first use: a model is immutable, and
+    def _containers(self) -> tuple[dict[ProcessId, ProcessId], int]:
+        """Each net member mapped to the owner of the net listing it, and
+        the number of listings: more than the members where one is listed
+        twice.  Computed once, on first use: a model is immutable, and
         ``dataclasses.replace`` builds a new instance with an empty cache.
         A rule's result gets it carried, as ``_interfaces``.
         """
         index: dict[ProcessId, ProcessId] = {}
+        listed = 0
         for owner, (net, _) in self.nets.items():
-            for member in net.processes:
-                if index.setdefault(member, owner) > owner:
-                    index[member] = owner
-        return index
+            listed += len(net.processes)
+            index.update(dict.fromkeys(net.processes, owner))
+        return index, listed
 
     @_cached
     def _flat(self) -> tuple[ProcessNet, dict[PortId, PortId]]:
@@ -359,14 +353,14 @@ class Model:
 
 def container_index(model: Model) -> Mapping[ProcessId, ProcessId]:
     """Map each process to the owner of the net containing it (read-only)."""
-    return MappingProxyType(model._containers)
+    return MappingProxyType(model._containers[0])
 
 
 def containment_chain(model: Model, pid: ProcessId) -> list[ProcessId]:
     """``pid``, then each process containing the one before it.  The walk
     up the containment map ends at the root, at a process no net lists, or
     at the first process it reaches twice, so also on cyclic containment."""
-    located = model._containers
+    located = model._containers[0]
     chain = [pid]
     seen: set[ProcessId] = set()
     while pid != model.root and pid not in seen:
@@ -614,10 +608,10 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 # they run again in every model that validates the net.  ``validate_scope``
 # runs the checks on a scope, ``validate_change`` on the scope reached by the
 # change ``edit`` recorded on a rule's result, and ``validate_model`` on every
-# process and net after the checks that need the whole model.  A rule's
-# result that ``validate_change`` found clean against a clean parent carries
-# the parent's empty findings, so ``validate_model`` checks none of its nets
-# again.  Every check appends to the findings list its caller passes in.
+# process and net after the checks that need the whole model, if those find
+# no port id held twice and no process listed twice.  A rule's result that
+# ``validate_change`` found clean against a clean parent carries the parent's
+# empty findings.  Every check appends to the findings list it is passed.
 # Where a check reports in sorted order, it finds the offenders in one
 # unsorted pass and sorts only those: a well-formed model has none.
 
@@ -626,7 +620,6 @@ def _process_violations(proc: Process, out: list[Violation]) -> None:
     """Port names, port sorts and firing-rule references of a process, in
     the order ``ports`` lists the ports."""
     pid = proc.id
-    held: dict[PortId, Port] = {}
     seen_names: dict[str, PortId] = {}
     for direction in (INPUT, OUTPUT):
         for port in proc.interface:
@@ -640,14 +633,13 @@ def _process_violations(proc: Process, out: list[Violation]) -> None:
                         f"duplicate port name {port.name!r} on process",
                     )
                 )
-            # a port's sort is reported once however often it is held; an
-            # atomic sort has no structural defect
-            if port.id not in held and not isinstance(port.sort, AtomicSort):
+            # an atomic sort has no structural defect
+            if not isinstance(port.sort, AtomicSort):
                 for problem in _sort_problems_cached(port.sort):
                     out.append(
                         Violation(SORT_MISMATCH, (port.id,), f"malformed port sort: {problem}")
                     )
-            held.setdefault(port.id, port)
+    held = {port.id: port for port in proc.interface}
     for rule in proc.firing_rules:
         for side, refs, allowed in (
             ("needs", rule.needs, proc.inputs),
@@ -666,53 +658,37 @@ def _process_violations(proc: Process, out: list[Violation]) -> None:
                 out.append(Violation(DANGLING_REF, (pid, port_id), f"firing rule {problem}"))
 
 
-def _model_violations(model: Model, out: list[Violation]) -> None:
-    """The checks that need the whole model: the sort table, the containment
-    tree, and ports held more than once."""
+def _model_violations(model: Model, out: list[Violation]) -> bool:
+    """The checks that need the whole model: the sort table, the root, the
+    net owners, port ids held and processes listed twice, and the tree.
+    Returns whether each port id is held once and each process listed once;
+    if not, the containment walk, which reads the parents, is skipped."""
     table = model.sort_table
     for name in sorted([name for name, sort in table.items() if _sort_problems_cached(sort)]):
         for problem in _sort_problems_cached(table[name]):
             out.append(Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}"))
-    _check_hierarchy(model, out)
-    processes, repeated = model.processes, model._interfaces[2]
-    if repeated:
-        by_id = sorted(processes)
-        for port_id in sorted(repeated):
-            listers = tuple(
-                pid for pid in by_id for listed in processes[pid].ports() if listed == port_id
-            )
-            out.append(
-                Violation(
-                    PORT_CLASH,
-                    (port_id,) + listers,
-                    "port listed by more than one process interface entry",
-                )
-            )
-
-
-def _check_hierarchy(model: Model, out: list[Violation]) -> None:
     processes, nets, root = model.processes, model.nets, model.root
     if root not in processes:
         out.append(Violation(DANGLING_REF, (root,), "root process is undefined"))
     for owner in sorted([owner for owner in nets if owner not in processes]):
         out.append(Violation(DANGLING_REF, (owner,), "net owner is undefined"))
-    parent = model._containers
-    # more listings than listed processes: some process is in several nets
-    if sum(len(net.processes) for net, _ in nets.values()) > len(parent):
-        listings = Counter(member for net, _ in nets.values() for member in net.processes)
-        for member in sorted([m for m, count in listings.items() if count > 1]):
-            owners = sorted([o for o, (net, _) in nets.items() if member in net.processes])
-            out.append(
-                Violation(
-                    HIERARCHY_NOT_TREE,
-                    (member,) + tuple(owners),
-                    "process contained in more than one net",
-                )
-            )
+    # more listings than entries in a table: some key is listed twice
+    parent, listed = model._containers
+    if listed > len(parent):
+        pairs = ((member, o) for o in sorted(nets) for member in nets[o][0].processes)
+        message = "process contained in more than one net"
+        out += [Violation(HIERARCHY_NOT_TREE, at, message) for at in _listed_twice(pairs)]
     if root in parent:
         out.append(
             Violation(HIERARCHY_NOT_TREE, (root,), "root process must not be contained in any net")
         )
+    _, owners, held = model._interfaces
+    if held > len(owners):
+        pairs = ((port, pid) for pid in sorted(processes) for port in processes[pid].ports())
+        message = "port listed by more than one process interface entry"
+        out += [Violation(PORT_CLASH, at, message) for at in _listed_twice(pairs)]
+    if listed > len(parent) or held > len(owners):
+        return False
     # a process whose parent chain ends without repeating is placed; so is
     # every process on that chain, which is not walked again
     placed: set[ProcessId] = set()
@@ -740,6 +716,16 @@ def _check_hierarchy(model: Model, out: list[Violation]) -> None:
             seen.add(node)
     for pid in sorted(found):
         out.append(found[pid])
+    return True
+
+
+def _listed_twice(pairs: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
+    """Each key of the ``(key, lister)`` pairs listed more than once, in
+    sorted order, followed by its listers in the order of the pairs."""
+    listers: dict[str, list[str]] = {}
+    for key, lister in pairs:
+        listers.setdefault(key, []).append(lister)
+    return [(key, *listers[key]) for key in sorted(listers) if len(listers[key]) > 1]
 
 
 def _net_violations(model: Model, owner: ProcessId, out: list[Violation]) -> None:
@@ -987,23 +973,13 @@ def validate_scope(
     """The per-process checks on ``processes``, by id, then the per-net checks
     on the nets of ``owners``, by owner.
 
-    Sufficient after a rule application whose effects are confined to the
-    given nets and processes, provided the input model was well-formed;
     ``validate_model`` remains the complete check.
     """
     findings: list[Violation] = []
-    _, owners_of, repeated = model._interfaces
     for pid in sorted(set(processes)):
         proc = model.processes.get(pid)
         if proc is None:
             findings.append(Violation(DANGLING_REF, (pid,), "process is undefined"))
-        elif repeated:
-            # the sort of a port held more than once is reported by its owner
-            findings += [
-                v
-                for v in proc.violations
-                if v.code != SORT_MISMATCH or owners_of.get(v.location[0], pid) == pid
-            ]
         else:
             findings += proc.violations
     for owner in sorted(set(owners)):
@@ -1023,15 +999,10 @@ def edit(
     are recorded on it for ``validate_change``.
 
     The result's port index and containment map are carried from
-    ``model``'s, where ``model`` has them: copies with the entries of each
-    replaced or removed process, and of each net whose members changed,
-    taken out and those of each given one put in; a map no net's members
-    changed in is shared.  Each is stored in the result's ``__dict__`` as
-    its ``_cached`` view stores it, with the same entries, maybe in another
-    order.  A table is carried only while neither model holds a port id
-    twice, or lists a process in two nets; there the least holder or the
-    least owner needs every entry, and the view builds the table in full
-    on its first read.
+    ``model``'s where it has them without a repeat: copies with the entries
+    of each replaced or removed process, and of each net whose members
+    changed, taken out and those of each given one put in; a map no net's
+    members changed in is shared.
     """
     old, listing = model.processes, model.nets
     table, listed = {**old, **processes}, {**listing, **nets}
@@ -1042,22 +1013,20 @@ def edit(
     known, cache = model.__dict__, result.__dict__
     cache["_change"] = tuple(processes), tuple(nets)
     interfaces = known.get("_interfaces")
-    if interfaces is not None and not interfaces[2]:
-        ports, owners = interfaces[0].copy(), interfaces[1].copy()
+    if interfaces is not None and len(interfaces[1]) == interfaces[2]:
+        ports, owners, held = interfaces[0].copy(), interfaces[1].copy(), interfaces[2]
         for pid in processes:
             for port in old[pid].interface if pid in old else ():
+                held -= 1
                 del ports[port.id], owners[port.id]
-        held = len(owners)
         for pid, proc in processes.items():
             for port in proc.interface if proc else ():
                 held += 1
                 ports[port.id] = port
                 owners[port.id] = pid
-        # an id written twice leaves fewer entries than ports written
-        if len(owners) == held:
-            cache["_interfaces"] = ports, owners, set()
+        cache["_interfaces"] = ports, owners, held
     containers = known.get("_containers")
-    if containers is not None:
+    if containers is not None and len(containers[0]) == containers[1]:
         # the owners of the nets whose members changed, were added or removed
         moved = [
             owner
@@ -1068,18 +1037,17 @@ def edit(
         ]
         if not moved:
             cache["_containers"] = containers
-        elif sum([len(net.processes) for net, _ in listing.values()]) == len(containers):
-            index = containers.copy()
+        else:
+            index, count = containers[0].copy(), containers[1]
             for owner in moved:
                 for member in listing[owner][0].processes if owner in listing else ():
+                    count -= 1
                     del index[member]
-            held = len(index)
             for owner in moved:
                 members = nets[owner][0].processes if nets[owner] else ()
-                held += len(members)
+                count += len(members)
                 index.update(dict.fromkeys(members, owner))
-            if len(index) == held:
-                cache["_containers"] = index
+            cache["_containers"] = index, count
     return result
 
 
@@ -1088,19 +1056,15 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     ``edit``'s result on ``before``, added, replaced or removed: the keys
     ``edit`` recorded on it.
 
-    The scope is each changed process, and each other holder of a port a
-    changed process holds; the net the containment map places each of those
-    and each removed process in, and the net each owns; and each changed
+    The scope is each changed process, the net the containment map places
+    it or a removed process in, and the net each owns; and each changed
     net.  Sufficient when ``before`` was well-formed, because a process's
     checks read only the process, and a net's only the net, its owner, its
-    members and the ports they hold.  A port's entry in the model's index
-    changes only with a changed process that holds it or held it; a port
-    that a changed process now shares with an unchanged one may pass to
-    either, so both are in scope.
+    members and the ports they hold.
 
-    When the scope is clean, ``validate_model`` found nothing on ``before``
-    and the sort table and root are ``before``'s, ``after`` is marked with
-    the change, so that its ``validate_model`` runs only ``_keeps_tree``.
+    When the scope is clean, ``before``'s findings are empty and the sort
+    table and root are ``before``'s, ``after``'s ``validate_model`` runs
+    only ``_keeps_tree``.
     """
     change = after.__dict__.get("_change")
     if change is None:
@@ -1109,16 +1073,8 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     procs = {pid for pid in change[0] if pid in processes}
     gone = {pid for pid in change[0] if pid not in processes}
     nets = [owner for owner in change[1] if owner in listed]
-    repeated = after._interfaces[2]
-    if repeated:
-        shared = {p.id for pid in procs for p in processes[pid].interface} & repeated
-        procs.update(
-            pid
-            for pid, proc in processes.items()
-            if any(p.id in shared for p in proc.interface)
-        )
     reading = procs | gone
-    located = after._containers
+    located = after._containers[0]
     owners = {located[p] for p in reading if p in located}
     owners |= reading & listed.keys()
     owners.update(nets)
@@ -1135,23 +1091,24 @@ def _keeps_tree(model: Model, gone: set, nets: list) -> bool:
     sort table and root, by adding or replacing the nets ``nets`` and
     removing the processes ``gone``, among other changes.
 
-    No port id is held twice and no process listed twice; the root is
-    defined and unlisted; each changed net's owner exists and no removed
-    process owns a net.  Each listed member is defined, or a net check in
-    scope would have found it, so with one listing fewer than processes
-    every other process is listed.  A process's parent changes only where
-    a changed net lists it now, or listed it before and no net does now,
-    which the count rules out; so if the chain up from each member of a
-    changed net reaches the root, so does every chain.
+    The tables' counts hold no repeat; the root is defined and unlisted;
+    each changed net's owner exists and no removed process owns a net.
+    Each listed member is defined, or a net check in scope would have
+    found it, so with one listing fewer than processes every other process
+    is listed.  A parent changes only where a changed net lists a process,
+    or listed it and no net does now, which the count rules out; so if the
+    chain up from each member of a changed net reaches the root, so does
+    every chain.
     """
     processes, listed, root = model.processes, model.nets, model.root
-    parent = model._containers
+    _, owners, held = model._interfaces
+    parent, listings = model._containers
     return (
-        not model._interfaces[2]
+        len(owners) == held
+        and len(parent) == listings
         and root in processes
         and root not in parent
         and len(parent) == len(processes) - 1
-        and len(parent) == sum([len(net.processes) for net, _ in listed.values()])
         and all([owner in processes for owner in nets])
         and not any([pid in listed for pid in gone])
         and all(
@@ -1164,13 +1121,13 @@ def _keeps_tree(model: Model, gone: set, nets: list) -> bool:
 
 def validate_model(model: Model) -> list[Violation]:
     """Every violation: the whole-model checks, then the checks of each
-    process by id, then those of each net by owner.
+    process by id, then those of each net by owner.  Where a port id is
+    held twice or a process listed twice, the whole-model checks alone.
 
     The findings are stored on the model; each call returns a new list.  A
-    rule's result that ``validate_change`` found clean against a parent
-    whose stored findings are empty runs only the whole-model checks its
-    scope cannot see (``_keeps_tree``) and, if they pass, reports nothing:
-    each entry outside the scope is checked as in the clean parent.
+    rule's result that ``validate_change`` marked runs only ``_keeps_tree``
+    and, if it passes, reports nothing: each entry outside the scope is
+    checked as in the clean parent.
     """
     cache = model.__dict__
     found = cache.get("_findings")
@@ -1180,8 +1137,8 @@ def validate_model(model: Model) -> list[Violation]:
             found = ()
         else:
             findings: list[Violation] = []
-            _model_violations(model, findings)
-            findings += validate_scope(model, model.nets, model.processes)
+            if _model_violations(model, findings):
+                findings += validate_scope(model, model.nets, model.processes)
             found = tuple(findings)
         cache["_findings"] = found
     return list(found)
@@ -1272,7 +1229,7 @@ def port_closure(model: Model, start: PortId) -> set[PortId]:
     """
     seen = {start}
     work = [start]
-    located, owners = model._containers, model.port_owners
+    located, owners = model._containers[0], model.port_owners
     while work:
         pid = work.pop()
         owner = owners.get(pid)

@@ -100,3 +100,15 @@ def criterion_3_walks():
     from test_validate_oracle import walk_criterion_3
 
     return walk_criterion_3()
+
+
+def one_holder_one_listing(model) -> bool:
+    """Whether ``model`` holds each port id once and lists each process once:
+    the number of interface entries against the size of a table keyed by
+    port id, and the number of net listings against one keyed by process,
+    both built here from the processes and nets, not read from the model."""
+    holders = {port.id: pid for pid, proc in model.processes.items() for port in proc.interface}
+    parents = {m: owner for owner, (net, _) in model.nets.items() for m in net.processes}
+    entries = sum(len(proc.interface) for proc in model.processes.values())
+    listings = sum(len(net.processes) for net, _ in model.nets.values())
+    return entries == len(holders) and listings == len(parents)

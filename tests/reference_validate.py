@@ -9,6 +9,11 @@ replaced; it fails on chains deeper than the recursion limit.
 Ports live in the process holding them, so the checks comparing a port
 table with the processes' lists went with that table; the rest read a
 port's owner from ``Model.port_owners``.
+
+A port id listed by two interface entries, or a process listed by two
+nets, leaves a port with no one owner or a process with no one parent.
+On such a model it reports, as ``core`` does, only the checks that read
+neither: the sort table, the root and the net owners, and the repeats.
 """
 
 from __future__ import annotations
@@ -73,10 +78,13 @@ def find_cycle(graph: Mapping[ProcessId, set[ProcessId]]) -> list[ProcessId] | N
     return None
 
 
-def _check_sort_values(model: Model) -> Iterator[Violation]:
+def _check_table_sorts(model: Model) -> Iterator[Violation]:
     for name in sorted(model.sort_table):
         for problem in sort_problems(model.sort_table[name]):
             yield Violation(SORT_MISMATCH, (name,), f"malformed sort: {problem}")
+
+
+def _check_port_sorts(model: Model) -> Iterator[Violation]:
     for pid in sorted(model.ports):
         port = model.ports[pid]
         if port.sort is not None:
@@ -84,14 +92,55 @@ def _check_sort_values(model: Model) -> Iterator[Violation]:
                 yield Violation(SORT_MISMATCH, (pid,), f"malformed port sort: {problem}")
 
 
+def _check_listings(model: Model) -> Iterator[Violation]:
+    """Each port id listed by more than one interface entry, and each
+    process listed by more than one net."""
+    listed_by: dict[PortId, list[ProcessId]] = {}
+    for pid in sorted(model.processes):
+        for port_id in model.processes[pid].ports():
+            listed_by.setdefault(port_id, []).append(pid)
+    for port_id in sorted(listed_by):
+        listers = listed_by[port_id]
+        if len(listers) > 1:
+            yield Violation(
+                PORT_CLASH,
+                (port_id,) + tuple(listers),
+                "port listed by more than one process interface entry",
+            )
+    membership: dict[ProcessId, list[ProcessId]] = {}
+    for owner in sorted(model.nets):
+        for member in sorted(model.nets[owner][0].processes):
+            membership.setdefault(member, []).append(owner)
+    for member in sorted(membership):
+        owners = membership[member]
+        if len(owners) > 1:
+            yield Violation(
+                HIERARCHY_NOT_TREE,
+                (member,) + tuple(owners),
+                "process contained in more than one net",
+            )
+
+
+def _check_roots(model: Model) -> Iterator[Violation]:
+    if model.root not in model.processes:
+        yield Violation(DANGLING_REF, (model.root,), "root process is undefined")
+    for owner in sorted(model.nets):
+        if owner not in model.processes:
+            yield Violation(DANGLING_REF, (owner,), "net owner is undefined")
+    if any(model.root in net.processes for net, _ in model.nets.values()):
+        yield Violation(
+            HIERARCHY_NOT_TREE,
+            (model.root,),
+            "root process must not be contained in any net",
+        )
+
+
 def _check_port_tables(model: Model) -> Iterator[Violation]:
-    listed_by: dict[PortId, list[tuple[ProcessId, str]]] = {}
     for pid in sorted(model.processes):
         proc = model.processes[pid]
         seen_names: dict[str, PortId] = {}
-        for direction, port_ids in ((INPUT, proc.inputs), (OUTPUT, proc.outputs)):
+        for port_ids in (proc.inputs, proc.outputs):
             for port_id in port_ids:
-                listed_by.setdefault(port_id, []).append((pid, direction))
                 port = model.ports[port_id]
                 if port.name in seen_names and seen_names[port.name] != port_id:
                     yield Violation(
@@ -100,14 +149,6 @@ def _check_port_tables(model: Model) -> Iterator[Violation]:
                         f"duplicate port name {port.name!r} on process",
                     )
                 seen_names.setdefault(port.name, port_id)
-    for port_id in sorted(listed_by):
-        listers = listed_by[port_id]
-        if len(listers) > 1:
-            yield Violation(
-                PORT_CLASH,
-                (port_id,) + tuple(p for p, _ in listers),
-                "port listed by more than one process interface entry",
-            )
 
 
 def _check_firing_rules(model: Model) -> Iterator[Violation]:
@@ -168,35 +209,18 @@ def _member_name_violations(
 
 
 def _check_hierarchy(model: Model) -> Iterator[Violation]:
-    if model.root not in model.processes:
-        yield Violation(DANGLING_REF, (model.root,), "root process is undefined")
-    membership: dict[ProcessId, list[ProcessId]] = {}
+    """Undefined members, member names and the containment walk, on a model
+    that lists each process at most once."""
+    parent: dict[ProcessId, ProcessId] = {}
     for owner in sorted(model.nets):
-        if owner not in model.processes:
-            yield Violation(DANGLING_REF, (owner,), "net owner is undefined")
         net, _ = model.nets[owner]
         for member in sorted(net.processes):
-            membership.setdefault(member, []).append(owner)
+            parent[member] = owner
             if member not in model.processes:
                 yield Violation(
                     DANGLING_REF, (owner, member), "net contains an undefined process"
                 )
         yield from _member_name_violations(model, owner, net)
-    for member in sorted(membership):
-        owners = membership[member]
-        if len(owners) > 1:
-            yield Violation(
-                HIERARCHY_NOT_TREE,
-                (member,) + tuple(owners),
-                "process contained in more than one net",
-            )
-    if model.root in membership:
-        yield Violation(
-            HIERARCHY_NOT_TREE,
-            (model.root,),
-            "root process must not be contained in any net",
-        )
-    parent = {m: owners[0] for m, owners in membership.items()}
     for pid in sorted(model.processes):
         if pid == model.root:
             continue
@@ -402,9 +426,14 @@ def _binding_violations(
 
 
 def reference_validate_model(model: Model) -> list[Violation]:
-    """Union of per-net validation plus global id-uniqueness and tree checks."""
-    findings: list[Violation] = []
-    findings.extend(_check_sort_values(model))
+    """Union of per-net validation plus global id-uniqueness and tree checks;
+    only the checks that read no port owner and no parent where a port id or
+    a process is listed twice."""
+    listings = list(_check_listings(model))
+    findings = [*_check_table_sorts(model), *_check_roots(model), *listings]
+    if listings:
+        return findings
+    findings.extend(_check_port_sorts(model))
     findings.extend(_check_port_tables(model))
     findings.extend(_check_firing_rules(model))
     findings.extend(_check_hierarchy(model))

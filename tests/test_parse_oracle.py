@@ -3,9 +3,10 @@ printed generated models and seeded mutants of both.
 
 Both parsers must accept and reject the same inputs.  An accepted input
 must give the same printed text, process ids, port ids and validator
-report; a rejected one must raise a ``ParseError`` in both.  Only the
-wording of a message may differ and, in a file with several errors, which
-one is reported first.
+report, and a model that holds each port id once and lists each process
+once; a rejected one must raise a ``ParseError`` in both.  Only the wording
+of a message may differ and, in a file with several errors, which one is
+reported first.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bpnet import textio
 from bpnet.core import validate_model
 from bpnet.errors import BpnError, ParseError
 
-from conftest import fixture_text
+from conftest import fixture_text, one_holder_one_listing
 from genmodels import gen_model
 from reference_textio import parse_model as reference_parse_model
 
@@ -127,6 +128,7 @@ def outcome(parse, text: str):
         sorted(model.processes),
         sorted(model.ports),
         Counter(str(v) for v in validate_model(model)),
+        one_holder_one_listing(model),
     )
 
 
@@ -154,3 +156,8 @@ class TestAgainstReferenceParser:
                 assert isinstance(got, ParseError), (label, got)
             else:
                 assert got == expected, label
+
+    def test_every_parse_holds_each_port_once_and_lists_each_process_once(self, outcomes):
+        parsed = [(label, got) for label, _, _, got in outcomes if not isinstance(got, BpnError)]
+        assert len(parsed) > 200
+        assert [label for label, got in parsed if not got[-1]] == []

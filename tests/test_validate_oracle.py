@@ -38,7 +38,7 @@ from bpnet.core import (
 
 from bpnet.errors import BpnError
 
-from conftest import load_model, load_script
+from conftest import load_model, load_script, one_holder_one_listing
 from genmodels import gen_model, one_step_pairs, propose_step, rename_ids
 from reference_search import candidate_steps
 from reference_validate import reference_validate_model
@@ -302,7 +302,15 @@ class TestAgainstReferenceValidator:
             assert lines(validate_model(model)) == expected, label
 
     def test_scope_reports_a_part_of_the_model_report(self, cases):
-        for label, _, _, model in cases:
+        """Where a model holds each port id once and lists each process once,
+        each scope reports a part of its report.  Where not, the report is
+        the whole-model checks alone, and a scope's checks read a port owner
+        or a parent that one of several holders or listers gave."""
+        repeats: Counter = Counter()
+        for label, kind, _, model in cases:
+            if not one_holder_one_listing(model):
+                repeats[kind] += 1
+                continue
             full = lines(validate_model(model))
             for owner in model.nets:
                 part = lines(validate_scope(model, owners=[owner]))
@@ -310,16 +318,22 @@ class TestAgainstReferenceValidator:
             for pid in model.processes:
                 part = lines(validate_scope(model, processes=[pid]))
                 assert not part - full, (label, pid)
+        assert repeats.keys() == {"listed-twice", "process-in-two-nets"}, repeats
 
     def test_change_scope_finds_what_the_full_scope_finds(self, cases):
         """Each corruption is a change to a well-formed base, so the scope
         ``validate_change`` derives from it reports every per-process and
-        per-net violation of the corrupted model, in the same order."""
+        per-net violation of the corrupted model, in the same order.  A
+        corruption that holds a port id twice or lists a process twice has
+        its repeat reported by ``validate_model`` on the edit."""
         for label, _, base, bad in cases:
             assert not validate_model(base), label
-            assert validate_change(base, as_edit(base, bad)) == validate_scope(
-                bad, bad.nets, bad.processes
-            ), label
+            after = as_edit(base, bad)
+            change = validate_change(base, after)
+            if one_holder_one_listing(bad):
+                assert change == validate_scope(bad, bad.nets, bad.processes), label
+            else:
+                assert lines(validate_model(after)) == reference_lines(bad), label
 
 
 def test_warm_nets_report_what_cold_nets_report(cases, walks):
@@ -368,12 +382,18 @@ class TestWarmNetInAChangedContext:
         self.assert_checked_again(model, bad, "channel dest is undefined")
 
     def test_a_second_process_holds_a_port_the_net_reads(self, model):
-        # a holder in another net, whose id is less than the member's, so
-        # that it owns the port
-        port = model.ports[model.processes["system.retrieve_book"].outputs[0]]
+        """A holder in another net: the port has no one owner for the net's
+        checks to read, so the report, warm and cold, is the clash alone."""
+        holder = "system.retrieve_book"
+        port = model.ports[model.processes[holder].outputs[0]]
         pid = "system.reserve_book.check_availability"
         bad = _with_process(model, pid, interface=model.processes[pid].interface + (port,))
-        self.assert_checked_again(model, bad, "channel source is not on a member process")
+        assert bad.nets[self.OWNER][0] is model.nets[self.OWNER][0]
+        listers = ",".join(sorted([holder, pid]))
+        message = "port listed by more than one process interface entry"
+        clash = f"PortClash {port.id},{listers}: {message}"
+        assert [str(v) for v in validate_model(bad)] == [clash]
+        assert_warm_is_cold(bad, clash)
 
     def with_unbound_owner_port(self, model: Model) -> Model:
         extra = Port(f"{self.OWNER}:extra", "extra", OUTPUT)
@@ -496,6 +516,24 @@ def test_change_scope_on_rule_results(walks):
     assert not any(map(validate_model, visited))
 
 
+def test_the_package_builds_one_holder_per_port_and_one_listing_per_process(walks):
+    """The fixtures, the generated models of each shape the tests use, the
+    search oracle's pairs and each model the random walks accepted hold
+    each port id once and list each process once.  The parse-oracle
+    corpus, criterion 3's walks and the benchmark walks check their own."""
+    models = [load_model(name) for name in FIXTURES]
+    for seed in range(24):
+        model = gen_model(seed, 1 + seed % 3, 3 + seed % 4)
+        models += [model, rename_ids(model), gen_model(seed, max_depth=3, max_members=6)]
+    models += [gen_model(101, 1, 100), gen_model(105, 4, 6)]
+    for base, refined, _ in one_step_pairs(20):
+        models += [base, refined]
+    _, visited, _ = walks
+    models += visited
+    assert len(models) > 900
+    assert [k for k, model in enumerate(models) if not one_holder_one_listing(model)] == []
+
+
 def test_same_violations_as_the_reference_on_walk_models(walks):
     """The reference agrees on every rule result of the walks, accepted or
     rejected, and on each walked model with one corruption."""
@@ -531,9 +569,10 @@ def test_undefined_member_is_reported_once():
     assert about_ghost == ["DanglingRef system,ghost: net member is undefined"]
 
 
-def test_a_process_in_two_nets_has_the_least_owner_as_parent():
-    """The containment walk follows the least owner listing a process,
-    whatever order the net table holds its entries in."""
+def test_a_process_in_two_nets_is_reported_under_either_order():
+    """A process two nets list is reported by one line alone, as the
+    reference reports it, whatever order the net table holds its entries
+    in."""
     model = textio.parse_model(
         """
         process system { }
@@ -546,7 +585,9 @@ def test_a_process_in_two_nets_has_the_least_owner_as_parent():
     for nets in (bad.nets, dict(reversed(list(bad.nets.items())))):
         bad = dataclasses.replace(bad, nets=nets)
         assert lines(validate_model(bad)) == reference_lines(bad)
-        assert [v.message for v in validate_model(bad)] == ["process contained in more than one net"]
+        assert [str(v) for v in validate_model(bad)] == [
+            "HierarchyNotTree system.a,system,system.a.b: process contained in more than one net"
+        ]
 
 
 def test_whole_reference_to_an_unlisted_port_is_dangling():
@@ -591,9 +632,10 @@ def test_validate_model_orders_whole_model_then_processes_then_nets():
     ) < messages.index("net member is undefined")
 
 
-def test_a_malformed_sort_held_twice_is_reported_once():
-    """A port id two processes hold has its malformed sort reported once,
-    by its owner, as the reference reports it: once per id."""
+def test_a_malformed_sort_held_twice_gives_only_the_clash():
+    """A port id two processes hold is reported by its clash line; the
+    per-process checks, which would report its malformed sort once per
+    holder, are skipped, as the reference skips them."""
     model = textio.parse_model(
         """
         sort T
@@ -606,9 +648,10 @@ def test_a_malformed_sort_held_twice_is_reported_once():
     port = bad.ports["system.a:x"]
     held = bad.processes["system.b"].interface + (port,)
     bad = _with_process(bad, "system.b", interface=held)
-    found = lines(validate_model(bad))
-    assert found["SortMismatch system.a:x: malformed port sort: record field 'f' duplicated"] == 1
-    assert found == reference_lines(bad)
+    assert [str(v) for v in validate_model(bad)] == [
+        "PortClash system.a:x,system.a,system.b: port listed by more than one process interface entry"
+    ]
+    assert lines(validate_model(bad)) == reference_lines(bad)
 
 
 # --- tables carried from the model a rule ran on ----------------------------------
@@ -644,7 +687,8 @@ def walk_criterion_3() -> Criterion3Walks:
     answers counted.  At each step a copy, which carries no findings, is
     validated in full; the result's carried findings must equal them, a
     second call must return a new list of them, and on every 25th step they
-    must equal the reference's lines."""
+    must equal the reference's lines.  Each result must hold each port id
+    once and list each process once."""
     t0 = time.perf_counter()
     checker = CarryChecker()
     violations = 0
@@ -659,6 +703,8 @@ def walk_criterion_3() -> Criterion3Walks:
                 proposal = propose_step(model, rng)
                 assert proposal is not None, "a rule is always applicable"
                 model, _ = proposal
+                if not one_holder_one_listing(model):
+                    mismatched.append((seed, step, "repeat"))
                 found = validate_model(dataclasses.replace(model))
                 carried = validate_model(model)
                 if carried != found:
@@ -727,32 +773,45 @@ def test_replaying_a_script_builds_no_table_afresh(monkeypatch):
 
 def carried(before: Model, after: Model) -> tuple[set[str], Model]:
     """The tables ``core.edit`` carries from a ``before`` whose tables are
-    built, building ``after`` as an edit of it, and that edit; each read of
-    the edit's tables then equals a fresh build."""
+    built, building ``after`` as an edit of it, and that edit.  Each read
+    of the edit's tables then equals a fresh build where the edit holds
+    each port id once and lists each process once; where not, it has a
+    fresh build's keys and count, which tell the repeat."""
     for name in TABLES:
         getattr(before, name)
     edited = as_edit(before, after)
     names = {name for name in TABLES if name in edited.__dict__}
     for name in TABLES:
-        assert same_table(getattr(edited, name), getattr(Model, name).func(edited)), name
+        table, fresh = getattr(edited, name), getattr(Model, name).func(edited)
+        if one_holder_one_listing(edited):
+            assert same_table(table, fresh), name
+        else:
+            assert table[-2].keys() == fresh[-2].keys() and table[-1] == fresh[-1], name
     return names, edited
 
 
 def test_corpus_corruptions_carry_or_build_their_tables(cases):
-    """Each corruption of the corpus, taken as a change of its base, gets
-    tables equal to fresh builds, whether carried or built in full."""
+    """Each corruption of the corpus, taken as a change of its base, which
+    holds each port id once and lists each process once, gets both tables
+    carried."""
     kinds: Counter = Counter()
     for label, _, base, bad in cases:
         for name in carried(base, bad)[0]:
             kinds[name] += 1
-    assert len(cases) > 300 and 0 < kinds["_interfaces"] < len(cases), kinds
-    assert 0 < kinds["_containers"] < len(cases), kinds
+    assert len(cases) > 300 and kinds == Counter(dict.fromkeys(TABLES, len(cases))), kinds
+
+
+def repeats(model: Model) -> tuple[int, int]:
+    """How many more ports the processes hold, and more processes the nets
+    list, than the tables have keys, by the counts the tables hold."""
+    (_, owners, held), (parent, listed) = model._interfaces, model._containers
+    return held - len(owners), listed - len(parent)
 
 
 class TestCarryFallsBack:
     """Where a port id is held twice, or a process listed by two nets, in
-    the model a change starts from or in its result, the least holder and
-    the least owner need every entry: that table is built in full."""
+    the model a change starts from, that table is built in full; where only
+    in its result, it is carried, and its count tells the repeat."""
 
     @pytest.fixture
     def model(self) -> Model:
@@ -766,19 +825,20 @@ class TestCarryFallsBack:
         bad = self.with_port_held_twice(model, "system.retrieve_book", "system.notify_user")
         names, after = carried(bad, _with_process(bad, "system.notify_user", behavior_note="changed"))
         assert names == {"_containers"}
-        assert after._interfaces[2] == {"system.notify_user:in_1"}
+        assert repeats(after) == (1, 0)
 
     def test_a_result_holding_an_id_twice(self, model):
         twice = self.with_port_held_twice(model, "system.retrieve_book", "system.notify_user")
         names, after = carried(model, twice)
-        assert names == {"_containers"}
-        assert after._interfaces[2] == {"system.notify_user:in_1"}
+        assert names == set(TABLES)
+        assert repeats(after) == (1, 0)
+        assert [v.code for v in validate_model(after)] == ["PortClash"]
 
     def test_a_process_holding_an_id_twice(self, model):
         pid = "system.retrieve_book"
         names, after = carried(model, self.with_port_held_twice(model, pid, pid))
-        assert names == {"_containers"}
-        assert after._interfaces[2] == {model.processes[pid].inputs[0]}
+        assert names == set(TABLES)
+        assert repeats(after) == (1, 0)
 
     def test_a_parent_listing_a_process_in_two_nets(self, model):
         inner = "system.reserve_book"
@@ -786,26 +846,32 @@ class TestCarryFallsBack:
         bad = _with_net(model, inner, processes=members | {"system.notify_user"})
         names, after = carried(bad, _with_net(bad, inner, processes=members))
         assert names == {"_interfaces"}
-        assert after._containers["system.notify_user"] == "system"
+        assert after._containers[0]["system.notify_user"] == "system"
 
     def test_a_map_no_members_changed_in_is_shared(self, model):
-        """The same owners listing the same members give the same map, even
-        where a process is listed twice."""
+        """The same owners listing the same members give the same map, but
+        where a process is listed twice it is built in full."""
+        names, after = carried(
+            model, _with_process(model, "system.retrieve_book", behavior_note="changed")
+        )
+        assert names == set(TABLES)
+        assert after._containers is model._containers
         inner = "system.reserve_book"
         listed = model.nets[inner][0].processes | {"system.notify_user"}
         bad = _with_net(model, inner, processes=listed)
         names, after = carried(
             bad, _with_process(bad, "system.retrieve_book", behavior_note="changed")
         )
-        assert names == set(TABLES)
-        assert after._containers is bad._containers
+        assert names == {"_interfaces"}
+        assert after._containers is not bad._containers
 
     def test_a_result_listing_a_process_in_two_nets(self, model):
         inner = "system.reserve_book"
         listed = model.nets[inner][0].processes | {"system.notify_user"}
         names, after = carried(model, _with_net(model, inner, processes=listed))
-        assert names == {"_interfaces"}
-        assert after._containers["system.notify_user"] == "system"
+        assert names == set(TABLES)
+        assert repeats(after) == (0, 1)
+        assert [v.code for v in validate_model(after)] == ["HierarchyNotTree"]
 
     def test_a_parent_without_tables_carries_none(self, model):
         after = as_edit(
@@ -819,7 +885,7 @@ class TestCarryFallsBack:
         assert "system.reserve_book" not in after.processes
         assert "system.reserve_book" not in after.nets
         assert names == set(TABLES)
-        assert "system.reserve_book" not in after._containers
+        assert "system.reserve_book" not in after._containers[0]
         assert not any(p.startswith("system.reserve_book:") for p in after.ports)
 
 
@@ -934,7 +1000,9 @@ def test_walk_results_carry_their_findings(walks, carries):
 
 def test_benchmark_walks_carry_their_findings(carries):
     """Walks on 100-process ``perfbench`` models, built as the rule-walk
-    operations build them: a proposal applied, then the result validated."""
+    operations build them: a proposal applied, then the result validated.
+    Each accepted result holds each port id once and lists each process
+    once."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import gen
@@ -958,6 +1026,7 @@ def test_benchmark_walks_carry_their_findings(carries):
                 except BpnError:
                     continue
                 accepted += 1
+                assert one_holder_one_listing(model), (seed, i, step)
                 assert_carried_is_full(model, (seed, i, step), reference=step % 5 == 0)
     assert accepted > 250 and carries == Counter({True: accepted - 8}), (accepted, carries)
 
