@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import core
-from .core import Model, PortId, ProcessId, RecordSort, SortNameRef
+from .core import Model, PortId, Process, ProcessId, RecordSort, SortNameRef
 from .errors import BpnError, SearchBudgetExceededError, StepFailedError
 from .refine import (
     AddChannelStep,
@@ -74,28 +74,31 @@ def _match_models(a: Model, b: Model) -> tuple[Isomorphism | None, str]:
         return None, "different numbers of processes or ports"
     proc_map: dict[ProcessId, ProcessId] = {}
     port_map: dict[PortId, PortId] = {}
+    held_a, held_b = a.ports, b.ports
+    # the decomposed pairs whose members are being matched, innermost last,
+    # each with the member names it has left; and their processes in ``a``
+    nets: list = []
+    open_nets: set[ProcessId] = set()
 
-    def match_ports(ida: ProcessId, idb: ProcessId) -> str | None:
-        pa, pb = a.processes[ida], b.processes[idb]
+    def match_ports(pa: Process, pb: Process) -> str | None:
         for side in ("inputs", "outputs"):
             ports_a, ports_b = getattr(pa, side), getattr(pb, side)
             if len(ports_a) != len(ports_b):
                 return f"process {pa.name!r}: different number of {side}"
-            by_name_a = {a.ports[p].name: p for p in ports_a}
-            by_name_b = {b.ports[p].name: p for p in ports_b}
+            by_name_a = {held_a[p].name: p for p in ports_a}
+            by_name_b = {held_b[p].name: p for p in ports_b}
             if len(by_name_a) != len(ports_a) or len(by_name_b) != len(ports_b):
                 return f"process {pa.name!r}: duplicate or dangling port names"
             if set(by_name_a) != set(by_name_b):
                 return f"process {pa.name!r}: port names differ"
             for name in sorted(by_name_a):
                 qa, qb = by_name_a[name], by_name_b[name]
-                if a.ports[qa].sort != b.ports[qb].sort:
+                if held_a[qa].sort != held_b[qb].sort:
                     return f"port {name!r} of {pa.name!r}: sorts differ"
                 port_map[qa] = qb
         return None
 
-    def match_rules(ida: ProcessId, idb: ProcessId) -> str | None:
-        pa, pb = a.processes[ida], b.processes[idb]
+    def match_rules(pa: Process, pb: Process) -> str | None:
         if len(pa.firing_rules) != len(pb.firing_rules):
             return f"process {pa.name!r}: different number of firing rules"
         for ra, rb in zip(pa.firing_rules, pb.firing_rules):
@@ -110,46 +113,46 @@ def _match_models(a: Model, b: Model) -> tuple[Isomorphism | None, str]:
         return None
 
     def match_process(ida: ProcessId, idb: ProcessId) -> str | None:
+        """Match a pair of processes; a decomposed pair goes on ``nets``,
+        to have its members matched, and then its wiring."""
         pa, pb = a.processes.get(ida), b.processes.get(idb)
         if pa is None or pb is None:
             return "dangling process reference"
         if pa.name != pb.name:
             return f"process names differ: {pa.name!r} vs {pb.name!r}"
         proc_map[ida] = idb
-        err = match_ports(ida, idb)
+        err = match_ports(pa, pb)
         if err:
             return err
         in_a, in_b = ida in a.nets, idb in b.nets
         if in_a != in_b:
             return f"process {pa.name!r} is decomposed in only one model"
-        if in_a:
-            # the glass box is authoritative: black-box notes and firing
-            # rules of a decomposed process are abstraction residue
-            return match_net(ida, idb)
-        if pa.behavior_note != pb.behavior_note:
-            return f"process {pa.name!r}: behavior notes differ"
-        return match_rules(ida, idb)
+        if not in_a:
+            if pa.behavior_note != pb.behavior_note:
+                return f"process {pa.name!r}: behavior notes differ"
+            return match_rules(pa, pb)
+        # the glass box is authoritative: black-box notes and firing rules
+        # of a decomposed process are abstraction residue
+        net_a, net_b = a.nets[ida][0], b.nets[idb][0]
+        if len(net_a.processes) != len(net_b.processes):
+            return f"net of {pa.name!r}: different number of members"
+        by_name_a = {a.processes[m].name: m for m in net_a.processes if m in a.processes}
+        by_name_b = {b.processes[m].name: m for m in net_b.processes if m in b.processes}
+        if len(by_name_a) != len(net_a.processes) or len(by_name_b) != len(net_b.processes):
+            return f"net of {pa.name!r}: duplicate or dangling member names"
+        if set(by_name_a) != set(by_name_b):
+            return f"net of {pa.name!r}: member names differ"
+        if ida in open_nets:
+            return f"net of {pa.name!r}: containment is cyclic"
+        open_nets.add(ida)
+        nets.append((ida, idb, iter(sorted(by_name_a)), by_name_a, by_name_b))
+        return None
 
-    def match_net(ida: ProcessId, idb: ProcessId) -> str | None:
+    def match_wiring(ida: ProcessId, idb: ProcessId) -> str | None:
+        open_nets.discard(ida)
         net_a, bind_a = a.nets[ida]
         net_b, bind_b = b.nets[idb]
         name = a.processes[ida].name
-        if len(net_a.processes) != len(net_b.processes):
-            return f"net of {name!r}: different number of members"
-        by_name_a = {
-            a.processes[m].name: m for m in net_a.processes if m in a.processes
-        }
-        by_name_b = {
-            b.processes[m].name: m for m in net_b.processes if m in b.processes
-        }
-        if len(by_name_a) != len(net_a.processes) or len(by_name_b) != len(net_b.processes):
-            return f"net of {name!r}: duplicate or dangling member names"
-        if set(by_name_a) != set(by_name_b):
-            return f"net of {name!r}: member names differ"
-        for member in sorted(by_name_a):
-            err = match_process(by_name_a[member], by_name_b[member])
-            if err:
-                return err
         mapped_channels = {
             (port_map.get(ch.source), port_map.get(ch.dest)) for ch in net_a.channels
         }
@@ -159,14 +162,28 @@ def _match_models(a: Model, b: Model) -> tuple[Isomorphism | None, str]:
             return f"net of {name!r}: environment inputs differ"
         if {port_map.get(p) for p in net_a.env_outputs} != set(net_b.env_outputs):
             return f"net of {name!r}: environment outputs differ"
-        mapped_binding = {
-            (port_map.get(pp), port_map.get(ip)) for pp, ip in bind_a.pairs
-        }
+        mapped_binding = {(port_map.get(pp), port_map.get(ip)) for pp, ip in bind_a.pairs}
         if mapped_binding != set(bind_b.pairs):
             return f"net of {name!r}: interface bindings differ"
         return None
 
-    err = match_process(a.root, b.root)
+    def match_tree(ida: ProcessId, idb: ProcessId) -> str | None:
+        """The pair and everything below it, depth first with the explicit
+        stack ``nets``: each member's subtree before its net's wiring."""
+        err = match_process(ida, idb)
+        while nets and not err:
+            depth = len(nets)
+            ida, idb, names, by_name_a, by_name_b = nets[-1]
+            for name in names:
+                err = match_process(by_name_a[name], by_name_b[name])
+                if err or len(nets) > depth:
+                    break
+            else:
+                nets.pop()
+                err = match_wiring(ida, idb)
+        return err
+
+    err = match_tree(a.root, b.root)
     if err:
         return None, err
 
@@ -180,7 +197,7 @@ def _match_models(a: Model, b: Model) -> tuple[Isomorphism | None, str]:
     for name in sorted(by_name_a):
         if by_name_a[name] in proc_map:
             continue
-        err = match_process(by_name_a[name], by_name_b[name])
+        err = match_tree(by_name_a[name], by_name_b[name])
         if err:
             return None, err
     if len(proc_map) != len(a.processes):

@@ -54,13 +54,16 @@ def _report_violations(model: Model, stream) -> bool:
 
 def _read_file(path: str) -> str:
     p = Path(path)
-    if not p.is_file():
-        print(f"bpn: no such file: {path}", file=sys.stderr)
-        raise _UsageError()
     try:
+        if not p.is_file():
+            print(f"bpn: no such file: {path}", file=sys.stderr)
+            raise _UsageError()
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        print(f"bpn: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise _UsageError() from None
 
 
 def _load_model(path: str) -> Model:

@@ -600,20 +600,15 @@ def abstract_net(model: Model, owner: ProcessId) -> tuple[frozenset[PortId], fro
 
 # --- validation --------------------------------------------------------------
 #
-# Each check is implemented once.  ``_process_violations`` and
-# ``_net_violations`` hold every check local to one process or one net; a
-# process's checks read only the process, so ``Process.violations`` runs them
-# once per process however many models share it.  A net's checks read the
-# net, its binding, its owner and its members, and the ports those hold, so
-# they run again in every model that validates the net.  ``validate_scope``
-# runs the checks on a scope, ``validate_change`` on the scope reached by the
-# change ``edit`` recorded on a rule's result, and ``validate_model`` on every
-# process and net after the checks that need the whole model, if those find
-# no port id held twice and no process listed twice.  A rule's result that
-# ``validate_change`` found clean against a clean parent carries the parent's
-# empty findings.  Every check appends to the findings list it is passed.
-# Where a check reports in sorted order, it finds the offenders in one
-# unsorted pass and sorts only those: a well-formed model has none.
+# Each check is implemented once.  ``_process_violations`` holds the checks
+# of one process, which read only the process, so ``Process.violations``
+# runs them once per process however many models share it; a net's checks
+# read its owner, members and their ports too, so they run again in every
+# model.  ``validate_scope`` runs the checks on a scope, ``validate_change``
+# on the scope a rule's result changed, and ``validate_model`` on every
+# process and net after the whole-model checks.  Every check appends to the
+# findings list it is passed.  Where a check reports in sorted order, it
+# finds the offenders in one unsorted pass and sorts only those.
 
 
 def _process_violations(proc: Process, out: list[Violation]) -> None:
@@ -726,14 +721,6 @@ def _listed_twice(pairs: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
     for key, lister in pairs:
         listers.setdefault(key, []).append(lister)
     return [(key, *listers[key]) for key in sorted(listers) if len(listers[key]) > 1]
-
-
-def _net_violations(model: Model, owner: ProcessId, out: list[Violation]) -> None:
-    """Member names, reference integrity, constraints 1-4, input totality and
-    the interface binding of the net owned by ``owner``."""
-    net, binding = model.nets[owner]
-    _net_body_violations(model, net, owner, out)
-    _binding_violations(model, owner, net, binding, out)
 
 
 def _net_body_violations(model: Model, net: ProcessNet, at: str, out: list[Violation]) -> None:
@@ -960,9 +947,7 @@ def validate_net(model: Model, owner: ProcessId) -> list[Violation]:
     Output ports may feed any number of channels.
     """
     model.net_of(owner)
-    findings: list[Violation] = []
-    _net_violations(model, owner, findings)
-    return findings
+    return validate_scope(model, (owner,))
 
 
 def validate_scope(
@@ -971,20 +956,17 @@ def validate_scope(
     processes: Iterable[ProcessId] = (),
 ) -> list[Violation]:
     """The per-process checks on ``processes``, by id, then the per-net checks
-    on the nets of ``owners``, by owner.
-
-    ``validate_model`` remains the complete check.
+    on the nets of ``owners``, by owner: member names, reference integrity,
+    constraints 1-4, input totality and the interface binding.  Each
+    process must be in the model, and each owner must own a net.
     """
     findings: list[Violation] = []
     for pid in sorted(set(processes)):
-        proc = model.processes.get(pid)
-        if proc is None:
-            findings.append(Violation(DANGLING_REF, (pid,), "process is undefined"))
-        else:
-            findings += proc.violations
+        findings += model.processes[pid].violations
     for owner in sorted(set(owners)):
-        if owner in model.nets:
-            _net_violations(model, owner, findings)
+        net, binding = model.nets[owner]
+        _net_body_violations(model, net, owner, findings)
+        _binding_violations(model, owner, net, binding, findings)
     return findings
 
 
@@ -1053,18 +1035,15 @@ def edit(
 
 def validate_change(before: Model, after: Model) -> list[Violation]:
     """``validate_scope`` on the entries whose checks read what ``after``,
-    ``edit``'s result on ``before``, added, replaced or removed: the keys
-    ``edit`` recorded on it.
-
-    The scope is each changed process, the net the containment map places
-    it or a removed process in, and the net each owns; and each changed
-    net.  Sufficient when ``before`` was well-formed, because a process's
+    ``edit``'s result on ``before``, added, replaced or removed: each
+    changed process, the net the containment map places it or a removed
+    process in, the net each owns, and each changed net.  A process's
     checks read only the process, and a net's only the net, its owner, its
     members and the ports they hold.
 
-    When the scope is clean, ``before``'s findings are empty and the sort
-    table and root are ``before``'s, ``after``'s ``validate_model`` runs
-    only ``_keeps_tree``.
+    Where the scope is clean and ``before``'s stored findings are empty,
+    with the same sort table and root, ``after``'s findings are settled
+    here: empty if ``_keeps_tree`` holds, else ``validate_model(after)``.
     """
     change = after.__dict__.get("_change")
     if change is None:
@@ -1080,25 +1059,26 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     owners.update(nets)
     found = validate_scope(after, owners, procs)
     clean = not found and before.__dict__.get("_findings") == ()
-    if clean and after.sort_table is before.sort_table and after.root is before.root:
-        after.__dict__["_clean_change"] = gone, nets
-    return found
+    if not clean or after.sort_table is not before.sort_table or after.root is not before.root:
+        return found
+    if not _keeps_tree(after, gone, nets):
+        return validate_model(after)
+    after.__dict__["_findings"] = ()
+    return []
 
 
 def _keeps_tree(model: Model, gone: set, nets: list) -> bool:
     """Whether the whole-model checks find nothing on ``model``, a result
-    ``validate_change`` found clean against a clean parent with the same
-    sort table and root, by adding or replacing the nets ``nets`` and
-    removing the processes ``gone``, among other changes.
+    whose change scope is clean, of a clean parent with the same sort table
+    and root, that adds or replaces the nets ``nets`` and removes the
+    processes ``gone``, among other changes.
 
-    The tables' counts hold no repeat; the root is defined and unlisted;
-    each changed net's owner exists and no removed process owns a net.
-    Each listed member is defined, or a net check in scope would have
-    found it, so with one listing fewer than processes every other process
-    is listed.  A parent changes only where a changed net lists a process,
-    or listed it and no net does now, which the count rules out; so if the
-    chain up from each member of a changed net reaches the root, so does
-    every chain.
+    Each listed member is defined, or a net check in scope would have found
+    it, so with no repeat and one listing fewer than processes every other
+    process is listed.  A parent changes only where a changed net lists a
+    process, so if the chain up from each changed net's owner reaches the
+    root, so does every chain: a member on its owner's chain is a cycle,
+    which the chain ends on.
     """
     processes, listed, root = model.processes, model.nets, model.root
     _, owners, held = model._interfaces
@@ -1109,13 +1089,9 @@ def _keeps_tree(model: Model, gone: set, nets: list) -> bool:
         and root in processes
         and root not in parent
         and len(parent) == len(processes) - 1
-        and all([owner in processes for owner in nets])
-        and not any([pid in listed for pid in gone])
-        and all(
-            containment_chain(model, pid)[-1] == root
-            for owner in nets
-            for pid in listed[owner][0].processes
-        )
+        and processes.keys() >= set(nets)
+        and listed.keys().isdisjoint(gone)
+        and all(containment_chain(model, owner)[-1] == root for owner in nets)
     )
 
 
@@ -1123,24 +1099,15 @@ def validate_model(model: Model) -> list[Violation]:
     """Every violation: the whole-model checks, then the checks of each
     process by id, then those of each net by owner.  Where a port id is
     held twice or a process listed twice, the whole-model checks alone.
-
-    The findings are stored on the model; each call returns a new list.  A
-    rule's result that ``validate_change`` marked runs only ``_keeps_tree``
-    and, if it passes, reports nothing: each entry outside the scope is
-    checked as in the clean parent.
+    The findings are stored on the model; each call returns a new list.
     """
     cache = model.__dict__
     found = cache.get("_findings")
     if found is None:
-        change = cache.get("_clean_change")
-        if change is not None and _keeps_tree(model, *change):
-            found = ()
-        else:
-            findings: list[Violation] = []
-            if _model_violations(model, findings):
-                findings += validate_scope(model, model.nets, model.processes)
-            found = tuple(findings)
-        cache["_findings"] = found
+        findings: list[Violation] = []
+        if _model_violations(model, findings):
+            findings += validate_scope(model, model.nets, model.processes)
+        found = cache["_findings"] = tuple(findings)
     return list(found)
 
 

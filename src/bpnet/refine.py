@@ -164,7 +164,7 @@ def _validated(before: Model, after: Model, context: str) -> Model:
     """Reject the result unless it is well-formed.
 
     ``core.edit`` recorded what the rule changed, so
-    ``core.validate_change`` checks only that.
+    ``core.validate_change`` checks only that, and the tree.
     """
     violations = core.validate_change(before, after)
     if violations:

@@ -809,14 +809,18 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
             node_name[pid] = f"p{len(node_name)}"
         return node_name[pid]
 
-    counters = {"cluster": 0}
+    clusters = 0
     owners = model.port_owners
 
-    def render(owner_id: str, level_net: ProcessNet, remaining: int, indent: str) -> None:
-        for member in sorted(
-            level_net.processes,
-            key=lambda m: (model.processes[m].name if m in model.processes else m, m),
-        ):
+    def by_name(member: str) -> tuple[str, str]:
+        return (model.processes[member].name if member in model.processes else member, member)
+
+    # depth first with an explicit stack of the nets being drawn, innermost
+    # last, each with the members it has left, its levels left and its indent
+    stack = [(iter(sorted(net.processes, key=by_name)), depth, "  ")]
+    while stack:
+        members, remaining, indent = stack[-1]
+        for member in members:
             proc = model.processes.get(member)
             name = proc.name if proc is not None else member
             expand = remaining > 1 and member in model.nets and proc is not None
@@ -829,16 +833,18 @@ def export_dot(model: Model, owner: str, depth: int = 1) -> str:
                 expand = all(owners.get(inner.get(p)) in subnet.processes for p in proc.ports())
             if expand:
                 expanded.add(member)
-                cluster = f"cluster{counters['cluster']}"
-                counters["cluster"] += 1
-                lines.append(f"{indent}subgraph {cluster} {{")
+                lines.append(f"{indent}subgraph cluster{clusters} {{")
                 lines.append(f"{indent}  label={_dot_quote(name)};")
-                render(member, model.nets[member][0], remaining - 1, indent + "  ")
-                lines.append(f"{indent}}}")
-            else:
-                lines.append(f"{indent}{node_of(member)} [label={_dot_quote(name)}];")
-
-    render(owner, net, depth, "  ")
+                clusters += 1
+                stack.append(
+                    (iter(sorted(subnet.processes, key=by_name)), remaining - 1, indent + "  ")
+                )
+                break
+            lines.append(f"{indent}{node_of(member)} [label={_dot_quote(name)}];")
+        else:
+            stack.pop()
+            if stack:
+                lines.append(f"{indent[2:]}}}")
 
     def resolve(port_id: str) -> str:
         # descend through bindings while the owning process is expanded; in

@@ -494,3 +494,17 @@ def chain_text(length: int, back_edge: bool = False) -> str:
         lines.append(f"  channel p{length - 1}.o -> p0.back")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def nested_model(depth: int) -> Model:
+    """A model ``depth`` nets deep: the root's net lists one process ``a``,
+    whose net lists one process ``a``, and so on; no process holds a port."""
+    pids = ["system"]
+    for _ in range(depth):
+        pids.append(pids[-1] + ".a")
+    processes = {pid: Process(pid, pid.rsplit(".", 1)[-1]) for pid in pids}
+    nets = {
+        owner: (ProcessNet(frozenset({member})), InterfaceBinding())
+        for owner, member in zip(pids, pids[1:])
+    }
+    return Model({}, processes, "system", nets)

@@ -11,7 +11,7 @@ from bpnet.check import DOES_NOT_MATCH, REFINES, SCRIPT_FAILS
 from bpnet.errors import SearchBudgetExceededError
 from bpnet.refine import RefinementScript, apply_script
 
-from genmodels import DERIVE_BASE, gen_model, propose_step, rename_ids
+from genmodels import DERIVE_BASE, gen_model, nested_model, propose_step, rename_ids
 
 
 class TestModelIsomorphic:
@@ -47,6 +47,21 @@ class TestModelIsomorphic:
 
     def test_reflexive(self, library_refined):
         assert check.model_isomorphic(library_refined, library_refined) is not None
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        deep = nested_model(600)
+        iso = check.model_isomorphic(deep, rename_ids(deep))
+        assert iso is not None and len(iso.process_map) == 601
+        assert check.model_isomorphic(deep, nested_model(599)) is None
+
+    def test_nets_containing_each_other_end(self):
+        """Models whose nets each list the other's owner, matched pair by
+        pair, are reported rather than walked forever."""
+        m = textio.parse_model("process system { } net for system { process a { } }")
+        loop = (core.ProcessNet(frozenset({"system"})), core.InterfaceBinding())
+        looped = core.Model(m.sort_table, m.processes, m.root, {**m.nets, "system.a": loop})
+        iso, reason = check._match_models(looped, looped)
+        assert iso is None and reason == "net of 'system': containment is cyclic"
 
     def test_symmetric_witness_inverts(self, library_refined):
         renamed = rename_ids(library_refined)

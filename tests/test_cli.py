@@ -21,10 +21,13 @@ from bpnet.core import Model
 
 from conftest import FIXTURES, run_bounded
 from dotcheck import check_dot
-from genmodels import chain_text
+from genmodels import chain_text, nested_model
 
 # members in a chain deeper than the interpreter's default recursion limit
 CHAIN = 1500
+# a path longer than a file name may be, and how a command reports it
+LONG_PATH = "a" * 5000
+UNREADABLE = f"bpn: cannot read {LONG_PATH}: {os.strerror(errno.ENAMETOOLONG)}\n"
 
 
 def run(*argv):
@@ -70,8 +73,17 @@ class TestValidate:
             f"CycleDetected {witness}: channels induce a cyclic dependency between processes\n"
         )
 
-    def test_missing_file_is_usage_error(self):
+    def test_missing_file_is_usage_error(self, capsys):
         assert run("validate", "no/such/file.bpn") == EXIT_USAGE
+        assert capsys.readouterr().err == "bpn: no such file: no/such/file.bpn\n"
+
+    def test_unreadable_path_is_usage_error(self, capsys):
+        """A path the system cannot look up is reported, without a
+        traceback, as a usage error."""
+        assert run("validate", LONG_PATH) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == UNREADABLE
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "broken.bpn"
@@ -222,6 +234,13 @@ class TestCheck:
             == EXIT_OK
         )
 
+    def test_nesting_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        model, script = tmp_path / "deep.bpn", tmp_path / "empty.bps"
+        model.write_text(textio.print_model(nested_model(600)))
+        script.write_text("")
+        assert run("check", model, model, script) == EXIT_OK
+        assert capsys.readouterr().out.startswith("Refines:")
+
     def test_ill_formed_base_is_reported_before_replay(self, tmp_path, capsys):
         """A base ``bpn validate`` rejects is reported in its format, on
         stderr, with no verdict: the replay assumes a well-formed base, and
@@ -246,6 +265,12 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "ack whole = (whole)" in out
         assert "rec whole = (whole)" in out
+
+    def test_unreadable_env_path_is_usage_error(self, capsys):
+        assert run("simulate", FIXTURES / "library.bpn", LONG_PATH) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == UNREADABLE
 
     def test_empty_env_prints_nothing(self, tmp_path, capsys):
         env = tmp_path / "empty.env"

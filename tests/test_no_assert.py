@@ -272,13 +272,12 @@ def test_only_core_carries_cached_tables(path):
     assert lines == [], f"{path.name}: writes a cached table on lines {lines}"
 
 
-# a model's stored findings, the change ``core.edit`` recorded on it, and
-# the mark of a change found clean
-MODEL_FACTS = {"_findings", "_change", "_clean_change"}
+# a model's stored findings and the change ``core.edit`` recorded on it
+MODEL_FACTS = {"_findings", "_change"}
 
 
 def _fact_uses(tree: ast.AST) -> list[int]:
-    """Lines naming a model's stored findings or its clean mark, as a
+    """Lines naming a model's stored findings or its recorded change, as a
     constant or an attribute, or reading an instance dict by a key that is
     not a constant."""
     found = set()
@@ -302,11 +301,11 @@ def _fact_uses(tree: ast.AST) -> list[int]:
     "snippet",
     [
         "m.__dict__['_findings'] = ()",
-        "vars(m).get('_clean_change')",
+        "vars(m).get('_change')",
         "m.__dict__.pop('_findings', None)",
-        "cache = m.__dict__; cache['_clean_change'] = mark",
+        "cache = m.__dict__; cache['_change'] = change",
         "getattr(m, '_findings')",
-        "m._clean_change",
+        "m._change",
         "vars(m)[key]",
         "m.__dict__.get(key)",
     ],

@@ -25,7 +25,7 @@ from bpnet.refine import (
 
 from conftest import run_bounded
 from dotcheck import check_dot
-from genmodels import gen_model, rename_ids
+from genmodels import gen_model, nested_model, rename_ids
 
 
 class TestParseModel:
@@ -389,6 +389,19 @@ print(textio.export_dot(replace(m, nets=nets), "system", 3), end="")
     def test_edges_carry_sort_labels(self, library_model):
         dot = textio.export_dot(library_model, "system")
         assert 'label="Book"' in dot
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        """1,100 nets deep, each expanded as a cluster around its one
+        member, down to the last process, drawn as a node."""
+        depth = 1100
+        dot = textio.export_dot(nested_model(depth), "system", depth=depth)
+        indents = ["  " * (level + 1) for level in range(depth)]
+        expected = ["digraph bpn {", "  rankdir=LR;", "  compound=true;", "  node [shape=box];"]
+        for k, indent in enumerate(indents[:-1]):
+            expected += [f"{indent}subgraph cluster{k} {{", f'{indent}  label="a";']
+        expected.append(f'{indents[-1]}p0 [label="a"];')
+        expected += [f"{indent}}}" for indent in reversed(indents[:-1])]
+        assert dot == "\n".join(expected) + "\n}\n"
 
 
 @given(st.integers(0, 200))

@@ -36,7 +36,7 @@ from bpnet.core import (
     validate_scope,
 )
 
-from bpnet.errors import BpnError
+from bpnet.errors import BpnError, WouldBeIllFormedError
 
 from conftest import load_model, load_script, one_holder_one_listing
 from genmodels import gen_model, one_step_pairs, propose_step, rename_ids
@@ -81,7 +81,7 @@ def as_edit(before: Model, after: Model) -> Model:
     builds its result: each process and net entry ``after`` added, replaced
     or removed, by identity, is passed in.  ``edit`` keeps the sort table,
     so a different one is set on the result afterwards: such a change
-    must not be marked clean."""
+    must not have its findings settled clean."""
     entries = []
     for old, new in ((before.processes, after.processes), (before.nets, after.nets)):
         changed = {key: value for key, value in new.items() if old.get(key) is not value}
@@ -1047,78 +1047,134 @@ def test_search_candidates_carry_their_findings(carries):
     assert accepted > 100 and carries == Counter({True: accepted}), (accepted, carries)
 
 
+def clean_parent(text: str) -> Model:
+    model = textio.parse_model(text)
+    assert not validate_model(model)
+    return model
+
+
+TREE_TEXT = """
+    process system { }
+    net for system { process a { } process b { } }
+    net for system.b { process c { } }
+    """
+
+
+# Edits of a clean parent whose change scope is clean but whose tree is not:
+# each gives the parent, the edit and a line the whole-model checks report.
+
+
+def member_listed_in_two_nets() -> tuple[Model, Model, str]:
+    model = clean_parent(TREE_TEXT)
+    after = _with_net(model, "system.b", processes=frozenset({"system.b.c", "system.a"}))
+    return model, after, "process contained in more than one net"
+
+
+def process_dropped_from_its_net() -> tuple[Model, Model, str]:
+    model = clean_parent(TREE_TEXT)
+    after = _with_net(model, "system.b", processes=frozenset())
+    return model, after, "process is not contained in any net"
+
+
+def containment_cycle() -> tuple[Model, Model, str]:
+    # b leaves the root's net for a net of its own member c
+    model = clean_parent(TREE_TEXT)
+    after = _with_net(model, "system", processes=frozenset({"system.a"}))
+    cycle = (ProcessNet(frozenset({"system.b"})), InterfaceBinding())
+    after = dataclasses.replace(after, nets={**after.nets, "system.b.c": cycle})
+    return model, after, "containment relation is cyclic"
+
+
+def net_of_an_undefined_owner() -> tuple[Model, Model, str]:
+    model = clean_parent(TREE_TEXT)
+    empty = (ProcessNet(), InterfaceBinding())
+    after = dataclasses.replace(model, nets={**model.nets, "ghost": empty})
+    return model, after, "net owner is undefined"
+
+
+def removed_process_owning_a_net() -> tuple[Model, Model, str]:
+    model = clean_parent(TREE_TEXT)
+    after = _with_net(model, "system", processes=frozenset({"system.a"}))
+    processes = {p: q for p, q in after.processes.items() if p != "system.b"}
+    return model, dataclasses.replace(after, processes=processes), "net owner is undefined"
+
+
+def root_removed_with_its_net() -> tuple[Model, Model, str]:
+    # a, the root's one member, is left as the only process no net lists
+    model = clean_parent(
+        "process system { } net for system { process a { } }"
+        " net for system.a { process b { } }"
+    )
+    processes = {p: q for p, q in model.processes.items() if p != "system"}
+    nets = {o: entry for o, entry in model.nets.items() if o != "system"}
+    after = dataclasses.replace(model, processes=processes, nets=nets)
+    return model, after, "root process is undefined"
+
+
+def root_listed_in_a_net() -> tuple[Model, Model, str]:
+    model = clean_parent(TREE_TEXT)
+    after = _with_net(model, "system.b", processes=frozenset({"system"}))
+    return model, after, "root process must not be contained in any net"
+
+
+TREE_DEFECTS = [
+    member_listed_in_two_nets,
+    process_dropped_from_its_net,
+    containment_cycle,
+    net_of_an_undefined_owner,
+    removed_process_owning_a_net,
+    root_removed_with_its_net,
+    root_listed_in_a_net,
+]
+
+
 class TestCarryNotClean:
     """A rule result that the change's scope finds clean, but whose whole
-    model is not: its findings are not carried clean."""
-
-    TEXT = """
-        process system { }
-        net for system { process a { } process b { } }
-        net for system.b { process c { } }
-        """
-
-    @pytest.fixture
-    def model(self) -> Model:
-        model = textio.parse_model(self.TEXT)
-        assert not validate_model(model)
-        return model
+    model is not: ``validate_change`` reports the whole model's findings,
+    and a rule rejects the result."""
 
     def assert_full(self, model: Model, after: Model, message: str) -> None:
         after = as_edit(model, after)
-        assert validate_change(model, after) == []
-        found = validate_model(after)
+        found = validate_change(model, after)
         assert message in [v.message for v in found]
+        assert found == validate_model(after)
         assert found == validate_model(dataclasses.replace(after))
         assert lines(found) == reference_lines(after)
 
-    def test_a_member_listed_in_two_nets(self, model, carries):
-        after = _with_net(model, "system.b", processes=frozenset({"system.b.c", "system.a"}))
-        self.assert_full(model, after, "process contained in more than one net")
+    def test_a_member_listed_in_two_nets(self, carries):
+        self.assert_full(*member_listed_in_two_nets())
         assert carries == Counter({False: 1}), carries
 
-    def test_a_process_dropped_from_its_net(self, model, carries):
-        after = _with_net(model, "system.b", processes=frozenset())
-        self.assert_full(model, after, "process is not contained in any net")
+    def test_a_process_dropped_from_its_net(self, carries):
+        self.assert_full(*process_dropped_from_its_net())
         assert carries == Counter({False: 1}), carries
 
-    def test_a_containment_cycle(self, model, carries):
-        # b leaves the root's net for a net of its own member c
-        after = _with_net(model, "system", processes=frozenset({"system.a"}))
-        cycle = (ProcessNet(frozenset({"system.b"})), InterfaceBinding())
-        after = dataclasses.replace(after, nets={**after.nets, "system.b.c": cycle})
-        self.assert_full(model, after, "containment relation is cyclic")
+    def test_a_containment_cycle(self, carries):
+        self.assert_full(*containment_cycle())
         assert carries == Counter({False: 1}), carries
 
-    def test_a_net_of_an_undefined_owner(self, model, carries):
-        empty = (ProcessNet(), InterfaceBinding())
-        after = dataclasses.replace(model, nets={**model.nets, "ghost": empty})
-        self.assert_full(model, after, "net owner is undefined")
+    def test_a_net_of_an_undefined_owner(self, carries):
+        self.assert_full(*net_of_an_undefined_owner())
         assert carries == Counter({False: 1}), carries
 
-    def test_a_removed_process_owning_a_net(self, model, carries):
-        after = _with_net(model, "system", processes=frozenset({"system.a"}))
-        processes = {p: q for p, q in after.processes.items() if p != "system.b"}
-        after = dataclasses.replace(after, processes=processes)
-        self.assert_full(model, after, "net owner is undefined")
+    def test_a_removed_process_owning_a_net(self, carries):
+        self.assert_full(*removed_process_owning_a_net())
         assert carries == Counter({False: 1}), carries
 
     def test_the_root_removed_with_its_net(self, carries):
-        # a, the root's one member, is left as the only process no net lists
-        model = textio.parse_model(
-            "process system { } net for system { process a { } }"
-            " net for system.a { process b { } }"
-        )
-        assert not validate_model(model)
-        processes = {p: q for p, q in model.processes.items() if p != "system"}
-        nets = {o: entry for o, entry in model.nets.items() if o != "system"}
-        after = dataclasses.replace(model, processes=processes, nets=nets)
-        self.assert_full(model, after, "root process is undefined")
+        self.assert_full(*root_removed_with_its_net())
         assert carries == Counter({False: 1}), carries
 
-    def test_the_root_listed_in_a_net(self, model, carries):
-        after = _with_net(model, "system.b", processes=frozenset({"system"}))
-        self.assert_full(model, after, "root process must not be contained in any net")
+    def test_the_root_listed_in_a_net(self, carries):
+        self.assert_full(*root_listed_in_a_net())
         assert carries == Counter({False: 1}), carries
+
+    @pytest.mark.parametrize("defect", TREE_DEFECTS, ids=lambda defect: defect.__name__)
+    def test_a_rule_rejects_the_result(self, defect):
+        model, after, message = defect()
+        with pytest.raises(WouldBeIllFormedError) as raised:
+            refine._validated(model, as_edit(model, after), "the edit")
+        assert message in [v.message for v in raised.value.violations]
 
     def test_a_parent_with_findings(self, carries):
         """A defect the rule leaves alone stays: a rule on a parent that
