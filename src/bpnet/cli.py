@@ -55,7 +55,8 @@ def _report_violations(model: Model, stream) -> bool:
 def _read_file(path: str) -> str:
     p = Path(path)
     try:
-        if not p.is_file():
+        # a directory exists, and reading it says so
+        if not p.exists():
             print(f"bpn: no such file: {path}", file=sys.stderr)
             raise _UsageError()
         return p.read_text(encoding="utf-8")

@@ -144,8 +144,11 @@ class FiringRule:
 
     ``needs`` lists the (input port, fragment label) pairs that must all be
     present before the rule fires; ``produces`` lists the (output port,
-    label) pairs it emits.  ``compute`` names a pure payload function from
-    the sim module's registry.
+    label) pairs it emits.  In simulation each produced fragment carries
+    the tag of the labels consumed; an environment fragment's payload text
+    is read and checked, but never shown.  ``compute``, the text format's
+    ``using NAME``, is carried through the model, printed and matched, but
+    does not change simulation.
     """
 
     needs: tuple[tuple[PortId, str], ...]
@@ -1041,9 +1044,10 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     checks read only the process, and a net's only the net, its owner, its
     members and the ports they hold.
 
-    Where the scope is clean and ``before``'s stored findings are empty,
-    with the same sort table and root, ``after``'s findings are settled
-    here: empty if ``_keeps_tree`` holds, else ``validate_model(after)``.
+    Where the scope is clean, a result with another sort table or root is
+    validated in full.  With the same ones, where ``before``'s stored
+    findings are empty, ``after``'s findings are settled here: empty if
+    ``_keeps_tree`` holds, else ``validate_model(after)``.
     """
     change = after.__dict__.get("_change")
     if change is None:
@@ -1058,10 +1062,10 @@ def validate_change(before: Model, after: Model) -> list[Violation]:
     owners |= reading & listed.keys()
     owners.update(nets)
     found = validate_scope(after, owners, procs)
-    clean = not found and before.__dict__.get("_findings") == ()
-    if not clean or after.sort_table is not before.sort_table or after.root is not before.root:
+    same = after.sort_table is before.sort_table and after.root is before.root
+    if found or same and before.__dict__.get("_findings") != ():
         return found
-    if not _keeps_tree(after, gone, nets):
+    if not same or not _keeps_tree(after, gone, nets):
         return validate_model(after)
     after.__dict__["_findings"] = ()
     return []

@@ -6,6 +6,11 @@ names as labels, everything else uses the single label ``whole``.  Processes
 are greedy: a firing rule runs as soon as every fragment it needs is
 present, without waiting for complete inputs.  Produced fragments broadcast
 along all outgoing channels of the producing port.
+
+Each fragment a rule produces carries the tag of the labels the rule
+consumed, such as ``(a+b)``, computed once per rule.  An environment
+fragment's payload text is read and checked, but never shown, and a rule's
+``using NAME`` is carried through the model but does not change simulation.
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     WHOLE,
     FiringRule,
     Model,
-    Port,
     PortId,
     ProcessId,
     ProcessNet,
@@ -29,7 +33,7 @@ from .core import (
 )
 from .errors import InvalidEnvFragmentError, NonDeterministicRulesError, SimError
 
-# --- values and fragments -----------------------------------------------------
+# --- fragments ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -38,46 +42,10 @@ class AtomicValue:
 
 
 @dataclass(frozen=True)
-class RecordValue:
-    fields: tuple[tuple[str, "Value"], ...]
-
-
-@dataclass(frozen=True)
-class CollectionValue:
-    items: tuple["Value", ...]
-
-
-Value = Union[AtomicValue, RecordValue, CollectionValue]
-
-
-def render_value(value: Value) -> str:
-    if isinstance(value, AtomicValue):
-        return value.text
-    if isinstance(value, RecordValue):
-        inner = ", ".join(f"{n}={render_value(v)}" for n, v in value.fields)
-        return f"{{{inner}}}"
-    return "[" + ", ".join(render_value(v) for v in value.items) + "]"
-
-
-@dataclass(frozen=True)
 class Fragment:
     port: PortId
     label: str
-    payload: Value
-
-
-# A compute function maps the consumed fragments to the payload for one
-# produced (port, label) pair.  It must be pure and deterministic.
-ComputeFn = Callable[[str, Sequence[Fragment], str, str], Value]
-
-
-def _tag_compute(process_name: str, consumed: Sequence[Fragment], port_name: str, label: str) -> Value:
-    # tags carry the multiset of consumed labels, so tests observe dataflow
-    labels = "+".join(sorted([f.label for f in consumed]))
-    return AtomicValue(f"({labels})")
-
-
-COMPUTE_REGISTRY: dict[str, ComputeFn] = {"tag": _tag_compute}
+    payload: AtomicValue
 
 
 # --- flattening -----------------------------------------------------------------
@@ -98,13 +66,6 @@ def flatten_with_boundary(model: Model) -> tuple[ProcessNet, Mapping[PortId, Por
 # --- greedy execution --------------------------------------------------------------
 
 
-def _valid_labels(port: Port) -> set[str]:
-    """Labels deliverable on a port: ``whole``, plus record field names."""
-    if isinstance(port.sort, RecordSort):
-        return {WHOLE} | set(port.sort.field_names())
-    return {WHOLE}
-
-
 def _check_rule_determinism(model: Model, members: Iterable[ProcessId]) -> None:
     for pid in sorted(members):
         seen: dict[tuple[PortId, str], int] = {}
@@ -123,8 +84,10 @@ class _Plan(NamedTuple):
     model: Model
     flat: ProcessNet
     outgoing: dict[PortId, list[PortId]]
-    # (process name, pid, rule index, rule), sorted: a rule's position is its rank
-    entries: list[tuple[str, ProcessId, int, FiringRule]]
+    # per rule, ranked by (process name, pid, rule index): its trace entry
+    # (pid, rule index), its produced (port, label) pairs in order, and the
+    # payload they carry, the tag of the labels it needs
+    rules: list[tuple[tuple[ProcessId, int], list[tuple[PortId, str]], AtomicValue]]
     # per position, the number of distinct (port, label) needs
     missing: list[int]
     # (port, label) -> positions of the rules that need it
@@ -148,14 +111,16 @@ def _plan(model: Model) -> _Plan:
         for pid in members
         for index, rule in enumerate(model.processes[pid].firing_rules)
     )
-    missing = []
+    rules, missing = [], []
     waiting: dict[tuple[PortId, str], list[int]] = {}
-    for position, entry in enumerate(entries):
-        needs = set(entry[3].needs)
+    for position, (_, pid, index, rule) in enumerate(entries):
+        tag = "+".join(sorted([label for _, label in rule.needs]))
+        rules.append(((pid, index), sorted(rule.produces), AtomicValue(f"({tag})")))
+        needs = set(rule.needs)
         missing.append(len(needs))
         for need in needs:
             waiting.setdefault(need, []).append(position)
-    return _Plan(model, flat, outgoing, entries, missing, waiting)
+    return _Plan(model, flat, outgoing, rules, missing, waiting)
 
 
 def _checked_env(plan: _Plan, env: Iterable[Fragment]) -> list[Fragment]:
@@ -167,7 +132,9 @@ def _checked_env(plan: _Plan, env: Iterable[Fragment]) -> list[Fragment]:
             raise InvalidEnvFragmentError(
                 f"{frag.port!r} is not an environment input of the flattened net"
             )
-        if frag.label not in _valid_labels(port):
+        # a port takes ``whole``, and a record-sorted one its field names
+        fields = port.sort.field_names() if isinstance(port.sort, RecordSort) else ()
+        if frag.label != WHOLE and frag.label not in fields:
             raise InvalidEnvFragmentError(
                 f"label {frag.label!r} is not valid for port {frag.port!r}"
             )
@@ -188,43 +155,36 @@ def _checked_env(plan: _Plan, env: Iterable[Fragment]) -> list[Fragment]:
 def _run(
     plan: _Plan, env: list[Fragment], rng: random.Random | None
 ) -> tuple[frozenset[Fragment], list[tuple[ProcessId, int]]]:
-    entries, waiting, outgoing = plan.entries, plan.waiting, plan.outgoing
-    ports, env_outputs, registry = plan.model.ports, plan.flat.env_outputs, COMPUTE_REGISTRY
+    rules, waiting, outgoing = plan.rules, plan.waiting, plan.outgoing
+    env_outputs = plan.flat.env_outputs
     missing = list(plan.missing)
     ready = [position for position, count in enumerate(missing) if count == 0]
-    delivered: dict[tuple[PortId, str], Value] = {}
+    delivered: set[tuple[PortId, str]] = set()
     outputs: set[Fragment] = set()
     trace: list[tuple[ProcessId, int]] = []
 
-    def deliver(port_id: PortId, label: str, payload: Value) -> None:
-        need = (port_id, label)
+    def deliver(need: tuple[PortId, str]) -> None:
         if need in delivered:
             # only fan-in or a rule producing one pair twice can get here
-            raise SimError(f"second fragment {label!r} on {port_id!r}")
-        delivered[need] = payload
+            raise SimError(f"second fragment {need[1]!r} on {need[0]!r}")
+        delivered.add(need)
         for position in waiting.get(need, ()):
             missing[position] -= 1
             if missing[position] == 0:
                 insort(ready, position)
 
     for frag in env:
-        deliver(frag.port, frag.label, frag.payload)
+        deliver((frag.port, frag.label))
 
     while ready:
         position = ready.pop(0 if rng is None else rng.randrange(len(ready)))
-        name, pid, index, rule = entries[position]
-        trace.append((pid, index))
-        consumed = [
-            Fragment(port_id, label, delivered[port_id, label])
-            for port_id, label in sorted(rule.needs)
-        ]
-        compute = registry.get(rule.compute, _tag_compute)
-        for port_id, label in sorted(rule.produces):
-            payload = compute(name, consumed, ports[port_id].name, label)
+        fired, produces, payload = rules[position]
+        trace.append(fired)
+        for port_id, label in produces:
             if port_id in env_outputs:
                 outputs.add(Fragment(port_id, label, payload))
             for dest in outgoing.get(port_id, ()):
-                deliver(dest, label, payload)
+                deliver((dest, label))
 
     return frozenset(outputs), trace
 
@@ -311,18 +271,14 @@ def format_outputs(model: Model, outputs: Iterable[Fragment]) -> str:
         root_port = back.get(frag.port, frag.port)
         port = model.ports.get(root_port)
         name = port.name if port is not None else root_port
-        lines.append((name, frag.label, render_value(frag.payload)))
+        lines.append((name, frag.label, frag.payload.text))
     return "\n".join(f"{n} {lab} = {text}" for n, lab, text in sorted(lines))
 
 
 __all__ = [
     "AtomicValue",
-    "RecordValue",
-    "CollectionValue",
-    "Value",
     "Fragment",
     "FiringRule",
-    "COMPUTE_REGISTRY",
     "flatten",
     "flatten_with_boundary",
     "simulate_greedy",
@@ -330,5 +286,4 @@ __all__ = [
     "parse_env_text",
     "prepare_env",
     "format_outputs",
-    "render_value",
 ]

@@ -140,6 +140,9 @@ class _Cursor:
         self.names = self.words - RESERVED
         # one reference per sort name, shared by the ports that name it
         self.sort_refs: dict[str, SortNameRef] = {}
+        # the token of each sort name's first reference, where the model
+        # reader reports a name that no declaration defines
+        self.sort_ref_at: dict[str, int] = {}
         # the name token of the first port whose inline sort declares a
         # record field twice; the model reader reports it after the build
         self.field_twice: int | None = None
@@ -213,6 +216,7 @@ def _parse_sort_expr(cur: _Cursor, i: int, depth: int = 0) -> tuple[SortExpr, in
         return CollectionExpr(tok, element), i
     if tok in RESERVED:
         raise cur.error(f"{tok!r} cannot name a sort", i)
+    cur.sort_ref_at.setdefault(tok, i)
     return SortNameRef(tok), i + 1
 
 
@@ -289,6 +293,7 @@ def _parse_process_block(cur: _Cursor, i: int) -> tuple[ProcessSpec, int, int]:
                     sexpr = refs.get(toks[i + 2])
                     if sexpr is None:
                         sexpr = refs[toks[i + 2]] = SortNameRef(toks[i + 2])
+                        cur.sort_ref_at.setdefault(toks[i + 2], i + 2)
                     i += 3
                 else:
                     sexpr, after = _parse_sort_expr(cur, i + 2)
@@ -571,6 +576,10 @@ def _build_model(
     for name, (_, outer) in sort_decls.items():
         resolve_name(name, outer, 0)
     table = {name: sort for name, (sort, _) in resolved.items()}
+    # every declaration resolved, so only a port can name an undeclared sort
+    for name, at in cur.sort_ref_at.items():
+        if name not in table:
+            raise cur.error(f"unknown sort name {name!r}", at, UnknownSortNameError)
 
     processes: dict[ProcessId, Process] = {}
     nets: dict[ProcessId, tuple[ProcessNet, InterfaceBinding]] = {}

@@ -85,6 +85,13 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == UNREADABLE
 
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        """A path that exists but cannot be read as a file is not missing."""
+        assert run("validate", tmp_path) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bpn: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "broken.bpn"
         bad.write_text("process { oops")

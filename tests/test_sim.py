@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from bpnet import core, refine, sim, textio
+from bpnet import cli, core, refine, sim, textio
 from bpnet.core import WHOLE, Channel, FiringRule, Process, ProcessNet, RecordSort
 from bpnet.errors import (
     InvalidEnvFragmentError,
@@ -54,16 +54,16 @@ def reference_greedy(model, env, rng=None):
         if not candidates:
             return frozenset(outputs), trace
         pick = 0 if rng is None else rng.randrange(len(candidates))
-        name, pid, index, rule = candidates[pick]
+        _, pid, index, rule = candidates[pick]
         fired.add((pid, index))
         trace.append((pid, index))
         consumed = [
             Fragment(port, label, delivered[port][label])
             for port, label in sorted(rule.needs)
         ]
-        compute = sim.COMPUTE_REGISTRY[rule.compute]
+        # each produced fragment is tagged with the labels consumed
+        payload = AtomicValue("(" + "+".join(sorted(f.label for f in consumed)) + ")")
         for port, label in sorted(rule.produces):
-            payload = compute(name, consumed, model.ports[port].name, label)
             if port in flat.env_outputs:
                 outputs.add(Fragment(port, label, payload))
             for dest in sorted(outgoing.get(port, ())):
@@ -401,3 +401,34 @@ class TestEnvFormat:
         lines = text.splitlines()
         assert lines == sorted(lines)
         assert all("=" in line for line in lines)
+
+
+class TestPayloads:
+    """A produced fragment carries the tag of the labels its rule consumed:
+    neither the environment's payload text nor a rule's ``using NAME``
+    changes what a simulation shows."""
+
+    MODEL = (
+        "sort A\nsort R = record { a: A, b: A }\n"
+        "process root { in x : R; out y }\n"
+        "rule root : needs { x.a, x.b } produces { y }{using}\n"
+    )
+    ENV = "x a = hello\nx b = hello world\n"
+
+    def test_using_and_env_text_do_not_show(self, tmp_path, capsys):
+        shown = []
+        for using in ("", " using tag", " using upcase"):
+            text = self.MODEL.replace("{using}", using)
+            model = textio.parse_model(text)
+            rules = model.processes["root"].firing_rules
+            assert [rule.compute for rule in rules] == [using.split()[-1] if using else "tag"]
+            env = sim.prepare_env(model, sim.parse_env_text(self.ENV))
+            outputs, _ = sim.simulate_greedy(model, env)
+            library = sim.format_outputs(model, outputs)
+            (tmp_path / "m.bpn").write_text(text)
+            (tmp_path / "m.env").write_text(self.ENV)
+            code = cli.main(["simulate", str(tmp_path / "m.bpn"), str(tmp_path / "m.env")])
+            assert code == cli.EXIT_OK
+            assert capsys.readouterr().out == library + "\n"
+            shown.append(library)
+        assert shown == ["y whole = (a+b)"] * 3

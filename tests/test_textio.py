@@ -53,6 +53,25 @@ class TestParseModel:
         with pytest.raises(UnknownSortNameError):
             textio.parse_model("process bp { in a : Mystery }")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("process a { in x : Foo }", "v.bpn:1:20"),
+            # the first port to name it, in an inline sort, a member's port
+            # naming it again later
+            (
+                "sort A\nprocess a { in y : A; out z : record { f: seq Foo } }\n"
+                "net for a { process b { in x : Foo } }",
+                "v.bpn:2:47",
+            ),
+            ("process a { }\nnet for a { process b { out o : Foo; in i : Bar } }", "v.bpn:2:33"),
+        ],
+    )
+    def test_unknown_sort_name_in_a_port_has_a_position(self, text, where):
+        with pytest.raises(UnknownSortNameError) as exc:
+            textio.parse_model(text, filename="v.bpn")
+        assert str(exc.value) == f"{where}: unknown sort name 'Foo'"
+
     def test_recursive_sort_rejected(self):
         with pytest.raises(ParseError):
             textio.parse_model(

@@ -325,12 +325,15 @@ class TestAgainstReferenceValidator:
         ``validate_change`` derives from it reports every per-process and
         per-net violation of the corrupted model, in the same order.  A
         corruption that holds a port id twice or lists a process twice has
-        its repeat reported by ``validate_model`` on the edit."""
+        its repeat reported by ``validate_model`` on the edit, and one that
+        replaces the sort table is validated in full by ``validate_change``."""
         for label, _, base, bad in cases:
             assert not validate_model(base), label
             after = as_edit(base, bad)
             change = validate_change(base, after)
-            if one_holder_one_listing(bad):
+            if bad.sort_table is not base.sort_table:
+                assert lines(change) == reference_lines(bad), label
+            elif one_holder_one_listing(bad):
                 assert change == validate_scope(bad, bad.nets, bad.processes), label
             else:
                 assert lines(validate_model(after)) == reference_lines(bad), label
@@ -1175,6 +1178,21 @@ class TestCarryNotClean:
         with pytest.raises(WouldBeIllFormedError) as raised:
             refine._validated(model, as_edit(model, after), "the edit")
         assert message in [v.message for v in raised.value.violations]
+
+    def test_a_malformed_sort_table(self, carries):
+        """A clean scope says nothing of a sort table the result replaced:
+        the result is validated in full, and a rule rejects it."""
+        model = clean_parent(TREE_TEXT)
+        bad = dataclasses.replace(model, sort_table={**model.sort_table, "Bad": BAD_RECORD})
+        after = as_edit(model, bad)
+        assert after.sort_table is bad.sort_table
+        found = validate_change(model, after)
+        assert found and found == validate_model(dataclasses.replace(after))
+        assert lines(found) == reference_lines(after)
+        with pytest.raises(WouldBeIllFormedError) as raised:
+            refine._validated(model, as_edit(model, bad), "the edit")
+        assert raised.value.violations == found
+        assert carries == Counter(), carries
 
     def test_a_parent_with_findings(self, carries):
         """A defect the rule leaves alone stays: a rule on a parent that
