@@ -36,7 +36,6 @@ from .core import (
 )
 from .errors import BpnError
 from .refine import (
-    PortRefinementMap,
     RefinementScript,
     Trace,
     apply_script,
@@ -62,7 +61,6 @@ __all__ = [
     "Isomorphism",
     "Model",
     "Port",
-    "PortRefinementMap",
     "Process",
     "ProcessNet",
     "RecordSort",

@@ -85,7 +85,7 @@ def _arrow_lines(trace: Trace, final: Model) -> list[str]:
         return (model.processes[owner].name, model.ports[port_id].name)
 
     lines = []
-    mapping = trace.port_map().mapping
+    mapping = trace.port_map()
     for origin in sorted(mapping, key=lambda p: key(p, base)):
         image = mapping[origin]
         if image == frozenset({origin}):

@@ -134,7 +134,9 @@ class ChildNotDecomposedError(RuleError):
 
 
 class NotConvexError(RuleError):
-    """``witness`` is a channel path that leaves the group and re-enters it."""
+    """``witness`` is a cycle of the parent-level net the fold would make, as
+    ``core.find_cycle`` reports it; on an acyclic net it runs through the
+    would-be process."""
 
     def __init__(self, message: str, witness: list[str]):
         super().__init__(message)

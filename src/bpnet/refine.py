@@ -62,16 +62,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class PortRefinementMap:
-    """The ``~>`` relation: original port to the set of ports refining it."""
-
-    mapping: Mapping[PortId, frozenset[PortId]]
-
-    def __getitem__(self, port: PortId) -> frozenset[PortId]:
-        return self.mapping[port]
-
-
-@dataclass(frozen=True)
 class _Repl:
     """One replacement of a port: where it went and which labels it carries.
 
@@ -120,8 +110,9 @@ class Trace:
     def record(self, subst: _Subst) -> None:
         self._substs.append(subst)
 
-    def port_map(self) -> PortRefinementMap:
-        return PortRefinementMap({p: self.port_image(p) for p in self.base.ports})
+    def port_map(self) -> dict[PortId, frozenset[PortId]]:
+        """The ``~>`` relation: each base port to the ports refining it."""
+        return {p: self.port_image(p) for p in self.base.ports}
 
     def port_image(self, port: PortId) -> frozenset[PortId]:
         if port not in self.base.ports:
@@ -660,31 +651,16 @@ def _fold(
             "the folded group must be a proper subset of the net's processes"
         )
 
-    graph = core.process_digraph(model, net)
-    outside = net.processes - group
-    for start in sorted(group):
-        for first in sorted(graph.get(start, ())):
-            if first in group:
-                continue
-            # path leaving the group must not re-enter it
-            prev = {first: start}
-            work = [first]
-            seen = {first}
-            while work:
-                node = work.pop(0)
-                for succ in sorted(graph.get(node, ())):
-                    if succ in group:
-                        witness = [succ, node]
-                        while witness[-1] in prev:
-                            witness.append(prev[witness[-1]])
-                        raise NotConvexError(
-                            "folding would create a cycle at the parent level",
-                            list(reversed(witness)),
-                        )
-                    if succ in outside and succ not in seen:
-                        seen.add(succ)
-                        prev[succ] = node
-                        work.append(succ)
+    # a convex group is one whose contraction to the new process closes no cycle
+    qid = core.fresh_id(f"{owner}.{new_name}", model.processes)
+    contracted: dict[ProcessId, set[ProcessId]] = {qid: set()}
+    for node, succs in core.process_digraph(model, net).items():
+        edges = contracted.setdefault(qid if node in group else node, set())
+        edges.update(qid if succ in group else succ for succ in succs)
+    contracted[qid].discard(qid)
+    cycle = core.find_cycle(contracted)
+    if cycle is not None:
+        raise NotConvexError("folding would create a cycle at the parent level", cycle)
 
     member_names = {
         model.processes[m].name for m in net.processes - group if m in model.processes
@@ -693,7 +669,6 @@ def _fold(
         raise FreshnessViolationError(
             f"process name {new_name!r} already used in the net of {owner!r}"
         )
-    qid = core.fresh_id(f"{owner}.{new_name}", model.processes)
 
     inside = {p for m in group for p in model.processes[m].ports()}
     internal = frozenset(
@@ -747,9 +722,6 @@ class PortRef:
 
     path: tuple[str, ...]
     port: str
-
-    def __str__(self) -> str:
-        return ".".join(self.path + (self.port,))
 
 
 class RuleSpec(NamedTuple):
@@ -974,9 +946,6 @@ class DecomposeStep:
     path: tuple[str, ...]
     subnet: NetSpec
 
-    def describe(self) -> str:
-        return f"decompose {'.'.join(self.path)}"
-
     def apply(self, model: Model) -> tuple[Model, _Subst]:
         pid = core.resolve_path(model, self.path)
         if pid in model.nets:
@@ -989,9 +958,6 @@ class AddChannelStep:
     source: PortRef
     dest: PortRef
 
-    def describe(self) -> str:
-        return f"add-channel {self.source} -> {self.dest}"
-
     def apply(self, model: Model) -> tuple[Model, _Subst]:
         src = core.resolve_path(model, self.source.path), self.source.port
         dst = core.resolve_path(model, self.dest.path), self.dest.port
@@ -1002,9 +968,6 @@ class AddChannelStep:
 class AssignSortStep:
     port: PortRef
     sort: SortExpr
-
-    def describe(self) -> str:
-        return f"assign-sort {self.port}"
 
     def apply(self, model: Model) -> tuple[Model, _Subst]:
         pid = core.resolve_path(model, self.port.path)
@@ -1027,9 +990,6 @@ class PartSpec:
 class SplitPortStep:
     port: PortRef
     parts: tuple[PartSpec, ...]
-
-    def describe(self) -> str:
-        return f"split-port {self.port}"
 
     def apply(self, model: Model) -> tuple[Model, _Subst]:
         pid = core.resolve_path(model, self.port.path)
@@ -1074,9 +1034,6 @@ class FoldStep:
     group: tuple[str, ...]
     new_name: str
 
-    def describe(self) -> str:
-        return f"fold {'.'.join(self.path)} {{{', '.join(self.group)}}} as {self.new_name}"
-
     def apply(self, model: Model) -> tuple[Model, _Subst]:
         owner = core.resolve_path(model, self.path)
         net, _ = model.net_of(owner)
@@ -1096,9 +1053,6 @@ class FoldStep:
 @dataclass(frozen=True)
 class UnfoldStep:
     path: tuple[str, ...]
-
-    def describe(self) -> str:
-        return f"unfold {'.'.join(self.path)}"
 
     def apply(self, model: Model) -> tuple[Model, _Subst]:
         if len(self.path) < 2:
@@ -1137,7 +1091,6 @@ def apply_script(model: Model, script: RefinementScript) -> tuple[Model, Trace]:
 
 
 __all__ = [
-    "PortRefinementMap",
     "Trace",
     "part_fields",
     "PortRef",

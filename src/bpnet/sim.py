@@ -7,10 +7,11 @@ are greedy: a firing rule runs as soon as every fragment it needs is
 present, without waiting for complete inputs.  Produced fragments broadcast
 along all outgoing channels of the producing port.
 
-Each fragment a rule produces carries the tag of the labels the rule
-consumed, such as ``(a+b)``, computed once per rule.  An environment
-fragment's payload text is read and checked, but never shown, and a rule's
-``using NAME`` is carried through the model but does not change simulation.
+A fragment's payload is plain text.  Each fragment a rule produces carries
+the tag of the labels the rule consumed, such as ``(a+b)``, computed once
+per rule.  An environment fragment carries its env line's text, which is
+read and checked but never shown, and a rule's ``using NAME`` is carried
+through the model but does not change simulation.
 """
 
 from __future__ import annotations
@@ -37,15 +38,10 @@ from .errors import InvalidEnvFragmentError, NonDeterministicRulesError, SimErro
 
 
 @dataclass(frozen=True)
-class AtomicValue:
-    text: str
-
-
-@dataclass(frozen=True)
 class Fragment:
     port: PortId
     label: str
-    payload: AtomicValue
+    payload: str
 
 
 # --- flattening -----------------------------------------------------------------
@@ -87,7 +83,7 @@ class _Plan(NamedTuple):
     # per rule, ranked by (process name, pid, rule index): its trace entry
     # (pid, rule index), its produced (port, label) pairs in order, and the
     # payload they carry, the tag of the labels it needs
-    rules: list[tuple[tuple[ProcessId, int], list[tuple[PortId, str]], AtomicValue]]
+    rules: list[tuple[tuple[ProcessId, int], list[tuple[PortId, str]], str]]
     # per position, the number of distinct (port, label) needs
     missing: list[int]
     # (port, label) -> positions of the rules that need it
@@ -115,7 +111,7 @@ def _plan(model: Model) -> _Plan:
     waiting: dict[tuple[PortId, str], list[int]] = {}
     for position, (_, pid, index, rule) in enumerate(entries):
         tag = "+".join(sorted([label for _, label in rule.needs]))
-        rules.append(((pid, index), sorted(rule.produces), AtomicValue(f"({tag})")))
+        rules.append(((pid, index), sorted(rule.produces), f"({tag})"))
         needs = set(rule.needs)
         missing.append(len(needs))
         for need in needs:
@@ -258,7 +254,7 @@ def prepare_env(model: Model, entries: Iterable[tuple[str, str, str]]) -> list[F
         root_port = port_by_name(model, model.root, name)
         if root_port not in boundary or root_port not in model.processes[model.root].inputs:
             raise InvalidEnvFragmentError(f"{name!r} is not an input port of the root process")
-        fragments.append(Fragment(boundary[root_port], label, AtomicValue(payload)))
+        fragments.append(Fragment(boundary[root_port], label, payload))
     return fragments
 
 
@@ -271,12 +267,11 @@ def format_outputs(model: Model, outputs: Iterable[Fragment]) -> str:
         root_port = back.get(frag.port, frag.port)
         port = model.ports.get(root_port)
         name = port.name if port is not None else root_port
-        lines.append((name, frag.label, frag.payload.text))
+        lines.append((name, frag.label, frag.payload))
     return "\n".join(f"{n} {lab} = {text}" for n, lab, text in sorted(lines))
 
 
 __all__ = [
-    "AtomicValue",
     "Fragment",
     "FiringRule",
     "flatten",

@@ -111,6 +111,22 @@ class TestCheckRefinement:
         assert verdict.status == DOES_NOT_MATCH
         assert verdict.detail
 
+    @pytest.mark.parametrize(
+        "other, status, detail",
+        [
+            ("process w { in i }", DOES_NOT_MATCH, "top-level processes differ"),
+            ("process z { out o }", DOES_NOT_MATCH, "process 'z': different number of inputs"),
+            ("process z { in i }", REFINES, "script replay matches the refined model"),
+        ],
+    )
+    def test_top_level_processes_are_matched_by_name(self, other, status, detail):
+        """Only a model with a process outside every net, which ``bpn check``
+        rejects as ill-formed before the replay, reaches these verdicts."""
+        base = textio.parse_model("process root { in i }\nprocess z { in i }\n")
+        refined = textio.parse_model(f"process root {{ in i }}\n{other}\n")
+        verdict = check.check_refinement(base, refined, RefinementScript())
+        assert (verdict.status, verdict.detail) == (status, detail)
+
     def test_failing_script_reports_step(self, bp_fig6):
         script = textio.parse_script(
             "assign-sort bp.out_1 : BookData\nunfold bp.bp1"
@@ -197,10 +213,10 @@ class TestBruteForce:
         monkeypatch.setattr(refine.AssignSortStep, "apply", counting)
         script = check.brute_force_derivable(base, refined, max_steps=2)
         assert script is not None
-        assert [step.describe() for step in script.steps] == [
-            "unfold system.p1",
-            "unfold system.p2",
-        ]
+        assert script.steps == (
+            refine.UnfoldStep(("system", "p1")),
+            refine.UnfoldStep(("system", "p2")),
+        )
         assert check.check_refinement(base, refined, script).status == REFINES
         # an assign-sort keeps the process count, a surplus the steps left cannot remove
         assert applied == []

@@ -266,6 +266,92 @@ class TestCheck:
         assert (captured.out, captured.err) == ("", report)
 
 
+# one edit to a copy of library_refined.bpn per DoesNotMatch reason, and the
+# verdict `bpn check` prints after replaying library_decompose.bps
+MISMATCHES = [
+    (
+        "rule-count",
+        [("  rule notify_user : needs { in_1 } produces { out_1 }\n",
+          "  rule notify_user : needs { in_1 } produces { out_1 }\n" * 2)],
+        "process 'notify_user': different number of firing rules",
+    ),
+    (
+        "rules",
+        [("rule notify_user : needs { in_1 } produces { out_1 }",
+          "rule notify_user : needs { in_1 } produces { out_1 } using upcase")],
+        "process 'notify_user': firing rules differ",
+    ),
+    (
+        "names",
+        [("system", "library")],
+        "process names differ: 'system' vs 'library'",
+    ),
+    (
+        "decomposed",
+        [("net for system.reserve_book", "net for system.retrieve_book"),
+         ("  input check_availability.in_1 binds reserve_book.in_1\n"
+          "  output issue_notification.out_1 binds reserve_book.out_1\n"
+          "  output issue_notification.out_2 binds reserve_book.out_2\n",
+          "  input check_availability.in_1 binds retrieve_book.in_1\n"
+          "  output issue_notification.out_1 binds retrieve_book.out_1\n")],
+        "process 'reserve_book' is decomposed in only one model",
+    ),
+    (
+        "notes",
+        [('note "library service fetches the requested title"', 'note "library service"')],
+        "process 'retrieve_book': behavior notes differ",
+    ),
+    (
+        "env-inputs",
+        [("input retrieve_book.in_1 binds system.req",
+          "input notify_user.in_1 binds system.req")],
+        "net of 'system': environment inputs differ",
+    ),
+    (
+        "env-outputs",
+        [("output reserve_book.out_2 binds system.rec",
+          "output notify_user.out_1 binds system.rec")],
+        "net of 'system': environment outputs differ",
+    ),
+    (
+        "bindings",
+        [("  output issue_notification.out_1 binds reserve_book.out_1\n"
+          "  output issue_notification.out_2 binds reserve_book.out_2\n",
+          "  output issue_notification.out_1 binds reserve_book.out_2\n"
+          "  output issue_notification.out_2 binds reserve_book.out_1\n")],
+        "net of 'reserve_book': interface bindings differ",
+    ),
+]
+
+
+class TestCheckVerdicts:
+    @pytest.mark.parametrize(
+        "edits, reason", [m[1:] for m in MISMATCHES], ids=[m[0] for m in MISMATCHES]
+    )
+    def test_does_not_match_reason(self, edits, reason, tmp_path, capsys):
+        text = (FIXTURES / "library_refined.bpn").read_text(encoding="utf-8")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        refined = tmp_path / "refined.bpn"
+        refined.write_text(text, encoding="utf-8")
+        script = FIXTURES / "library_decompose.bps"
+        code = run("check", FIXTURES / "library.bpn", refined, script)
+        assert code == EXIT_DOES_NOT_MATCH
+        assert capsys.readouterr() == (f"DoesNotMatch: {reason}\n", "")
+
+    def test_failing_script(self, tmp_path, capsys):
+        script = tmp_path / "fails.bps"
+        script.write_text(
+            (FIXTURES / "library_decompose.bps").read_text(encoding="utf-8")
+            + "unfold system.nonsuch\n",
+            encoding="utf-8",
+        )
+        code = run("check", FIXTURES / "library.bpn", FIXTURES / "library_refined.bpn", script)
+        assert code == EXIT_SCRIPT_FAILS
+        assert capsys.readouterr() == ("ScriptFails: step 2 failed: no process named 'nonsuch' in net of 'system'\n", "")
+
+
 class TestSimulate:
     def test_single_run_prints_outputs(self, capsys):
         assert run("simulate", FIXTURES / "library.bpn", FIXTURES / "library.env") == EXIT_OK
@@ -568,6 +654,13 @@ class TestUsage:
 
     def test_no_command(self):
         assert run() == EXIT_USAGE
+
+    def test_help(self, capsys):
+        assert run("--help") == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: bpn ")
+        for command in ("validate", "apply", "check", "simulate", "export-dot", "fmt"):
+            assert f"    {command} " in out
 
 
 class TestDeterminismAndColor:

@@ -18,13 +18,15 @@ from bpnet.errors import (
     NotConvexError,
     PartitionMismatchError,
     SortConflictError,
+    SortMismatchError,
     StepFailedError,
     TooFewPartsError,
+    WouldBeIllFormedError,
     WouldCreateCycleError,
 )
 from bpnet.refine import NetSpec, ProcessSpec, apply_script
 
-from conftest import FIXTURES, run_bounded
+from conftest import FIXTURES, fixture_text, run_bounded
 from genmodels import gen_model, propose_step
 
 
@@ -389,9 +391,26 @@ class TestFold:
         )
         with pytest.raises(NotConvexError) as exc:
             step("fold system { a, b } as grp").apply(m)
-        assert exc.value.witness[0] == "system.a"
-        assert exc.value.witness[-1] == "system.b"
-        assert "system.x" in exc.value.witness
+        # the cycle the fold would close, through the would-be process
+        assert exc.value.witness == ["system.grp", "system.x"]
+        assert str(exc.value) == "folding would create a cycle at the parent level"
+
+    def test_group_beside_a_cycle_is_not_convex(self):
+        m = textio.parse_model(
+            """
+            process system { }
+            net for system {
+              process a { in i; out o }
+              process b { in i; out o }
+              process c { }
+              channel a.o -> b.i
+              channel b.o -> a.i
+            }
+            """
+        )
+        with pytest.raises(NotConvexError) as exc:
+            step("fold system { c } as grp").apply(m)
+        assert exc.value.witness == ["system.a", "system.b"]
 
     def test_full_member_set_rejected(self, bp_fig6):
         net, _ = bp_fig6.nets["bp"]
@@ -449,6 +468,119 @@ class TestApplyScript:
         with pytest.raises(StepFailedError) as exc:
             apply_script(bp_model, script)
         assert exc.value.index == 1
+
+
+# one well-formed model and one script line per rejection no other test reaches
+EMPTY_SUBNET = """
+process system { }
+net for system {
+  process p { }
+  process q { out o }
+}
+net for system.p { }
+"""
+CLOSURE_SORTS = """
+sort A
+sort B
+process system { }
+net for system {
+  process a { out o }
+  process c { in i : B }
+  process d { in i : A }
+  process e { out o : A }
+  channel a.o -> c.i
+  channel e.o -> d.i
+}
+"""
+THREE_FIELDS = """
+sort A
+sort B
+sort C
+sort R = record { a: A, b: B, c: C }
+process system { }
+net for system {
+  process p { out o : R }
+}
+"""
+SORTED_PEER = """
+sort A
+process system { }
+net for system {
+  process p { out o }
+  process q { in i : A }
+  channel p.o -> q.i
+}
+"""
+REJECTIONS = [
+    (
+        "bound-twice",
+        "bp.bpn",
+        "decompose bp { process a { in x; out o : BookData }\n"
+        "input a.x binds bp.in_1\ninput a.x binds bp.in_2\noutput a.o binds bp.out_1 }",
+        InterfaceMismatchError,
+        "binding must map onto the subnet boundary",
+    ),
+    (
+        "direction",
+        "bp.bpn",
+        "decompose bp { process a { in x y; out o : BookData }\n"
+        "input a.x binds bp.in_1\noutput a.y binds bp.in_2\ninput a.o binds bp.out_1 }",
+        InterfaceMismatchError,
+        "binding does not preserve direction for 'bp:in_2'",
+    ),
+    (
+        "bound-sorts",
+        "bp.bpn",
+        "decompose bp { process a { in x y; out o : Description }\n"
+        "input a.x binds bp.in_1\ninput a.y binds bp.in_2\noutput a.o binds bp.out_1 }",
+        InterfaceMismatchError,
+        "bound ports 'bp:out_1' and 'bp.a:o' carry different sorts",
+    ),
+    (
+        "empty-subnet",
+        EMPTY_SUBNET,
+        "add-channel system.q.o -> system.p.i",
+        WouldBeIllFormedError,
+        "cannot realize a fresh port inside the empty net of 'system.p'",
+    ),
+    (
+        "closure-sorts",
+        CLOSURE_SORTS,
+        "add-channel system.a.o -> system.d.i",
+        SortMismatchError,
+        "channel would connect ports with conflicting sorts",
+    ),
+    (
+        "field-uncovered",
+        THREE_FIELDS,
+        "split-port system.p.o -> x : a, y : b",
+        PartitionMismatchError,
+        "fields ['c'] not covered by any part",
+    ),
+    (
+        "closure-member-sort",
+        SORTED_PEER,
+        "split-port system.p.o -> x, y",
+        SortConflictError,
+        "closure member 'system.q:i' carries a different sort; cannot split",
+    ),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "model, line, error, message",
+        [r[1:] for r in REJECTIONS],
+        ids=[r[0] for r in REJECTIONS],
+    )
+    def test_rule_error_and_message(self, model, line, error, message):
+        text = fixture_text(model) if model.endswith(".bpn") else model
+        base = textio.parse_model(text)
+        assert validate_model(base) == []
+        with pytest.raises(StepFailedError) as exc:
+            apply_script(base, textio.parse_script(line))
+        assert type(exc.value.cause) is error
+        assert str(exc.value) == f"step 1 failed: {message}"
 
 
 class TestRulePreservation:

@@ -75,9 +75,9 @@ def reference(corpus):
             applied[type(step).__name__] += 1
             delta = len(after.processes) - len(model.processes)
             if delta != check._PROCESS_DELTA[type(step)](step):
-                broken.append(f"{step.describe()}: process count changed by {delta}")
+                broken.append(f"{step!r}: process count changed by {delta}")
             if isinstance(step, AssignSortStep) and len(after.ports) != len(model.ports):
-                broken.append(f"{step.describe()}: port count changed")
+                broken.append(f"{step!r}: port count changed")
             return result
 
         return wrapper
@@ -184,7 +184,7 @@ def test_group_counts_are_the_lengths_of_their_candidates(searched):
             assert len(group) == count, (kind.__name__, count, len(group))
             for step in group:
                 assert type(step) is kind, (kind.__name__, step)
-                assert check._PROCESS_DELTA[kind](step) == delta, step.describe()
+                assert check._PROCESS_DELTA[kind](step) == delta, step
             counted[kind.__name__] += count
             steps += group
         assert list(reference_search.candidate_steps(current, refined.model)) == steps

@@ -15,7 +15,7 @@ from bpnet.errors import (
     SimError,
     WouldBeIllFormedError,
 )
-from bpnet.sim import AtomicValue, Fragment
+from bpnet.sim import Fragment
 
 from conftest import fixture_text, load_model
 from genmodels import gen_model, rename_ids
@@ -62,7 +62,7 @@ def reference_greedy(model, env, rng=None):
             for port, label in sorted(rule.needs)
         ]
         # each produced fragment is tagged with the labels consumed
-        payload = AtomicValue("(" + "+".join(sorted(f.label for f in consumed)) + ")")
+        payload = "(" + "+".join(sorted(f.label for f in consumed)) + ")"
         for port, label in sorted(rule.produces):
             if port in flat.env_outputs:
                 outputs.add(Fragment(port, label, payload))
@@ -112,14 +112,12 @@ class TestFlatten:
         assert set(boundary) == set(library_refined.processes["system"].ports())
 
     def test_flatten_is_idempotent(self, library_refined):
-        # a model whose root net is already leaf-level flattens to itself
+        # unfolding a decomposed member first leaves the flat net unchanged
         flat_once = sim.flatten(library_refined)
         unfolded = textio.parse_model(fixture_text("library_refined.bpn"))
-        from bpnet.refine import unfold
-
-        pre_flattened = unfold(unfolded, "system", "system.reserve_book")
-        assert sim.flatten(pre_flattened) == sim.flatten(pre_flattened)
-        assert len(sim.flatten(pre_flattened).processes) == len(flat_once.processes)
+        pre_flattened, _ = refine.UnfoldStep(("system", "reserve_book")).apply(unfolded)
+        assert pre_flattened.nets != unfolded.nets
+        assert sim.flatten(pre_flattened) == flat_once
 
     def test_undecomposed_root_becomes_singleton_net(self, bp_model):
         flat = sim.flatten(bp_model)
@@ -227,7 +225,7 @@ class TestSimulateGreedy:
         frag = Fragment(
             core.port_by_name(library_model, "system.retrieve_book", "in_1"),
             "bogus_field",
-            AtomicValue("x"),
+            "x",
         )
         with pytest.raises(InvalidEnvFragmentError):
             sim.simulate_greedy(library_model, [frag])
