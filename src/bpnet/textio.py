@@ -1,8 +1,14 @@
 """Text format for models and refinement scripts, plus DOT export.
 
 The formats are specified in the README's "File formats".  The whole text
-is split into tokens at once, by one regular expression, and a token's line
-and column are computed only for an error.  Statements are read by index:
+is split into tokens at once, and a token's line and column are computed
+only for an error.  A plain text, ASCII with no comment, no string and no
+``\\x1f``, as every generated model and script is, is split by ``str.split``
+once its punctuation is padded with blanks; any other text by one regular
+expression, ``_TOKEN``.  The expression stays the reference: only it knows
+comments, strings and bad characters, the split result is kept only where
+it equals the expression's, and error positions are always computed with
+the expression.  Statements are read by index:
 each reader takes the index of its first token and returns what it read
 with the index after it; it tests each token inline, against the set of
 the text's names or the punctuation it expects, so reading a statement
@@ -102,6 +108,31 @@ _TOKEN = re.compile(
 _IDENT_START = frozenset(string.ascii_letters + "_")
 # the characters a one-character token may be
 _GOOD_CHARS = _IDENT_START | frozenset("{}:;,.=-")
+_PUNCTUATION = frozenset("{}:;,.=-") | {"->"}
+
+
+def _split_tokens(text: str) -> tuple[list[str], set[str]] | None:
+    """The tokens of a plain text and the set of them, found by
+    ``str.split``; None where ``_TOKEN`` must decide.
+
+    A plain text is ASCII and holds no string, no comment and no ``\\x1f``,
+    which ``str.split`` takes for a blank and ``_TOKEN`` for a bad
+    character; its other blanks are the same for both.  The split result
+    is kept only if each of its tokens is an identifier or punctuation, and
+    then it is ``_TOKEN``'s: any other character, such as a digit starting
+    a word or a ``>`` alone, takes the text to ``_TOKEN``.
+    """
+    if not text.isascii() or '"' in text or "#" in text or "\x1f" in text:
+        return None
+    for mark in "{}:;,.=-":
+        text = text.replace(mark, f" {mark} ")
+    # a padded "->" reads "- >"; a padded "- >" reads "-  >"
+    tokens = text.replace("- >", " -> ").split()
+    distinct = set(tokens)
+    # on ASCII, str.isidentifier accepts just _TOKEN's identifiers
+    if all(tok in _PUNCTUATION or tok.isidentifier() for tok in distinct):
+        return tokens, distinct
+    return None
 
 
 def _shown(tok: str) -> str:
@@ -118,13 +149,23 @@ class _Cursor:
     none of the tokens a reader looks for, so a reader stops there without
     a test for the end.  Positions are computed only for errors, from a
     token's index.
+
+    The tokens come from ``_split_tokens`` for a plain text, in about half
+    the regular expression's time, and from ``_TOKEN`` for any other, such
+    as a text with a comment.  Both give the same tokens, so an error and
+    its position do not depend on the path; ``span`` finds positions with
+    ``_TOKEN`` alone, which also sees the comments a position must count.
     """
 
     def __init__(self, text: str, filename: str):
-        tokens = _TOKEN.findall(text)
-        if "#" in text:
-            tokens = [tok for tok in tokens if tok[0] != "#"]
-        distinct = set(tokens)
+        split = _split_tokens(text)
+        if split is None:
+            tokens = _TOKEN.findall(text)
+            if "#" in text:
+                tokens = [tok for tok in tokens if tok[0] != "#"]
+            distinct = set(tokens)
+        else:
+            tokens, distinct = split
         tokens.append(None)
         self.tokens: list[str | None] = tokens
         self.text = text

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import time
@@ -321,6 +322,30 @@ MISMATCHES = [
           "  output issue_notification.out_2 binds reserve_book.out_1\n")],
         "net of 'reserve_book': interface bindings differ",
     ),
+    (
+        "port-names",
+        [("process system { in req : BookId;", "process system { in request : BookId;"),
+         ("binds system.req", "binds system.request")],
+        "process 'system': port names differ",
+    ),
+    (
+        # notify_user moves into reserve_book's net: the model keeps its
+        # process and port counts
+        "member-count",
+        [("  process notify_user { in in_1 : Notification; out out_1 : Notification }\n"
+          "  rule notify_user : needs { in_1 } produces { out_1 }\n", ""),
+         ("  channel reserve_book.out_1 -> notify_user.in_1\n", ""),
+         ("output notify_user.out_1 binds system.ack", "output reserve_book.out_1 binds system.ack"),
+         ("  channel check_availability.out_1",
+          "  process notify_user { in in_1 : Notification; out out_1 : Notification }\n"
+          "  channel check_availability.out_1")],
+        "net of 'system': different number of members",
+    ),
+    (
+        "member-names",
+        [("notify_user", "notify_patron")],
+        "net of 'system': member names differ",
+    ),
 ]
 
 
@@ -619,6 +644,19 @@ class TestExportDotAndFmt:
         assert run("fmt", second) == EXIT_OK
         assert capsys.readouterr().out == once
 
+    def test_fmt_keeps_a_compute_name(self, tmp_path, capsys):
+        text = (FIXTURES / "library.bpn").read_text(encoding="utf-8")
+        rule = "rule notify_user : needs { in_1 } produces { out_1 }"
+        assert rule in text
+        model = tmp_path / "upcase.bpn"
+        model.write_text(text.replace(rule, rule + " using upcase"), encoding="utf-8")
+        assert run("fmt", model) == EXIT_OK
+        once = capsys.readouterr().out
+        assert f"  {rule} using upcase\n" in once
+        model.write_text(once, encoding="utf-8")
+        assert run("fmt", model) == EXIT_OK
+        assert capsys.readouterr().out == once
+
 
 class TestNotUtf8:
     """A file that is not UTF-8 is a parse error that names the file."""
@@ -661,6 +699,50 @@ class TestUsage:
         assert out.startswith("usage: bpn ")
         for command in ("validate", "apply", "check", "simulate", "export-dot", "fmt"):
             assert f"    {command} " in out
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused, and leaves it on or
+    off as it found it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if before else gc.disable()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("validate", FIXTURES / "library.bpn"), EXIT_OK),
+            (("export-dot", FIXTURES / "bp.bpn"), EXIT_INVALID),
+            (("apply", FIXTURES / "library.bpn", FIXTURES / "bp_refine.bps", "{out}"),
+             EXIT_SCRIPT_FAILS),
+            (("frobnicate",), EXIT_USAGE),
+        ],
+        ids=["ok", "invalid", "script-fails", "usage"],
+    )
+    def test_state_is_restored(self, collecting, argv, code, tmp_path, monkeypatch, capsys):
+        parse, during = textio.parse_model, []
+
+        def parse_noting_the_collector(text, filename="<model>"):
+            during.append(gc.isenabled())
+            return parse(text, filename)
+
+        monkeypatch.setattr(textio, "parse_model", parse_noting_the_collector)
+        assert run(*(str(a).format(out=tmp_path / "out.bpn") for a in argv)) == code
+        assert gc.isenabled() is collecting
+        assert set(during) == (set() if code == EXIT_USAGE else {False})
+
+    def test_state_is_restored_after_an_exception(self, collecting, monkeypatch):
+        def fails(text, filename="<model>"):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(textio, "parse_model", fails)
+        with pytest.raises(RuntimeError, match="boom"):
+            run("validate", FIXTURES / "library.bpn")
+        assert gc.isenabled() is collecting
 
 
 class TestDeterminismAndColor:
@@ -712,63 +794,118 @@ class TestOneParserPerProcess:
 
 # --- no traceback on bad input ----------------------------------------------------
 
+# A child interpreter runs each (label, argv) that ``calls()`` yields through
+# ``cli.main`` and prints how many ran, the exit codes seen, and the calls
+# that ended in another code or printed a traceback.
 NO_TRACEBACK = """
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, random, sys, traceback
 from pathlib import Path
 sys.path.insert(0, {tests!r})
 from bpnet import cli
-from test_parse_oracle import base_texts, corpus
+from test_parse_oracle import KINDS, base_texts, corpus
 
 fixtures, work = Path({fixtures!r}), Path({work!r})
+{calls}
+found, bad = [], []
+for label, argv in calls():
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in argv])
+    except Exception:
+        code = None
+        err.write(traceback.format_exc())
+    found.append(code)
+    if code not in {codes} or "Traceback" in out.getvalue() + err.getvalue():
+        bad.append((label, argv[0], code, err.getvalue()[-300:]))
+print(json.dumps([len(found), sorted(set(found), key=repr), bad]))
+"""
+
+MODEL_CALLS = """
 scripts = {{"bp.bpn": "bp_refine.bps", "library.bpn": "library_decompose.bps"}}
 envs = {{"bp.bpn": "bp.env", "bp_refined.bpn": "bp.env", "library.bpn": "library.env",
          "library_refined.bpn": "library.env"}}
 (work / "empty.bps").write_text("")
 (work / "empty.env").write_text("")
 bases = dict(base_texts())
-found, bad = [], []
-for n, (label, kind, text) in enumerate(corpus()[::{stride}]):
-    base = label.split(":")[0]
-    model = work / f"m{{n}}.bpn"
-    model.write_text(text, encoding="utf-8")
-    (work / "base.bpn").write_text(bases[base], encoding="utf-8")
-    script = fixtures / scripts[base] if base in scripts else work / "empty.bps"
-    env = fixtures / envs[base] if base in envs else work / "empty.env"
-    for argv in (
-        ["validate", model],
-        ["fmt", model],
-        ["export-dot", model, "--depth", "2"],
-        ["simulate", model, env],
-        ["apply", model, script, work / "out.bpn"],
-        ["check", work / "base.bpn", model, script],
-    ):
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([str(a) for a in argv])
-        except Exception:
-            code = None
-            err.write(traceback.format_exc())
-        found.append(code)
-        if code not in {codes} or "Traceback" in out.getvalue() + err.getvalue():
-            bad.append((label, argv[0], code, err.getvalue()[-300:]))
-print(json.dumps([len(found), sorted(set(found), key=repr), bad]))
+
+def calls():
+    for n, (label, kind, text) in enumerate(corpus()[::{stride}]):
+        base = label.split(":")[0]
+        model = work / f"m{{n}}.bpn"
+        model.write_text(text, encoding="utf-8")
+        (work / "base.bpn").write_text(bases[base], encoding="utf-8")
+        script = fixtures / scripts[base] if base in scripts else work / "empty.bps"
+        env = fixtures / envs[base] if base in envs else work / "empty.env"
+        for argv in (
+            ["validate", model],
+            ["fmt", model],
+            ["export-dot", model, "--depth", "2"],
+            ["simulate", model, env],
+            ["apply", model, script, work / "out.bpn"],
+            ["check", work / "base.bpn", model, script],
+        ):
+            yield label, argv
 """
 
+# the fixture scripts with their base and refined models, and the fixture
+# env files with the models they feed
+INPUT_CALLS = """
+def mutants(name):
+    text = (fixtures / name).read_text(encoding="utf-8")
+    rng, kinds = random.Random(name), sorted(KINDS)
+    for n in range({count}):
+        kind = kinds[n % len(kinds)]
+        path = work / f"{{n}}-{{name}}"
+        path.write_text(KINDS[kind](text, rng, kind), encoding="utf-8")
+        yield f"{{name}}:{{n}}:{{kind}}", path
 
-def test_parse_oracle_mutants_give_no_traceback(tmp_path):
-    """Every subcommand on a fixed sample of the parse oracle's texts, in
-    one child interpreter, each mutant checked against its base text: each
-    call ends in a documented exit code, and none prints a traceback."""
-    codes = {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH, EXIT_SCRIPT_FAILS, EXIT_USAGE}
+def calls():
+    for base, script, refined in (("bp.bpn", "bp_refine.bps", "bp_refined.bpn"),
+                                  ("library.bpn", "library_decompose.bps", "library_refined.bpn")):
+        for label, path in mutants(script):
+            yield label, ["apply", fixtures / base, path, work / "out.bpn"]
+            yield label, ["check", fixtures / base, fixtures / refined, path]
+    for env, models in (("bp.env", ("bp.bpn", "bp_refined.bpn")),
+                        ("bp_partial.env", ("bp.bpn",)),
+                        ("library.env", ("library.bpn", "library_refined.bpn"))):
+        for label, path in mutants(env):
+            for model in models:
+                yield label, ["simulate", fixtures / model, path]
+                yield label, ["simulate", fixtures / model, path, "--trials", "2"]
+"""
+
+DOCUMENTED = {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH, EXIT_SCRIPT_FAILS, EXIT_USAGE}
+
+
+def no_traceback(calls: str, work) -> tuple[int, list]:
+    """Run the calls in one child interpreter; how many ran, and the exit
+    codes seen.  Each call must end in a documented exit code, and none may
+    print a traceback."""
     tests = os.path.dirname(os.path.abspath(__file__))
     done = run_bounded(
         NO_TRACEBACK.format(
-            tests=tests, fixtures=str(FIXTURES), work=str(tmp_path), stride=8, codes=codes
+            tests=tests, fixtures=str(FIXTURES), work=str(work), calls=calls, codes=DOCUMENTED
         ),
         seconds=60,
     )
     assert done.returncode == 0, done.stderr[-2000:]
     ran, seen, bad = json.loads(done.stdout.splitlines()[-1])
     assert bad == []
+    return ran, seen
+
+
+def test_parse_oracle_mutants_give_no_traceback(tmp_path):
+    """Every subcommand on a fixed sample of the parse oracle's texts, each
+    mutant checked against its base text."""
+    ran, seen = no_traceback(MODEL_CALLS.format(stride=8), tmp_path)
     assert ran == 6 * 274 and {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH} <= set(seen), seen
+
+
+def test_script_and_env_mutants_give_no_traceback(tmp_path):
+    """``apply`` and ``check`` on mutants of the fixture scripts, and
+    ``simulate`` on mutants of the fixture env files."""
+    count = 40
+    ran, seen = no_traceback(INPUT_CALLS.format(count=count), tmp_path)
+    assert ran == count * (2 * 2 + 2 * (2 + 1 + 2))
+    assert {EXIT_OK, EXIT_INVALID, EXIT_DOES_NOT_MATCH, EXIT_SCRIPT_FAILS} <= set(seen), seen

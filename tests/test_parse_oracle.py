@@ -161,3 +161,49 @@ class TestAgainstReferenceParser:
         parsed = [(label, got) for label, _, _, got in outcomes if not isinstance(got, BpnError)]
         assert len(parsed) > 200
         assert [label for label, got in parsed if not got[-1]] == []
+
+
+# Characters the split tokenizer must leave to the regular expression: ones
+# outside ASCII that ``str.split`` takes for blanks, the guarded ``\x1f``,
+# ``"`` and ``#``, a ``>`` alone and a digit starting a word; and two it
+# must split as the expression does, a blank and a ``-``.
+PROBES = ["\x1f", "\x85", "\xa0", "\u3000", '"', "#", ">", "7", " ", "-"]
+PROBES_PER_TEXT = 4
+PUNCTUATION = {"{", "}", ":", ";", ",", ".", "=", "-", "->"}
+
+
+def probe_mutants(bases: list[tuple[str, str]]) -> list[tuple[str, str, str]]:
+    """(label, probe, text): each base text with one probe inserted at a
+    seeded place; a digit goes before a word, to start it."""
+    cases = []
+    for label, text in bases:
+        rng = random.Random(f"probe:{label}")
+        words = [m.start() for m in _IDENT.finditer(text)]
+        for probe in PROBES:
+            for n in range(PROBES_PER_TEXT):
+                at = rng.choice(words) if probe == "7" else rng.randrange(len(text) + 1)
+                cases.append((f"{label}:{probe!r}:{n}", probe, text[:at] + probe + text[at:]))
+    return cases
+
+
+def test_split_tokens_are_the_regular_expressions():
+    """``textio._split_tokens`` decides on exactly the plain texts, ASCII
+    with no ``"``, ``#`` or ``\\x1f``, whose tokens are all identifiers and
+    punctuation, and there it gives ``textio._TOKEN``'s tokens: on the
+    corpus and on probe mutants of its base texts."""
+    cases = corpus()
+    bases = [(label, text) for label, kind, text in cases if kind == "base"]
+    decided = Counter()
+    for label, kind, text in cases + probe_mutants(bases):
+        expected = textio._TOKEN.findall(text)
+        plain = text.isascii() and not set('"#\x1f') & set(text)
+        marks = all(_IDENT.fullmatch(tok) or tok in PUNCTUATION for tok in expected)
+        split = textio._split_tokens(text)
+        assert (split is not None) == (plain and marks), label
+        if split is not None:
+            assert split == (expected, set(expected)), label
+            decided[kind] += 1
+    # every printed model is plain; no fixture is, since each has a comment
+    assert decided["base"] == len(bases) - len(FIXTURES)
+    assert sum(decided[kind] for kind in KINDS) >= 1000, decided
+    assert decided[" "] > 0 and decided["-"] > 0, decided

@@ -238,6 +238,65 @@ class TestErrorPositions:
             textio.parse_model(text)
         assert str(exc.value) == f"<model>:{expected}"
 
+    @pytest.mark.parametrize("comment", ["", "# a comment line\n"], ids=["plain", "comment"])
+    @pytest.mark.parametrize(
+        "text, error, line, column, message",
+        [
+            ("{ }", ParseError, 1, 1, "expected rule name, got '{'"),
+            ("add-chanel bp.a.o -> bp.b.i", UnknownRuleNameError, 1, 1,
+             "unknown rule 'add-chanel'"),
+            ("unfold bp = a", ParseError, 1, 11, "expected rule name, got '='"),
+            ("decompose { }", ParseError, 1, 11, "expected process name, got '{'"),
+            ("decompose bp.in { }", ParseError, 1, 14,
+             "'in' is a reserved word and cannot name a process name"),
+            ("decompose bp process a { }", ParseError, 1, 14, "expected '{', got 'process'"),
+            ("decompose bp {\n  process a { in i }\n", ParseError, 2, 21,
+             "unterminated block for decompose bp"),
+            ("add-channel bp -> bp.b.i", ParseError, 1, 16, "expected <process-path>.<port>"),
+            ("add-channel bp.a.o bp.b.i", ParseError, 1, 20, "expected '->', got 'bp'"),
+            ("add-channel bp.a.o ->", ParseError, 1, 22, "expected process name"),
+            ("assign-sort bp.o Reservation", ParseError, 1, 18,
+             "expected ':', got 'Reservation'"),
+            ("assign-sort bp.o : { }", ParseError, 1, 20, "expected a sort expression"),
+            ("split-port bp.o p, q", ParseError, 1, 17, "expected '->', got 'p'"),
+            ("split-port bp.o -> , q", ParseError, 1, 20, "expected part name, got ','"),
+            ("split-port bp.o -> out", ParseError, 1, 20,
+             "'out' is a reserved word and cannot name a part name"),
+            ("split-port bp.o -> p : { a b }", ParseError, 1, 28, "expected '}', got 'b'"),
+            ("split-port bp.o -> p : { , }", ParseError, 1, 26, "expected field name, got ','"),
+            ("split-port bp.o -> p : ;", ParseError, 1, 24, "expected field or sort, got ';'"),
+            ("split-port bp.o -> p : in", ParseError, 1, 24,
+             "'in' is a reserved word and cannot name a field or sort"),
+            ("fold bp a, b as g", ParseError, 1, 9, "expected '{', got 'a'"),
+            ("fold bp { , } as g", ParseError, 1, 11, "expected member name, got ','"),
+            ("fold bp { a b } as g", ParseError, 1, 13, "expected '}', got 'b'"),
+            ("fold bp { a, b } x", ParseError, 1, 18, "fold needs 'as <name>'"),
+            ("fold bp { a, b } ;", ParseError, 1, 18, "expected 'as', got ';'"),
+            ("fold bp { a, b } as ;", ParseError, 1, 21, "expected process name, got ';'"),
+            ("fold bp { a, b } as out", ParseError, 1, 21,
+             "'out' is a reserved word and cannot name a process name"),
+            ("unfold ;", ParseError, 1, 8, "expected process name, got ';'"),
+            ("unfold", ParseError, 1, 7, "expected process name"),
+        ],
+        ids=["no-rule-name", "unknown-rule", "rule-name-at-punctuation", "decompose-no-path",
+             "decompose-reserved", "decompose-no-brace", "decompose-unterminated",
+             "port-path-too-short", "add-channel-no-arrow", "add-channel-at-end",
+             "assign-sort-no-colon", "assign-sort-no-sort", "split-port-no-arrow",
+             "no-part-name", "reserved-part-name", "part-fields-no-brace", "no-field-name",
+             "no-field-or-sort", "reserved-field-or-sort", "fold-no-brace", "no-member-name",
+             "fold-group-no-brace", "fold-other-than-as", "fold-no-as", "fold-no-name",
+             "fold-reserved-name", "unfold-no-path", "unfold-at-end"],
+    )
+    def test_script_errors(self, text, error, line, column, message, comment):
+        """One case for each error the script reader raises, on a plain text,
+        which is split by ``str.split``, and behind a comment, which sends
+        it to the regular expression."""
+        assert (textio._split_tokens(comment + text) is None) == bool(comment)
+        with pytest.raises(error) as exc:
+            textio.parse_script(comment + text)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"<script>:{line + bool(comment)}:{column}: {message}"
+
     def test_trailing_blanks_and_comment(self):
         model = textio.parse_model("process p { in a }  \t\r\n# done")
         assert list(model.processes) == ["p"]
